@@ -75,7 +75,7 @@ def _load_context(scene_path, delta, knn, features_dir=None):
         cache = Path(features_dir) / (Path(scene_path).stem + ".features.npz")
         if cache.exists():
             data = np.load(cache)
-            if data["features"].shape[0] == cloud.n_points:
+            if data["features"].shape[0] == cloud.n_points and int(data["knn"]) == knn:
                 feats = data["features"]
     return build_context(cloud, delta=delta, knn=knn, features=feats)
 

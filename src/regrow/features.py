@@ -1,4 +1,5 @@
-"""Per-point features, voxel-grid neighbor queries and network input prep.
+"""Per-point features, the cKDTree radius adjacency, the region engine
+(`FrontierTracker`) and network input prep.
 
 Each point gets 13 feature columns:
 
@@ -100,96 +101,47 @@ def compute_features(cloud, k: int = DEFAULT_KNN) -> np.ndarray:
     return feats
 
 
-class SpatialIndex:
-    """Uniform voxel grid over the scene for strict-inequality radius queries."""
+def radius_adjacency(positions: np.ndarray, delta: float = DEFAULT_DELTA):
+    """CSR adjacency (indptr, indices): for every point, the other points
+    strictly within `delta`, each row sorted ascending.
 
-    def __init__(self, positions: np.ndarray, cell_size: float = DEFAULT_DELTA):
-        self.positions = np.asarray(positions, dtype=np.float64)
-        self.cell_size = float(cell_size)
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
-        self._origin = self.positions.min(axis=0)
-        keys = np.floor((self.positions - self._origin) / self.cell_size).astype(np.int64)
-        self._keys = keys
-        order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-        sorted_keys = keys[order]
-        self._cells: dict[tuple[int, int, int], np.ndarray] = {}
-        if len(order):
-            change = np.flatnonzero((np.diff(sorted_keys, axis=0) != 0).any(axis=1)) + 1
-            for chunk in np.split(order, change):
-                cell = tuple(int(v) for v in keys[chunk[0]])
-                self._cells[cell] = np.sort(chunk)
-
-    def query_point(self, center, radius: float | None = None) -> np.ndarray:
-        """All point indices strictly within `radius` of `center` (sorted)."""
-        radius = self.cell_size if radius is None else float(radius)
-        center = np.asarray(center, dtype=np.float64)
-        lo = np.floor((center - radius - self._origin) / self.cell_size).astype(np.int64)
-        hi = np.floor((center + radius - self._origin) / self.cell_size).astype(np.int64)
-        chunks = []
-        for cx in range(lo[0], hi[0] + 1):
-            for cy in range(lo[1], hi[1] + 1):
-                for cz in range(lo[2], hi[2] + 1):
-                    ids = self._cells.get((cx, cy, cz))
-                    if ids is not None:
-                        chunks.append(ids)
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        cand = np.concatenate(chunks)
-        d2 = ((self.positions[cand] - center) ** 2).sum(axis=1)
-        hits = cand[d2 < radius * radius]
-        return np.sort(hits)
-
-    def neighbor_lists(self, radius: float | None = None):
-        """CSR adjacency (indptr, indices): strict-< radius, self excluded."""
-        radius = self.cell_size if radius is None else float(radius)
-        n = self.positions.shape[0]
-        per_point: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        reach = int(np.ceil(radius / self.cell_size))
-        offsets = range(-reach, reach + 1)
-        r2 = radius * radius
-        for cell, ids in self._cells.items():
-            chunks = []
-            for dx in offsets:
-                for dy in offsets:
-                    for dz in offsets:
-                        other = self._cells.get((cell[0] + dx, cell[1] + dy, cell[2] + dz))
-                        if other is not None:
-                            chunks.append(other)
-            cand = np.sort(np.concatenate(chunks))
-            diff = self.positions[ids][:, None, :] - self.positions[cand][None, :, :]
-            close = (diff ** 2).sum(axis=2) < r2
-            for row, pid in enumerate(ids):
-                nbr = cand[close[row]]
-                per_point[pid] = nbr[nbr != pid]
-        counts = np.array([len(v) for v in per_point], dtype=np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.concatenate(per_point) if n else np.empty(0, dtype=np.int64)
-        return indptr, indices.astype(np.int64)
-
-
-def query_neighbors(index: SpatialIndex, region, labels, delta: float | None = None) -> np.ndarray:
-    """Unlabeled points strictly within delta of any region point, region excluded."""
-    region = np.asarray(list(region) if isinstance(region, set) else region, dtype=np.int64)
-    if region.size == 0:
-        raise ValueError("region must be nonempty")
-    delta = index.cell_size if delta is None else float(delta)
-    n = index.positions.shape[0]
-    near = np.zeros(n, dtype=bool)
-    for m in region:
-        near[index.query_point(index.positions[m], delta)] = True
-    near[region] = False
-    if labels is not None:
-        near &= np.asarray(labels) == 0
-    return np.flatnonzero(near)
+    The k-d tree proposes pairs with a hair of slack on the radius; the exact
+    test is the squared coordinate difference summed in x, y, z order against
+    delta**2, so the relation is symmetric and independent of the tree. To
+    bound memory, pairs are filtered in chunks straight into one int64 key
+    per directed edge (row * n + col), and sorting the keys yields the CSR.
+    """
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    pts = np.asarray(positions, dtype=np.float64)
+    n = pts.shape[0]
+    pairs = cKDTree(pts).query_pairs(delta * (1 + 1e-9), output_type="ndarray")
+    m = len(pairs)
+    keys = np.empty(2 * m, dtype=np.int64)  # forward keys first, reversed from m on
+    kept = 0
+    for lo in range(0, m, 1 << 16):
+        p = pairs[lo:lo + (1 << 16)].astype(np.int64, copy=False)
+        p = p[((pts[p[:, 0]] - pts[p[:, 1]]) ** 2).sum(axis=1) < delta * delta]
+        keys[kept:kept + len(p)] = p[:, 0] * n + p[:, 1]
+        keys[m + kept:m + kept + len(p)] = p[:, 1] * n + p[:, 0]
+        kept += len(p)
+    del pairs
+    if kept < m:
+        keys[kept:2 * kept] = keys[m:m + kept]
+        keys = keys[:2 * kept]
+    keys.sort()
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    keys %= n
+    return indptr, keys
 
 
 class FrontierTracker:
-    """Incrementally tracks points within delta of an evolving member set.
+    """A region as a member bitmask over the scene's points.
 
-    Backed by the precomputed radius adjacency: every point keeps a count of
-    member points adjacent to it, so membership changes cost O(degree).
+    Every point also keeps `support`, the count of members adjacent to it in
+    the radius adjacency, so the frontier (non-members with positive support)
+    is one vectorized test and membership changes cost O(degree). `size` is
+    the member count. `add` takes distinct non-members, `remove` members.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, n: int):
@@ -198,30 +150,31 @@ class FrontierTracker:
         self._n = n
         self.support = np.zeros(n, dtype=np.int32)
         self.member = np.zeros(n, dtype=bool)
+        self.size = 0
 
-    def _gather(self, ids) -> np.ndarray:
-        parts = [self._indices[self._indptr[i]:self._indptr[i + 1]] for i in ids]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    def _update(self, ids, sign: int) -> None:
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size == 0:
+            return
+        self.member[ids] = sign > 0
+        self.size += sign * ids.size
+        starts = self._indptr[ids]
+        lengths = self._indptr[ids + 1] - starts
+        ends = np.cumsum(lengths)
+        touched = self._indices[np.repeat(starts - ends + lengths, lengths)
+                                + np.arange(ends[-1])]
+        if touched.size:
+            counts = np.bincount(touched, minlength=self._n).astype(np.int32)
+            self.support += counts if sign > 0 else -counts
 
     def add(self, ids) -> None:
-        ids = np.asarray(list(ids) if isinstance(ids, set) else ids, dtype=np.int64)
-        if ids.size == 0:
-            return
-        self.member[ids] = True
-        touched = self._gather(ids)
-        if touched.size:
-            self.support += np.bincount(touched, minlength=self._n).astype(np.int32)
+        self._update(ids, 1)
 
     def remove(self, ids) -> None:
-        ids = np.asarray(list(ids) if isinstance(ids, set) else ids, dtype=np.int64)
-        if ids.size == 0:
-            return
-        self.member[ids] = False
-        touched = self._gather(ids)
-        if touched.size:
-            self.support -= np.bincount(touched, minlength=self._n).astype(np.int32)
+        self._update(ids, -1)
 
     def frontier(self, eligible: np.ndarray | None = None) -> np.ndarray:
+        """Sorted non-members adjacent to the region, optionally restricted."""
         mask = (self.support > 0) & ~self.member
         if eligible is not None:
             mask &= eligible
@@ -234,17 +187,19 @@ class FrontierTracker:
         dup._n = self._n
         dup.support = self.support.copy()
         dup.member = self.member.copy()
+        dup.size = self.size
         return dup
 
 
 def sample_fixed(indices, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Exactly `count` indices drawn from a nonempty set.
+    """Exactly `count` indices drawn from a nonempty sorted array of distinct
+    indices.
 
     When the set is large enough this is a uniform sample without replacement;
     otherwise every member appears once and the rest are resampled uniformly
     with replacement.
     """
-    idx = np.unique(np.asarray(list(indices) if isinstance(indices, set) else indices, dtype=np.int64))
+    idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("cannot sample from an empty index set")
     if count < 1:
@@ -281,7 +236,6 @@ class SceneContext:
 
     cloud: "PointCloud"  # noqa: F821
     features: np.ndarray
-    index: SpatialIndex
     adj_indptr: np.ndarray
     adj_indices: np.ndarray
     delta: float
@@ -291,8 +245,11 @@ class SceneContext:
     def n_points(self) -> int:
         return self.cloud.n_points
 
-    def new_tracker(self) -> FrontierTracker:
-        return FrontierTracker(self.adj_indptr, self.adj_indices, self.n_points)
+    def new_tracker(self, members=()) -> FrontierTracker:
+        """A region over this scene's adjacency holding `members`."""
+        tracker = FrontierTracker(self.adj_indptr, self.adj_indices, self.n_points)
+        tracker.add(members)
+        return tracker
 
     def neighbors_of(self, i: int) -> np.ndarray:
         return self.adj_indices[self.adj_indptr[i]:self.adj_indptr[i + 1]]
@@ -300,9 +257,8 @@ class SceneContext:
 
 def build_context(cloud, delta: float = DEFAULT_DELTA, knn: int = DEFAULT_KNN,
                   features: np.ndarray | None = None) -> SceneContext:
-    """Compute features, spatial index and radius adjacency for a scene."""
+    """Compute features and the radius adjacency for a scene."""
     if features is None:
         features = compute_features(cloud, k=min(knn, cloud.n_points))
-    index = SpatialIndex(cloud.positions, cell_size=delta)
-    indptr, indices = index.neighbor_lists(delta)
-    return SceneContext(cloud, features, index, indptr, indices, float(delta), knn)
+    indptr, indices = radius_adjacency(cloud.positions, delta)
+    return SceneContext(cloud, features, indptr, indices, float(delta), knn)

@@ -9,7 +9,7 @@ ids; undersized ones are merged into their nearest surviving instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -19,7 +19,6 @@ from .features import (
     SceneContext,
     normalize_inputs,
     passthrough_positions,
-    query_neighbors,
     sample_fixed,
 )
 from .simulate import RegionState
@@ -52,7 +51,7 @@ class GrowStep:
 
 @dataclass
 class GrowResult:
-    members: set[int]
+    members: np.ndarray  # bool mask over the scene's points
     loglik: float
     steps: int
     inferences: int
@@ -83,8 +82,8 @@ def _vote(ids: np.ndarray, bits: np.ndarray, majority: bool) -> np.ndarray:
     return uniq[yes >= 1]
 
 
-def _region_inputs(ctx: SceneContext, members_arr, frontier, cfg: GrowConfig, rng):
-    inl = sample_fixed(members_arr, cfg.i_size, rng)
+def _region_inputs(ctx: SceneContext, members, frontier, cfg: GrowConfig, rng):
+    inl = sample_fixed(members, cfg.i_size, rng)
     nbr = sample_fixed(frontier, cfg.j_size, rng)
     cols = cfg.feature_columns if cfg.feature_columns is not None \
         else tuple(range(ctx.features.shape[1]))
@@ -95,21 +94,15 @@ def _region_inputs(ctx: SceneContext, members_arr, frontier, cfg: GrowConfig, rn
     return inl, nbr, xi, xn
 
 
-def grow_step(ctx: SceneContext, predictor, state: RegionState, labels,
-              cfg: GrowConfig, rng: np.random.Generator,
-              frontier: np.ndarray | None = None):
-    """One prediction-driven update of the region.
+def grow_step(ctx: SceneContext, predictor, state: RegionState, frontier: np.ndarray,
+              cfg: GrowConfig, rng: np.random.Generator) -> GrowStep:
+    """One prediction-driven update of the region from its nonempty frontier.
 
-    Returns (new_state, GrowStep) or (state, None) when there are no neighbor
-    candidates. An empty predicted add set leaves the region untouched (the
-    caller treats it as a termination signal).
+    The state is updated in place. An empty predicted add set leaves it
+    untouched (the caller treats that as a termination signal).
     """
-    if frontier is None:
-        frontier = query_neighbors(ctx.index, state.members, labels, ctx.delta)
-    if frontier.size == 0:
-        return state, None
-    members_arr = np.fromiter(sorted(state.members), dtype=np.int64, count=len(state.members))
-    inl, nbr, xi, xn = _region_inputs(ctx, members_arr, frontier, cfg, rng)
+    tracker = state.tracker
+    inl, nbr, xi, xn = _region_inputs(ctx, np.flatnonzero(tracker.member), frontier, cfg, rng)
     p_remove, p_add = predictor(xi, xn)
 
     if cfg.policy == "greedy":
@@ -132,55 +125,74 @@ def grow_step(ctx: SceneContext, predictor, state: RegionState, labels,
 
     added = _vote(nbr, add_bits, majority=False)
     if added.size == 0:
-        return state, GrowStep(added, np.empty(0, dtype=np.int64), loglik)
+        return GrowStep(added, np.empty(0, dtype=np.int64), loglik)
     removed = _vote(inl, remove_bits, majority=True)
     if cfg.protect_seed:
         removed = removed[removed != state.seed]
 
-    members = set(state.members)
-    members.difference_update(int(i) for i in removed)
-    members.update(int(i) for i in added)
-    expanded = len(members) > len(state.members)
-    new_state = RegionState(members, state.seed, state.step + 1,
-                            0 if expanded else min(state.stagnant_steps + 1, 2),
-                            state.loglik + loglik)
-    return new_state, GrowStep(added, removed, loglik)
+    size = tracker.size
+    tracker.remove(removed)
+    tracker.add(added)
+    state.step += 1
+    state.stagnant_steps = 0 if tracker.size > size else min(state.stagnant_steps + 1, 2)
+    state.loglik += loglik
+    return GrowStep(added, removed, loglik)
+
+
+@dataclass
+class Rollout:
+    """A region grown from one seed plus the statistics of its steps."""
+
+    state: RegionState
+    inferences: int = 0
+    capped: bool = False
+    add_fractions: list[float] = field(default_factory=list)
+    remove_fractions: list[float] = field(default_factory=list)
+
+    @classmethod
+    def start(cls, ctx: SceneContext, seed: int) -> "Rollout":
+        return cls(RegionState(ctx.new_tracker([int(seed)]), int(seed)))
+
+    def copy(self) -> "Rollout":
+        return Rollout(replace(self.state, tracker=self.state.tracker.copy()),
+                       self.inferences, self.capped, list(self.add_fractions),
+                       list(self.remove_fractions))
+
+    def advance(self, ctx: SceneContext, predictor, eligible: np.ndarray,
+                cfg: GrowConfig, rng: np.random.Generator) -> bool:
+        """One growth step; False once a termination condition has fired."""
+        state = self.state
+        if state.step >= cfg.max_steps:
+            self.capped = True
+            return False
+        frontier = state.tracker.frontier(eligible)
+        if frontier.size == 0:
+            return False
+        size = state.tracker.size
+        step = grow_step(ctx, predictor, state, frontier, cfg, rng)
+        self.inferences += 1
+        if step.added.size == 0:
+            return False  # predicted add set is empty
+        self.add_fractions.append(step.added.size / min(cfg.j_size, frontier.size))
+        self.remove_fractions.append(step.removed.size / min(cfg.i_size, size))
+        return state.stagnant_steps < 2  # no expansion for two consecutive steps
+
+    def result(self) -> GrowResult:
+        return GrowResult(
+            self.state.tracker.member, self.state.loglik, self.state.step,
+            self.inferences, self.capped,
+            float(np.mean(self.add_fractions)) if self.add_fractions else 0.0,
+            float(np.mean(self.remove_fractions)) if self.remove_fractions else 0.0)
 
 
 def grow_region(ctx: SceneContext, predictor, seed: int, labels,
                 cfg: GrowConfig, rng: np.random.Generator) -> GrowResult:
     """Grow from one seed until a termination condition fires."""
     eligible = np.asarray(labels) == 0
-    state = RegionState({int(seed)}, int(seed))
-    tracker = ctx.new_tracker()
-    tracker.add([int(seed)])
-    inferences = 0
-    capped = False
-    add_counts = []
-    remove_counts = []
-    while True:
-        if state.step >= cfg.max_steps:
-            capped = True
-            break
-        frontier = tracker.frontier(eligible)
-        if frontier.size == 0:
-            break
-        new_state, step = grow_step(ctx, predictor, state, labels, cfg, rng,
-                                    frontier=frontier)
-        inferences += 1
-        if step.added.size == 0:
-            break  # predicted add set is empty
-        add_counts.append(step.added.size / min(cfg.j_size, frontier.size))
-        remove_counts.append(step.removed.size / min(cfg.i_size, len(state.members)))
-        tracker.remove(step.removed)
-        tracker.add(step.added)
-        state = new_state
-        if state.stagnant_steps >= 2:
-            break  # no expansion for two consecutive steps
-    return GrowResult(
-        state.members, state.loglik, state.step, inferences, capped,
-        float(np.mean(add_counts)) if add_counts else 0.0,
-        float(np.mean(remove_counts)) if remove_counts else 0.0)
+    rollout = Rollout.start(ctx, seed)
+    while rollout.advance(ctx, predictor, eligible, cfg, rng):
+        pass
+    return rollout.result()
 
 
 def reassign_small_segments(cloud, labels: np.ndarray,
@@ -245,9 +257,7 @@ def segment_scene(ctx: SceneContext, predictor, grow_cfg: GrowConfig,
         else:
             seed = select_seed(curvature, labels)
         result = run_search(ctx, predictor, seed, labels, grow_cfg, search_cfg, rng)
-        members = np.fromiter(sorted(result.members), dtype=np.int64,
-                              count=len(result.members))
-        labels[members] = next_id
+        labels[result.members] = next_id
         next_id += 1
         regions += 1
         total_inferences += result.inferences

@@ -12,8 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .features import SceneContext
-from .grow import GrowConfig, GrowResult, grow_region, grow_step
-from .simulate import RegionState
+from .grow import GrowConfig, GrowResult, Rollout, grow_region
 
 STRATEGIES = ("greedy", "rr-ml", "rr-np", "bs-ml", "bs-np")
 
@@ -35,7 +34,7 @@ class SearchConfig:
 
 @dataclass
 class SearchResult:
-    members: set[int]
+    members: np.ndarray  # bool mask over the scene's points
     criterion: float
     inferences: int
     capped: bool = False
@@ -43,17 +42,12 @@ class SearchResult:
     remove_fraction: float = 0.0
 
 
-def accumulate_loglik(steps) -> float:
-    """Total log-likelihood of a rollout's sampled mask decisions."""
-    return float(sum(s.step_loglik for s in steps))
-
-
-def _criterion(members: set[int], loglik: float, kind: str) -> float:
-    return loglik if kind == "ml" else float(len(members))
+def _criterion(size: int, loglik: float, kind: str) -> float:
+    return loglik if kind == "ml" else float(size)
 
 
 def _result_from_grow(res: GrowResult, kind: str) -> SearchResult:
-    return SearchResult(res.members, _criterion(res.members, res.loglik, kind),
+    return SearchResult(res.members, _criterion(np.count_nonzero(res.members), res.loglik, kind),
                         res.inferences, res.capped, res.add_fraction,
                         res.remove_fraction)
 
@@ -88,69 +82,28 @@ def _random_restart(ctx, predictor, seed, labels, grow_cfg, search_cfg, kind, rn
     return best
 
 
-@dataclass
-class _BeamState:
-    state: RegionState
-    tracker: object
-    finished: bool = False
-    capped: bool = False
-
-
 def _beam_search(ctx, predictor, seed, labels, grow_cfg, search_cfg, kind, rng):
     """Track up to K live regions, expanding each a few times per round."""
     eligible = np.asarray(labels) == 0
-    root_tracker = ctx.new_tracker()
-    root_tracker.add([int(seed)])
-    live = [_BeamState(RegionState({int(seed)}, int(seed)), root_tracker)]
-    finished: list[_BeamState] = []
+    live = [Rollout.start(ctx, seed)]
+    finished: list[Rollout] = []
     inferences = 0
+
+    def criterion(r: Rollout) -> float:
+        return _criterion(r.state.tracker.size, r.state.loglik, kind)
+
     while live:
-        children: list[_BeamState] = []
+        children: list[Rollout] = []
         for parent in live:
             for child_rng in rng.spawn(search_cfg.expansions):
-                st = _BeamState(
-                    RegionState(set(parent.state.members), parent.state.seed,
-                                parent.state.step, parent.state.stagnant_steps,
-                                parent.state.loglik),
-                    parent.tracker.copy())
-                if st.state.step >= grow_cfg.max_steps:
-                    st.finished = True
-                    st.capped = True
-                    finished.append(st)
-                    continue
-                frontier = st.tracker.frontier(eligible)
-                if frontier.size == 0:
-                    st.finished = True
-                    finished.append(st)
-                    continue
-                new_state, step = grow_step(ctx, predictor, st.state, labels,
-                                            grow_cfg, child_rng, frontier=frontier)
-                inferences += 1
-                if step.added.size == 0:
-                    st.state = new_state
-                    st.finished = True
-                    finished.append(st)
-                    continue
-                st.tracker.remove(step.removed)
-                st.tracker.add(step.added)
-                st.state = new_state
-                if new_state.stagnant_steps >= 2:
-                    st.finished = True
-                    finished.append(st)
-                else:
-                    children.append(st)
-        # deduplicate identical regions, then prune to the K best
-        seen = set()
-        unique = []
-        for st in children:
-            key = hash(frozenset(st.state.members))
-            if key not in seen:
-                seen.add(key)
-                unique.append(st)
-        unique.sort(key=lambda st: -_criterion(st.state.members, st.state.loglik, kind))
-        live = unique[:search_cfg.beam_width]
-    best = max(finished,
-               key=lambda st: _criterion(st.state.members, st.state.loglik, kind))
-    return SearchResult(best.state.members,
-                        _criterion(best.state.members, best.state.loglik, kind),
-                        inferences, best.capped)
+                child = parent.copy()
+                alive = child.advance(ctx, predictor, eligible, grow_cfg, child_rng)
+                inferences += child.inferences - parent.inferences
+                (children if alive else finished).append(child)
+        # deduplicate identical regions (exact bitmask), then prune to the K best
+        unique: dict[bytes, Rollout] = {}
+        for child in children:
+            unique.setdefault(child.state.tracker.member.tobytes(), child)
+        live = sorted(unique.values(), key=lambda r: -criterion(r))[:search_cfg.beam_width]
+    best = max(finished, key=criterion)
+    return replace(_result_from_grow(best.result(), kind), inferences=inferences)

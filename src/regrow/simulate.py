@@ -20,12 +20,13 @@ Dataset file layout (little endian):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .features import (
+    FrontierTracker,
     SceneContext,
     build_context,
     normalize_inputs,
@@ -50,9 +51,12 @@ class NoiseSchedule:
 
 @dataclass
 class RegionState:
-    """Evolving region: member point indices plus step bookkeeping."""
+    """Evolving region: the tracked member mask plus step bookkeeping.
 
-    members: set[int]
+    The seed is always a member. Growth functions update the state in place.
+    """
+
+    tracker: FrontierTracker
     seed: int
     step: int = 0
     stagnant_steps: int = 0
@@ -82,38 +86,18 @@ class SimConfig:
     seed: int = 0
 
 
-def _members_array(members: set[int]) -> np.ndarray:
-    return np.fromiter(sorted(members), dtype=np.int64, count=len(members))
-
-
-def _frontier(ctx: SceneContext, members: set[int]) -> np.ndarray:
-    """All non-member points within delta of the region (sorted)."""
-    arr = _members_array(members)
-    parts = [ctx.neighbors_of(int(i)) for i in arr]
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    cand = np.unique(np.concatenate(parts))
-    mask = np.ones(cand.size, dtype=bool)
-    member_mask = np.zeros(ctx.n_points, dtype=bool)
-    member_mask[arr] = True
-    mask &= ~member_mask[cand]
-    return cand[mask]
-
-
-def oracle_next_region(ctx: SceneContext, state: RegionState) -> RegionState:
+def oracle_next_region(ctx: SceneContext, state: RegionState) -> None:
     """Noiseless growth step: absorb in-radius points of the seed's instance."""
     gt = ctx.cloud.gt_instance
     if gt is None:
         raise ValueError("simulation requires ground-truth instance labels")
-    inst = int(gt[state.seed])
-    frontier = _frontier(ctx, state.members)
-    add = frontier[gt[frontier] == inst]
-    members = state.members | set(int(i) for i in add)
-    return replace(state, members=members, step=state.step + 1)
+    frontier = state.tracker.frontier()
+    state.tracker.add(frontier[gt[frontier] == gt[state.seed]])
+    state.step += 1
 
 
 def corrupt_region(ctx: SceneContext, state: RegionState, schedule: NoiseSchedule,
-                   rng: np.random.Generator) -> RegionState:
+                   rng: np.random.Generator) -> None:
     """One noisy growth step with mistake probability alpha(step).
 
     Correct frontier points are each dropped with probability alpha, wrong
@@ -125,22 +109,18 @@ def corrupt_region(ctx: SceneContext, state: RegionState, schedule: NoiseSchedul
         raise ValueError("simulation requires ground-truth instance labels")
     inst = int(gt[state.seed])
     alpha = schedule.alpha(state.step)
-    frontier = _frontier(ctx, state.members)
-    correct = frontier[gt[frontier] == inst]
-    wrong = frontier[gt[frontier] != inst]
-    members_arr = _members_array(state.members)
-    wrong_members = members_arr[gt[members_arr] != inst]
+    frontier = state.tracker.frontier()
+    right = gt[frontier] == inst
+    correct = frontier[right]
+    wrong = frontier[~right]
+    members = np.flatnonzero(state.tracker.member)
+    wrong_members = members[gt[members] != inst]
 
     added = correct[rng.random(correct.size) >= alpha]
     added_wrong = wrong[rng.random(wrong.size) < alpha]
-    removed = wrong_members[rng.random(wrong_members.size) >= alpha]
-
-    members = set(state.members)
-    members.difference_update(int(i) for i in removed)
-    members.update(int(i) for i in added)
-    members.update(int(i) for i in added_wrong)
-    members.add(state.seed)
-    return replace(state, members=members, step=state.step + 1)
+    state.tracker.remove(wrong_members[rng.random(wrong_members.size) >= alpha])
+    state.tracker.add(np.concatenate([added, added_wrong]))
+    state.step += 1
 
 
 def make_training_sample(ctx: SceneContext, state: RegionState, i_size: int,
@@ -153,11 +133,10 @@ def make_training_sample(ctx: SceneContext, state: RegionState, i_size: int,
     if gt is None:
         raise ValueError("training samples require ground-truth instance labels")
     inst = int(gt[state.seed])
-    frontier = _frontier(ctx, state.members)
+    frontier = state.tracker.frontier()
     if frontier.size == 0:
         return None
-    members_arr = _members_array(state.members)
-    inl = sample_fixed(members_arr, i_size, rng)
+    inl = sample_fixed(np.flatnonzero(state.tracker.member), i_size, rng)
     nbr = sample_fixed(frontier, j_size, rng)
 
     cols = tuple(feature_columns) if feature_columns is not None else tuple(range(ctx.features.shape[1]))
@@ -186,8 +165,8 @@ def augment_scene(cloud: PointCloud, rng: np.random.Generator) -> PointCloud:
     return cloud.with_positions(pos)
 
 
-def instance_closure(ctx: SceneContext, seed: int) -> set[int]:
-    """Points of the seed's instance reachable from it by in-radius hops."""
+def instance_closure(ctx: SceneContext, seed: int) -> np.ndarray:
+    """Mask of the seed's instance points reachable from it by in-radius hops."""
     gt = ctx.cloud.gt_instance
     inst = gt[seed]
     seen = np.zeros(ctx.n_points, dtype=bool)
@@ -199,7 +178,7 @@ def instance_closure(ctx: SceneContext, seed: int) -> set[int]:
             if not seen[j] and gt[j] == inst:
                 seen[j] = True
                 stack.append(int(j))
-    return set(int(i) for i in np.flatnonzero(seen))
+    return seen
 
 
 def simulate_instance(ctx: SceneContext, instance_id: int, cfg: SimConfig,
@@ -211,7 +190,7 @@ def simulate_instance(ctx: SceneContext, instance_id: int, cfg: SimConfig,
     alpha0 = float(rng.uniform(*cfg.alpha_range))
     schedule = NoiseSchedule(alpha0, cfg.decay)
     closure = instance_closure(ctx, seed)
-    state = RegionState({seed}, seed)
+    state = RegionState(ctx.new_tracker([seed]), seed)
     while True:
         sample = make_training_sample(
             ctx, state, cfg.i_size, cfg.j_size, rng,
@@ -219,10 +198,10 @@ def simulate_instance(ctx: SceneContext, instance_id: int, cfg: SimConfig,
             meta=(scene_key, int(instance_id), state.step))
         if sample is not None:
             yield sample
-        if (state.members == closure and schedule.alpha(state.step) == 0.0) \
+        if (schedule.alpha(state.step) == 0.0 and np.array_equal(state.tracker.member, closure)) \
                 or state.step >= SIM_STEP_CAP:
             return
-        state = corrupt_region(ctx, state, schedule, rng)
+        corrupt_region(ctx, state, schedule, rng)
 
 
 def generate_dataset(scenes, cfg: SimConfig, out_path) -> int:

@@ -131,3 +131,27 @@ def delta_components_oracle(positions, mask, seed, delta):
                 seen.add(int(j))
                 stack.append(int(j))
     return {int(idx[i]) for i in seen}
+
+
+def radius_adjacency_oracle(positions, delta):
+    """Sorted neighbor rows by testing every ordered pair: j is a neighbor of
+    i when j != i and the x, y, z squared differences sum strictly below
+    delta**2 (the library's exact test, with no spatial structure at all)."""
+    pts = np.asarray(positions, dtype=np.float64)
+    n = len(pts)
+    rows = []
+    for i in range(n):
+        d2 = ((pts[i] - pts) ** 2).sum(axis=1)
+        rows.append(np.array([j for j in range(n) if j != i and d2[j] < delta * delta],
+                             dtype=np.int64))
+    return rows
+
+
+def frontier_oracle(positions, members, delta, eligible=None):
+    """Sorted non-members within delta of some member, limited to `eligible`."""
+    rows = radius_adjacency_oracle(positions, delta)
+    members = {int(m) for m in members}
+    near = {int(j) for m in members for j in rows[m]} - members
+    if eligible is not None:
+        near = {j for j in near if eligible[j]}
+    return np.array(sorted(near), dtype=np.int64)

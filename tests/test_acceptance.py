@@ -244,13 +244,13 @@ class TestC3SimulatorConvergence:
                 d = np.linalg.norm(sub[i:i + 512, None, :] - sub[None, :, :], axis=2)
                 diameter = max(diameter, float(d.max()))
             bound = int(np.ceil(diameter / _C3_DELTA)) + 2
-            state = RegionState({seed}, seed)
+            state = RegionState(ctx.new_tracker([seed]), seed)
             steps = 0
-            while state.members != expected:
-                new = oracle_next_region(ctx, state)
-                assert new.members != state.members, \
+            while set(np.flatnonzero(state.tracker.member).tolist()) != expected:
+                before = state.tracker.member.copy()
+                oracle_next_region(ctx, state)
+                assert not np.array_equal(state.tracker.member, before), \
                     f"trial {trial}: converged to the wrong set"
-                state = new
                 steps += 1
                 assert steps <= bound, f"trial {trial}: {steps} steps > bound {bound}"
             worst_ratio = max(worst_ratio, steps / bound)

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from regrow import cli
 from regrow.cli import main
+from regrow.features import compute_features
 from regrow.pointcloud import load_scene, read_labels, write_labels
 
 SMALL_SYNTH = ["--extent", "1.4", "1.4", "0.9", "--spacing", "0.06",
@@ -223,3 +225,23 @@ class TestParallelAndCache:
                         "--out", str(out), "--seed", "4"] + extra) == 0
         f = next(plain.glob("*.labels"))
         assert sha(f) == sha(cached / f.name)
+
+    def test_cache_with_other_knn_is_recomputed(self, workspace, tmp_path, monkeypatch):
+        scenes = workspace / "data" / "test"
+        cache = tmp_path / "cache"
+        assert run(["features", "--scenes", str(scenes), "--out", str(cache),
+                    "--knn", "8"]) == 0
+        used = []
+
+        def spy(cloud, **kwargs):
+            ctx = build_context(cloud, **kwargs)
+            used.append(ctx.features)
+            return ctx
+
+        build_context = cli.build_context
+        monkeypatch.setattr(cli, "build_context", spy)
+        assert run(["segment", "--scenes", str(scenes), "--model", str(workspace / "model.ckpt"),
+                    "--out", str(tmp_path / "pred"), "--knn", "16",
+                    "--features-dir", str(cache)]) == 0
+        scene = load_scene(next(scenes.glob("*.txt")))
+        np.testing.assert_array_equal(used[0], compute_features(scene, k=16))

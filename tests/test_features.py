@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import frontier_oracle, radius_adjacency_oracle
 from regrow.features import (
     FrontierTracker,
-    SpatialIndex,
     compute_features,
     compute_normals_curvature,
     normalize_inputs,
     passthrough_positions,
-    query_neighbors,
+    radius_adjacency,
     sample_fixed,
 )
 from regrow.pointcloud import PointCloud
@@ -116,26 +116,61 @@ class TestComputeFeatures:
         np.testing.assert_allclose(feats[:, 5], 0.5)
 
 
+def tracker_for(pts, radius, members=()):
+    indptr, indices = radius_adjacency(pts, radius)
+    tracker = FrontierTracker(indptr, indices, len(pts))
+    tracker.add(members)
+    return tracker
+
+
+def assert_rows_match(indptr, indices, rows):
+    assert len(indptr) == len(rows) + 1 and indptr[0] == 0
+    for i, row in enumerate(rows):
+        np.testing.assert_array_equal(indices[indptr[i]:indptr[i + 1]], row)
+
+
+# binary-exact coordinates, so distances and squared radii carry no rounding
+# and points exactly at the radius must be excluded
+exact_coord = st.integers(0, 12).map(lambda k: k * 0.0625)
+exact_point = st.tuples(exact_coord, exact_coord, exact_coord)
+float_point = st.tuples(*[st.floats(0, 0.6, allow_nan=False)] * 3)
+
+
 class TestSpatialIndex:
-    def brute(self, pts, center, radius):
-        return np.flatnonzero(np.linalg.norm(pts - center, axis=1) < radius)
+    """The cKDTree radius adjacency and frontier queries on it."""
 
     def test_query_matches_brute_force(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 1, (300, 3))
-        index = SpatialIndex(pts, cell_size=0.1)
+        indptr, indices = radius_adjacency(pts, 0.1)
         for i in range(0, 300, 13):
-            got = index.query_point(pts[i], 0.1)
-            np.testing.assert_array_equal(got, self.brute(pts, pts[i], 0.1))
+            brute = np.flatnonzero(np.linalg.norm(pts - pts[i], axis=1) < 0.1)
+            np.testing.assert_array_equal(indices[indptr[i]:indptr[i + 1]],
+                                          brute[brute != i])
 
     def test_strict_inequality_on_line(self):
         # binary-exact spacing so distances are computed without rounding:
         # neighbors at exactly the radius must be excluded
         spacing, radius = 0.0625, 0.125
         pts = np.column_stack([np.arange(21) * spacing, np.zeros(21), np.zeros(21)])
-        index = SpatialIndex(pts, cell_size=radius)
-        got = query_neighbors(index, [10], np.zeros(21, dtype=int), radius)
+        got = tracker_for(pts, radius, [10]).frontier(np.ones(21, dtype=bool))
         assert got.tolist() == [9, 11]
+
+    def test_nonpositive_radius_rejected(self):
+        for radius in (0.0, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                radius_adjacency(np.zeros((2, 3)), radius)
+
+    def test_pairs_just_inside_radius_kept(self):
+        # the tree's candidate radius must not cut off pairs the exact test keeps
+        radius = 0.1
+        gaps = radius * (1 - np.array([1e-6, 1e-9, 1e-12, 1e-15]))
+        pts = np.zeros((2 * len(gaps), 3))
+        pts[1::2, 0] = gaps
+        pts[:, 1] = np.arange(len(gaps)).repeat(2)  # pairs far apart from each other
+        assert_rows_match(*radius_adjacency(pts, radius), radius_adjacency_oracle(pts, radius))
+        assert all(((pts[2 * k] - pts[2 * k + 1]) ** 2).sum() < radius ** 2
+                   for k in range(len(gaps)))
 
     def test_query_neighbors_matches_brute_force(self):
         rng = np.random.default_rng(6)
@@ -143,9 +178,8 @@ class TestSpatialIndex:
             n = int(rng.integers(20, 200))
             pts = rng.uniform(0, 0.8, (n, 3))
             labels = rng.integers(0, 3, n)
-            index = SpatialIndex(pts, cell_size=0.1)
             region = rng.choice(n, size=int(rng.integers(1, 8)), replace=False)
-            got = query_neighbors(index, region, labels, 0.1)
+            got = tracker_for(pts, 0.1, region).frontier(labels == 0)
             dmat = np.linalg.norm(pts[:, None, :] - pts[None, region, :], axis=2)
             near = (dmat < 0.1).any(axis=1)
             near[region] = False
@@ -155,26 +189,27 @@ class TestSpatialIndex:
     def test_whole_cloud_region_has_no_neighbors(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(0, 1, (50, 3))
-        index = SpatialIndex(pts, cell_size=0.1)
-        got = query_neighbors(index, np.arange(50), np.zeros(50, dtype=int), 0.1)
-        assert got.size == 0
+        assert tracker_for(pts, 0.1, np.arange(50)).frontier().size == 0
 
     def test_labeled_points_never_returned(self):
         pts = np.array([[0, 0, 0], [0.05, 0, 0], [0.08, 0, 0]])
-        index = SpatialIndex(pts, cell_size=0.1)
         labels = np.array([0, 7, 0])
-        got = query_neighbors(index, [0], labels, 0.1)
+        got = tracker_for(pts, 0.1, [0]).frontier(labels == 0)
         assert got.tolist() == [2]
 
     def test_neighbor_lists_match_queries(self):
         rng = np.random.default_rng(8)
         pts = rng.uniform(0, 0.5, (120, 3))
-        index = SpatialIndex(pts, cell_size=0.1)
-        indptr, indices = index.neighbor_lists(0.1)
-        for i in range(120):
-            expect = index.query_point(pts[i], 0.1)
-            expect = expect[expect != i]
-            np.testing.assert_array_equal(indices[indptr[i]:indptr[i + 1]], expect)
+        assert_rows_match(*radius_adjacency(pts, 0.1), radius_adjacency_oracle(pts, 0.1))
+
+    @given(st.lists(st.one_of(exact_point, float_point), min_size=1, max_size=40),
+           st.sampled_from([0.0625, 0.125, 0.1875, 0.1]), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_adjacency_matches_oracle(self, points, radius, n_dupes):
+        pts = np.array(points + points[:n_dupes], dtype=np.float64)  # duplicates at distance 0
+        indptr, indices = radius_adjacency(pts, radius)
+        assert indices.dtype == np.int64
+        assert_rows_match(indptr, indices, radius_adjacency_oracle(pts, radius))
 
 
 class TestFrontierTracker:
@@ -182,9 +217,7 @@ class TestFrontierTracker:
         rng = np.random.default_rng(9)
         pts = rng.uniform(0, 0.6, (150, 3))
         labels = rng.integers(0, 2, 150)
-        index = SpatialIndex(pts, cell_size=0.1)
-        indptr, indices = index.neighbor_lists(0.1)
-        tracker = FrontierTracker(indptr, indices, 150)
+        tracker = tracker_for(pts, 0.1)
         members = set()
         eligible = labels == 0
         for step in range(30):
@@ -197,14 +230,41 @@ class TestFrontierTracker:
                 members.add(add)
                 tracker.add([add])
             got = tracker.frontier(eligible)
-            expect = query_neighbors(index, np.array(sorted(members)), labels, 0.1)
-            np.testing.assert_array_equal(got, expect)
+            np.testing.assert_array_equal(got, frontier_oracle(pts, members, 0.1, eligible))
+
+    @given(st.lists(exact_point, min_size=1, max_size=30), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_churn_with_eligibility_matches_oracle(self, points, seed):
+        pts = np.array(points, dtype=np.float64)
+        n = len(pts)
+        rng = np.random.default_rng(seed)
+        eligible = rng.random(n) < 0.7
+        tracker = tracker_for(pts, 0.125)
+        copy_at = int(rng.integers(0, 12))
+        members: set[int] = set()
+        for step in range(12):
+            if step == copy_at:  # a copy evolves independently of its source
+                snapshot, tracker = tracker, tracker.copy()
+                frozen = (snapshot.member.copy(), snapshot.support.copy())
+            out = np.array(sorted(members), dtype=np.int64)
+            drop = out[rng.random(out.size) < 0.4]
+            fresh = np.setdiff1d(np.arange(n), out)
+            new = fresh[rng.random(fresh.size) < 0.3]
+            tracker.remove(drop)
+            tracker.add(new)
+            members = (members - set(drop.tolist())) | set(new.tolist())
+            assert tracker.size == len(members)
+            np.testing.assert_array_equal(np.flatnonzero(tracker.member), sorted(members))
+            np.testing.assert_array_equal(tracker.frontier(eligible),
+                                          frontier_oracle(pts, members, 0.125, eligible))
+        np.testing.assert_array_equal(snapshot.member, frozen[0])
+        np.testing.assert_array_equal(snapshot.support, frozen[1])
 
 
 class TestSampleFixed:
     def test_oversample_keeps_all_members(self):
         rng = np.random.default_rng(0)
-        out = sample_fixed({3, 7, 11}, 5, rng)
+        out = sample_fixed(np.array([3, 7, 11]), 5, rng)
         assert len(out) == 5
         assert set(out) <= {3, 7, 11}
         assert {3, 7, 11} <= set(out)

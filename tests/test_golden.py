@@ -1,0 +1,65 @@
+"""Golden SHA-256 digests of simulator and segmentation outputs.
+
+The digests were recorded from the implementation that predates the shared
+region engine (tracked member bitmask plus cKDTree radius adjacency); any
+refactor of simulation, growing or search must reproduce them byte for byte.
+No network is involved: segmentation uses a deterministic NumPy predictor, so
+changes to the network's float arithmetic cannot move these digests.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from regrow import synth
+from regrow.features import build_context
+from regrow.grow import GrowConfig, segment_scene
+from regrow.search import SearchConfig
+from regrow.simulate import SimConfig, generate_dataset
+
+ROOM = synth.RoomConfig(extent=(1.2, 1.2, 0.8), spacing=0.06, n_objects=(2, 3))
+
+DATASET_SHA256 = "bb81a0f7a0d19c0a6752210b082a1176ec8fc74e7fc1753c710bc5c192d15cdc"
+LABELS_SHA256 = {
+    "greedy": "78d971328505ce45a1861e09d5699294e8a124eb9764bf44f67164a731ce9ff7",
+    "bs-np": "ad3deb565d8ac1fd074a3678effdbfc287a0d70aac8376d4a2d7a68260ed8617",
+}
+
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def feature_predictor(xi, xn):
+    """Admit neighbors whose normal matches the region's median normal and
+    expel inliers whose normal strays from it (inputs are median-normalized,
+    so the normal columns hold the deviation); curvature sharpens both."""
+    dev_in = np.abs(xi[:, 9:12]).sum(axis=1) + 4.0 * np.abs(xi[:, 12])
+    dev_nb = np.abs(xn[:, 9:12]).sum(axis=1) + 4.0 * np.abs(xn[:, 12])
+    p_remove = np.clip(_sigmoid(12.0 * (dev_in - 0.3)), 1e-6, 1 - 1e-6)
+    p_add = np.clip(_sigmoid(12.0 * (0.8 - dev_nb)), 1e-6, 1 - 1e-6)
+    return p_remove, p_add
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_dataset_bytes_match_golden(tmp_path):
+    cloud = synth.generate_room(ROOM, seed=3)
+    path = tmp_path / "golden.bin"
+    cfg = SimConfig(i_size=16, j_size=16, alpha_range=(0.2, 0.4), seed=7)
+    assert generate_dataset([cloud], cfg, path) > 0
+    assert _sha256(path.read_bytes()) == DATASET_SHA256
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "bs-np"])
+def test_segment_labels_match_golden(strategy):
+    ctx = build_context(synth.generate_room(ROOM, seed=4), delta=0.1, knn=8)
+    labels, stats = segment_scene(
+        ctx, feature_predictor, GrowConfig(i_size=16, j_size=16),
+        SearchConfig(strategy, beam_width=2, expansions=2),
+        rng=np.random.default_rng(11))
+    assert stats["instances"] > 1
+    assert _sha256(labels.astype("<i4").tobytes()) == LABELS_SHA256[strategy]

@@ -20,6 +20,15 @@ from regrow.simulate import (
 )
 
 
+def region(ctx, members, seed=None):
+    members = sorted(members)
+    return RegionState(ctx.new_tracker(members), members[0] if seed is None else seed)
+
+
+def member_set(state):
+    return set(np.flatnonzero(state.tracker.member).tolist())
+
+
 def line_scene(n=21, spacing=0.05, instance=1):
     pts = np.column_stack([np.arange(n) * spacing, np.zeros(n), np.zeros(n)])
     colors = np.full((n, 3), 100, dtype=np.uint8)
@@ -40,27 +49,28 @@ class TestOracleGrowth:
     def test_line_grows_one_point_per_step(self):
         cloud = line_scene()
         ctx = build_context(cloud, delta=0.1, knn=4)
-        state = RegionState({0}, 0)
-        state = oracle_next_region(ctx, state)
+        state = region(ctx, {0})
+        oracle_next_region(ctx, state)
         # from the leftmost point only the +0.05 neighbor is strictly inside 0.1
-        assert state.members == {0, 1}
+        assert member_set(state) == {0, 1}
         assert state.step == 1
 
     def test_fixed_point_at_closure(self):
         cloud = line_scene(n=5)
         ctx = build_context(cloud, delta=0.1, knn=4)
-        state = RegionState(set(range(5)), 0)
-        out = oracle_next_region(ctx, state)
-        assert out.members == set(range(5))
+        state = region(ctx, set(range(5)))
+        oracle_next_region(ctx, state)
+        assert member_set(state) == set(range(5))
 
     def test_line_step_count(self):
         cloud = line_scene(n=21, spacing=0.05)
         ctx = build_context(cloud, delta=0.1, knn=4)
-        state = RegionState({0}, 0)
+        state = region(ctx, {0})
         closure = instance_closure(ctx, 0)
+        assert closure.all()  # the whole line is one delta-connected instance
         steps = 0
-        while state.members != closure:
-            state = oracle_next_region(ctx, state)
+        while not np.array_equal(state.tracker.member, closure):
+            oracle_next_region(ctx, state)
             steps += 1
             assert steps <= 21
         assert steps <= int(np.ceil(1.0 / 0.05))
@@ -70,7 +80,7 @@ class TestOracleGrowth:
         cloud = PointCloud(cloud.positions, cloud.colors, None)
         ctx = build_context(cloud, delta=0.1, knn=4)
         with pytest.raises(ValueError):
-            oracle_next_region(ctx, RegionState({0}, 0))
+            oracle_next_region(ctx, region(ctx, {0}))
 
     def test_monotone_and_converges_to_component(self):
         rng = np.random.default_rng(4)
@@ -81,42 +91,44 @@ class TestOracleGrowth:
             ctx = build_context(cloud, delta=0.12, knn=4)
             seed = int(rng.integers(60))
             expected = delta_components_oracle(pts, gt == gt[seed], seed, 0.12)
-            state = RegionState({seed}, seed)
+            state = region(ctx, {seed})
             for _ in range(100):
-                new = oracle_next_region(ctx, state)
-                assert state.members <= new.members
-                if new.members == state.members:
+                before = member_set(state)
+                oracle_next_region(ctx, state)
+                assert before <= member_set(state)
+                if member_set(state) == before:
                     break
-                state = new
-            assert state.members == expected
+            assert member_set(state) == expected
 
 
 class TestCorruptRegion:
     def test_alpha_zero_equals_oracle(self):
         cloud = two_blob_scene()
         ctx = build_context(cloud, delta=0.1, knn=4)
-        state = RegionState({0, 1}, 0)
-        clean = oracle_next_region(ctx, state)
-        noisy = corrupt_region(ctx, state, NoiseSchedule(0.0), np.random.default_rng(0))
-        assert noisy.members == clean.members
+        clean = region(ctx, {0, 1})
+        oracle_next_region(ctx, clean)
+        noisy = region(ctx, {0, 1})
+        corrupt_region(ctx, noisy, NoiseSchedule(0.0), np.random.default_rng(0))
+        assert member_set(noisy) == member_set(clean)
+        np.testing.assert_array_equal(noisy.tracker.support, clean.tracker.support)
 
     def test_alpha_one_extremes(self):
         cloud = two_blob_scene()
         ctx = build_context(cloud, delta=0.1, knn=4)
-        state = RegionState({0}, 0)
-        noisy = corrupt_region(ctx, state, NoiseSchedule(1.0, decay=0.0),
-                               np.random.default_rng(0))
+        noisy = region(ctx, {0})
+        corrupt_region(ctx, noisy, NoiseSchedule(1.0, decay=0.0),
+                       np.random.default_rng(0))
         # all correct frontier dropped, every wrong in-range point added
-        assert 1 not in noisy.members
-        assert 6 in noisy.members  # the second instance's point right across
-        assert 0 in noisy.members
+        assert 1 not in member_set(noisy)
+        assert 6 in member_set(noisy)  # the second instance's point right across
+        assert 0 in member_set(noisy)
 
     def test_alpha_zero_removes_wrong_members(self):
         cloud = two_blob_scene()
         ctx = build_context(cloud, delta=0.1, knn=4)
-        state = RegionState({0, 6}, 0)  # 6 belongs to the other instance
-        out = corrupt_region(ctx, state, NoiseSchedule(0.0), np.random.default_rng(0))
-        assert 6 not in out.members
+        state = region(ctx, {0, 6})  # 6 belongs to the other instance
+        corrupt_region(ctx, state, NoiseSchedule(0.0), np.random.default_rng(0))
+        assert 6 not in member_set(state)
 
     def test_drop_fraction_matches_alpha(self):
         cloud = line_scene(n=3, spacing=0.05)
@@ -125,8 +137,9 @@ class TestCorruptRegion:
         dropped = 0
         trials = 1000
         for _ in range(trials):
-            out = corrupt_region(ctx, RegionState({1}, 1), NoiseSchedule(0.3), rng)
-            dropped += (0 not in out.members) + (2 not in out.members)
+            out = region(ctx, {1})
+            corrupt_region(ctx, out, NoiseSchedule(0.3), rng)
+            dropped += (0 not in member_set(out)) + (2 not in member_set(out))
         assert dropped / (2 * trials) == pytest.approx(0.3, abs=0.05)
 
     def test_schedule_decay(self):
@@ -141,7 +154,7 @@ class TestTrainingSamples:
     def test_clean_state_has_no_removals(self):
         cloud = two_blob_scene()
         ctx = build_context(cloud, delta=0.1, knn=4)
-        sample = make_training_sample(ctx, RegionState({0, 1}, 0), 8, 8,
+        sample = make_training_sample(ctx, region(ctx, {0, 1}), 8, 8,
                                       np.random.default_rng(0))
         assert sample.remove_target.sum() == 0
         assert sample.inlier_features.shape == (8, 13)
@@ -149,7 +162,7 @@ class TestTrainingSamples:
     def test_wrong_member_marked_for_removal(self):
         cloud = two_blob_scene()
         ctx = build_context(cloud, delta=0.1, knn=4)
-        sample = make_training_sample(ctx, RegionState({0, 6}, 0), 8, 8,
+        sample = make_training_sample(ctx, region(ctx, {0, 6}), 8, 8,
                                       np.random.default_rng(0))
         assert sample.remove_target.sum() > 0
 
@@ -157,7 +170,7 @@ class TestTrainingSamples:
         cloud = two_blob_scene()
         ctx = build_context(cloud, delta=0.1, knn=4)
         rng = np.random.default_rng(1)
-        state = RegionState({0, 1, 2}, 0)
+        state = region(ctx, {0, 1, 2})
         frontier_gt = cloud.gt_instance
         for _ in range(5):
             sample = make_training_sample(ctx, state, 8, 16, rng)
@@ -170,7 +183,7 @@ class TestTrainingSamples:
         cloud = PointCloud(pts, np.full((2, 3), 10, np.uint8),
                            np.array([1, 2], dtype=np.int32))
         ctx = build_context(cloud, delta=0.1, knn=2)
-        out = make_training_sample(ctx, RegionState({0}, 0), 4, 4,
+        out = make_training_sample(ctx, region(ctx, {0}), 4, 4,
                                    np.random.default_rng(0))
         assert out is None
 
@@ -284,13 +297,12 @@ class TestGenerateDataset:
         ctx = build_context(cloud, delta=0.12, knn=4)
         cfg = SimConfig(i_size=8, j_size=8, alpha_range=(0.3, 0.3), seed=2)
         for inst in (1, 2):
-            state = RegionState({int(np.flatnonzero(gt == inst)[0])},
-                                int(np.flatnonzero(gt == inst)[0]))
+            state = region(ctx, {int(np.flatnonzero(gt == inst)[0])})
             schedule = NoiseSchedule(0.3)
             rng2 = np.random.default_rng(7)
             for _ in range(10):
-                members = np.fromiter(sorted(state.members), dtype=np.int64)
+                members = np.flatnonzero(state.tracker.member)
                 sample = make_training_sample(ctx, state, 8, 8, rng2)
                 if sample is None:
                     break
-                state = corrupt_region(ctx, state, schedule, rng2)
+                corrupt_region(ctx, state, schedule, rng2)
