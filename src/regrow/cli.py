@@ -425,16 +425,26 @@ def _cmd_ablate(args) -> int:
     (workdir / "models").mkdir(parents=True, exist_ok=True)
     knob_dir.mkdir(parents=True, exist_ok=True)
 
-    pipe_key = f"{subset}_{'norm' if normalize else 'raw'}_i{i_size}_j{j_size}"
-    dataset = workdir / "datasets" / f"{pipe_key}.bin"
-    model = workdir / "models" / f"{pipe_key}.ckpt"
+    # cached artifacts are named by a hash of every input they are built
+    # from, so a rerun with other settings or scenes builds new ones
+    train_paths = _scene_paths(args.train_scenes)
+    sim_inputs = [subset, normalize, i_size, j_size, args.delta, args.knn, args.augment,
+                  args.seed, [(str(p.resolve()), hashlib.sha256(p.read_bytes()).hexdigest())
+                              for p in train_paths]]
+    data_key = hashlib.sha256(json.dumps(sim_inputs).encode()).hexdigest()[:16]
+    train_inputs = [data_key, args.enc_widths, args.dec_widths, args.lr, args.batch,
+                    args.epochs]
+    model_key = hashlib.sha256(json.dumps(train_inputs).encode()).hexdigest()[:16]
+    prefix = f"{subset}_{'norm' if normalize else 'raw'}_i{i_size}_j{j_size}"
+    dataset = workdir / "datasets" / f"{prefix}_{data_key}.bin"
+    model = workdir / "models" / f"{prefix}_{model_key}.ckpt"
     cols = _feature_columns(subset)
 
     if not dataset.exists():
         cfg = SimConfig(i_size=i_size, j_size=j_size, delta=args.delta, knn=args.knn,
                         augment_copies=args.augment, feature_columns=cols,
                         normalize=normalize, seed=args.seed)
-        count = generate_dataset(_scene_paths(args.train_scenes), cfg, dataset)
+        count = generate_dataset(train_paths, cfg, dataset)
         print(f"[{args.knob}] dataset: {count} samples")
     if not model.exists():
         cfg = TrainConfig(enc_widths=tuple(args.enc_widths),

@@ -132,14 +132,6 @@ def zeros_like_params(params: NetworkParams) -> NetworkParams:
     return replace(params, inlier=z(params.inlier), neighbor=z(params.neighbor))
 
 
-@dataclass
-class MaskPrediction:
-    """Per-point probabilities, clamped into (0, 1)."""
-
-    remove_prob: np.ndarray  # (I,)
-    add_prob: np.ndarray     # (J,)
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -171,19 +163,20 @@ def _encode(bp: BranchParams, x: np.ndarray):
 
 
 def _decode(bp: BranchParams, skip: np.ndarray, global_vec: np.ndarray):
-    """Per-point decoder: skip features concatenated with the global vector."""
-    n = skip.shape[1]
-    tiled = np.broadcast_to(global_vec[:, None, :], (skip.shape[0], n, global_vec.shape[1]))
-    d0 = np.concatenate([skip, tiled], axis=2)
-    zs, acts = [], [d0]
-    h = d0
-    last = len(bp.dec_w) - 1
-    for l, (w, b) in enumerate(zip(bp.dec_w, bp.dec_b)):
-        z = _pointwise(h, w, b)
-        h = np.maximum(z, 0) if l < last else z
+    """Per-point decoder over the skip features concatenated with the global
+    vector. Layer 1 splits over that concatenation, [s, g] @ W = s @ W[:s] +
+    g @ W[s:], so the global half is applied once per sample as a (B, out) bias
+    broadcast over the points instead of being tiled onto every point."""
+    batch, n, s = skip.shape
+    w0 = bp.dec_w[0]
+    z = (skip.reshape(batch * n, s) @ w0[:s]).reshape(batch, n, w0.shape[1])
+    z += (global_vec @ w0[s:] + bp.dec_b[0])[:, None, :]
+    zs, acts = [z], [skip]
+    for w, b in zip(bp.dec_w[1:], bp.dec_b[1:]):
+        acts.append(np.maximum(z, 0))  # every layer but the last is rectified
+        z = _pointwise(acts[-1], w, b)
         zs.append(z)
-        acts.append(h)
-    return zs, acts, zs[-1][..., 0]  # logits (B, n)
+    return zs, acts, z[..., 0]  # logits (B, n)
 
 
 def forward_batch(params: NetworkParams, xi: np.ndarray, xn: np.ndarray,
@@ -201,39 +194,26 @@ def forward_batch(params: NetworkParams, xi: np.ndarray, xn: np.ndarray,
             f"expected (B, n, {params.n_features}) inputs, got {xi.shape} and {xn.shape}")
     zi, ai = _encode(params.inlier, xi)
     zn, an = _encode(params.neighbor, xn)
-    gi = ai[-1].max(axis=1)
-    argi = ai[-1].argmax(axis=1)
-    gn = an[-1].max(axis=1)
-    argn = an[-1].argmax(axis=1)
-    global_vec = np.concatenate([gi, gn], axis=1)
+    global_vec = np.concatenate([ai[-1].max(axis=1), an[-1].max(axis=1)], axis=1)
     skip_i = ai[params.skip_layer]
     skip_n = an[params.skip_layer]
     ui, di, logit_i = _decode(params.inlier, skip_i, global_vec)
     un, dn, logit_n = _decode(params.neighbor, skip_n, global_vec)
-    p_remove = np.clip(_sigmoid(logit_i), PROB_EPS, 1.0 - PROB_EPS)
-    p_add = np.clip(_sigmoid(logit_n), PROB_EPS, 1.0 - PROB_EPS)
+    raw_i = _sigmoid(logit_i)
+    raw_n = _sigmoid(logit_n)
+    p_remove = np.clip(raw_i, PROB_EPS, 1.0 - PROB_EPS)
+    p_add = np.clip(raw_n, PROB_EPS, 1.0 - PROB_EPS)
     if not want_cache:
         return p_remove, p_add
     cache = {
         "zi": zi, "ai": ai, "zn": zn, "an": an,
-        "argi": argi, "argn": argn,
+        "argi": ai[-1].argmax(axis=1), "argn": an[-1].argmax(axis=1),
+        "global": global_vec,
         "ui": ui, "di": di, "un": un, "dn": dn,
-        "logit_i": logit_i, "logit_n": logit_n,
         "p_remove": p_remove, "p_add": p_add,
-        "raw_i": _sigmoid(logit_i), "raw_n": _sigmoid(logit_n),
+        "raw_i": raw_i, "raw_n": raw_n,
     }
     return p_remove, p_add, cache
-
-
-def forward(params: NetworkParams, inliers: np.ndarray, neighbors: np.ndarray,
-            want_cache: bool = False):
-    """Single-sample forward: inliers (I, F), neighbors (J, F) -> MaskPrediction."""
-    out = forward_batch(params, inliers[None], neighbors[None], want_cache=want_cache)
-    if want_cache:
-        p_remove, p_add, cache = out
-        return MaskPrediction(p_remove[0], p_add[0]), cache
-    p_remove, p_add = out
-    return MaskPrediction(p_remove[0], p_add[0])
 
 
 def _bce_batch(p: np.ndarray, target: np.ndarray) -> float:
@@ -242,13 +222,6 @@ def _bce_batch(p: np.ndarray, target: np.ndarray) -> float:
     t = target.astype(np.float64)
     per_point = -(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))
     return float(per_point.mean(axis=1).mean())
-
-
-def bce_loss(pred: MaskPrediction, remove_target: np.ndarray,
-             add_target: np.ndarray) -> float:
-    """Sum of the mean removal BCE and the mean addition BCE for one sample."""
-    return (_bce_batch(pred.remove_prob[None], np.asarray(remove_target)[None])
-            + _bce_batch(pred.add_prob[None], np.asarray(add_target)[None]))
 
 
 def batch_loss(p_remove: np.ndarray, p_add: np.ndarray, remove_t: np.ndarray,
@@ -279,29 +252,36 @@ def backward(params: NetworkParams, cache: dict, remove_t: np.ndarray,
     dlogit_n = head_grad(cache["p_add"], cache["raw_n"], np.asarray(add_t),
                          cache["p_add"].shape[1])
 
-    def layer_grads(inp, dz, w):
-        """(dW, db, d_input) for one shared linear layer via flat matmuls."""
-        batch_n = inp.shape[0] * inp.shape[1]
-        flat_in = inp.reshape(batch_n, -1)
-        flat_dz = dz.reshape(batch_n, -1)
-        dw = flat_in.T @ flat_dz
-        db = flat_dz.sum(axis=0)
-        dinp = (flat_dz @ w.T).reshape(inp.shape)
-        return dw.astype(dtype), db.astype(dtype), dinp
+    def layer_grads(inp, dz):
+        """(dW, db) for one shared linear layer via flat matmuls."""
+        flat_in = inp.reshape(-1, inp.shape[2])
+        flat_dz = dz.reshape(-1, dz.shape[2])
+        return flat_in.T @ flat_dz, flat_dz.sum(axis=0)
+
+    def input_grad(dz, w):
+        """Gradient wrt a shared linear layer's input, as one flat matmul."""
+        return (dz.reshape(-1, dz.shape[2]) @ w.T).reshape(*dz.shape[:2], w.shape[0])
+
+    global_vec = cache["global"]
 
     def decoder_backward(bp, gbp, us, ds, dlogit):
-        """Returns (d_skip, d_global_contribution)."""
-        last = len(bp.dec_w) - 1
-        dh = dlogit
-        for l in range(last, -1, -1):
-            dz = dh if l == last else dh * (us[l] > 0)
-            dw, db, dh = layer_grads(ds[l], dz, bp.dec_w[l])
+        """Returns (d_skip, d_global contribution (B, 2G))."""
+        dz = dlogit
+        for l in range(len(bp.dec_w) - 1, 0, -1):
+            dw, db = layer_grads(ds[l], dz)
             gbp.dec_w[l] += dw
             gbp.dec_b[l] += db
-        skip_width = ds[0].shape[2] - 2 * g_width
-        d_skip = dh[..., :skip_width]
-        d_global = dh[..., skip_width:].sum(axis=1)  # (B, 2G)
-        return d_skip, d_global
+            dz = input_grad(dz, bp.dec_w[l])
+            dz *= us[l - 1] > 0
+        # layer 1: the skip rows act per point, the global rows per sample
+        s = ds[0].shape[2]
+        w0 = bp.dec_w[0]
+        dw, db = layer_grads(ds[0], dz)
+        dz_sum = dz.sum(axis=1)  # (B, out)
+        gbp.dec_w[0][:s] += dw
+        gbp.dec_w[0][s:] += global_vec.T @ dz_sum
+        gbp.dec_b[0] += db
+        return input_grad(dz, w0[:s]), dz_sum @ w0[s:].T
 
     d_skip_i, d_glob_i = decoder_backward(params.inlier, grads.inlier,
                                           cache["ui"], cache["di"], dlogit_i)
@@ -317,11 +297,13 @@ def backward(params: NetworkParams, cache: dict, remove_t: np.ndarray,
         dh = dtop
         for l in range(len(bp.enc_w) - 1, -1, -1):
             if l + 1 == params.skip_layer:
-                dh = dh + d_skip
-            dz = dh * (zs[l] > 0)
-            dw, db, dh = layer_grads(acts[l], dz, bp.enc_w[l])
+                dh += d_skip
+            dz = np.multiply(dh, zs[l] > 0, out=dh)  # dh is a fresh array here
+            dw, db = layer_grads(acts[l], dz)
             gbp.enc_w[l] += dw
             gbp.enc_b[l] += db
+            if l:  # nothing consumes the gradient wrt the network input
+                dh = input_grad(dz, bp.enc_w[l])
 
     encoder_backward(params.inlier, grads.inlier, cache["zi"], cache["ai"],
                      cache["argi"], dgi, d_skip_i)

@@ -155,3 +155,67 @@ def frontier_oracle(positions, members, delta, eligible=None):
     if eligible is not None:
         near = {j for j in near if eligible[j]}
     return np.array(sorted(near), dtype=np.int64)
+
+
+def concat_decoder_oracle(params, xi, xn):
+    """The network's forward pass with the global vector tiled onto every
+    point and concatenated to the skip features before decoder layer 1 (the
+    PointNet segmentation-head layout), in float64. xi: (B, I, F),
+    xn: (B, J, F) -> (remove_prob (B, I), add_prob (B, J)), clamped."""
+    eps = 1e-7
+
+    def sigmoid(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    def pointwise(h, w, b):
+        batch, n, din = h.shape
+        out = h.reshape(batch * n, din) @ w.astype(np.float64)
+        out += b.astype(np.float64)
+        return out.reshape(batch, n, w.shape[1])
+
+    def encode(bp, x):
+        acts = [x]
+        for w, b in zip(bp.enc_w, bp.enc_b):
+            acts.append(np.maximum(pointwise(acts[-1], w, b), 0))
+        return acts
+
+    def decode(bp, skip, global_vec):
+        n = skip.shape[1]
+        tiled = np.broadcast_to(global_vec[:, None, :],
+                                (skip.shape[0], n, global_vec.shape[1]))
+        h = np.concatenate([skip, tiled], axis=2)
+        last = len(bp.dec_w) - 1
+        for l, (w, b) in enumerate(zip(bp.dec_w, bp.dec_b)):
+            z = pointwise(h, w, b)
+            h = np.maximum(z, 0) if l < last else z
+        return h[..., 0]
+
+    ai = encode(params.inlier, np.asarray(xi, dtype=np.float64))
+    an = encode(params.neighbor, np.asarray(xn, dtype=np.float64))
+    global_vec = np.concatenate([ai[-1].max(axis=1), an[-1].max(axis=1)], axis=1)
+    logit_i = decode(params.inlier, ai[params.skip_layer], global_vec)
+    logit_n = decode(params.neighbor, an[params.skip_layer], global_vec)
+    return (np.clip(sigmoid(logit_i), eps, 1.0 - eps),
+            np.clip(sigmoid(logit_n), eps, 1.0 - eps))
+
+
+def instance_closure_oracle(positions, gt, seed, delta):
+    """Mask of the seed's instance points reachable from the seed by hops
+    between same-instance neighbors (brute-force adjacency, explicit stack)."""
+    rows = radius_adjacency_oracle(positions, delta)
+    gt = np.asarray(gt)
+    seen = np.zeros(len(gt), dtype=bool)
+    seen[seed] = True
+    stack = [int(seed)]
+    while stack:
+        i = stack.pop()
+        for j in rows[i]:
+            if not seen[j] and gt[j] == gt[seed]:
+                seen[j] = True
+                stack.append(int(j))
+    return seen

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -245,3 +246,39 @@ class TestParallelAndCache:
                     "--features-dir", str(cache)]) == 0
         scene = load_scene(next(scenes.glob("*.txt")))
         np.testing.assert_array_equal(used[0], compute_features(scene, k=16))
+
+
+class TestAblate:
+    def test_rerun_with_other_epochs_trains_again(self, workspace, tmp_path, monkeypatch):
+        trained = []
+
+        def spy(dataset, cfg):
+            trained.append(cfg.epochs)
+            return train(dataset, cfg)
+
+        train = cli.train
+        monkeypatch.setattr(cli, "train", spy)
+        train_dir = tmp_path / "train"
+        shutil.copytree(workspace / "data" / "train", train_dir)
+
+        def ablate(epochs):
+            assert run(["ablate", "--train-scenes", str(train_dir),
+                        "--test-scenes", str(workspace / "data" / "test"),
+                        "--workdir", str(tmp_path / "work"), "--knob", "full",
+                        "--i", "32", "--j", "32", "--epochs", epochs,
+                        "--enc-widths", "8", "8", "8", "8", "16",
+                        "--dec-widths", "16", "8", "1", "--seed", "0"]) == 0
+
+        for epochs in ("1", "2", "2"):
+            ablate(epochs)
+        assert trained == [1, 2]  # the same settings again reuse the cached model
+        assert len(list((tmp_path / "work" / "models").glob("*.ckpt"))) == 2
+        assert len(list((tmp_path / "work" / "datasets").glob("*.bin"))) == 1
+
+        # a training scene edited in place at the same size is a new input
+        scene = next(train_dir.glob("*.txt"))
+        lines = scene.read_text().splitlines(keepends=True)
+        scene.write_text("".join(lines[1:] + lines[:1]))
+        ablate("2")
+        assert trained == [1, 2, 2]
+        assert len(list((tmp_path / "work" / "datasets").glob("*.bin"))) == 2

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import concat_decoder_oracle
 from regrow.network import (
     AdamState,
     CheckpointError,
-    MaskPrediction,
     Predictor,
     TrainConfig,
     adam_step,
     backward,
     batch_loss,
-    bce_loss,
-    forward,
     forward_batch,
     init_params,
     load_params,
@@ -36,6 +36,18 @@ def random_inputs(rng, i=8, j=8, f=13):
     return rng.normal(size=(i, f)), rng.normal(size=(j, f))
 
 
+def forward(params, inliers, neighbors):
+    """One sample through forward_batch: (remove_prob (I,), add_prob (J,))."""
+    p_remove, p_add = forward_batch(params, inliers[None], neighbors[None])
+    return p_remove[0], p_add[0]
+
+
+def bce_loss(remove_prob, add_prob, remove_target, add_target):
+    """batch_loss of one sample: mean removal BCE plus mean addition BCE."""
+    return batch_loss(np.asarray(remove_prob)[None], np.asarray(add_prob)[None],
+                      np.asarray(remove_target)[None], np.asarray(add_target)[None])
+
+
 def numeric_gradient(params, xi, xn, rt, at, tensor, index, h):
     """Central finite difference of the loss wrt one scalar parameter."""
     orig = tensor.flat[index]
@@ -54,11 +66,11 @@ class TestForward:
         params = tiny_params()
         rng = np.random.default_rng(0)
         xi, xn = random_inputs(rng)
-        pred = forward(params, xi, xn)
-        assert pred.remove_prob.shape == (8,)
-        assert pred.add_prob.shape == (8,)
-        assert ((pred.remove_prob > 0) & (pred.remove_prob < 1)).all()
-        assert ((pred.add_prob > 0) & (pred.add_prob < 1)).all()
+        remove_prob, add_prob = forward(params, xi, xn)
+        assert remove_prob.shape == (8,)
+        assert add_prob.shape == (8,)
+        assert ((remove_prob > 0) & (remove_prob < 1)).all()
+        assert ((add_prob > 0) & (add_prob < 1)).all()
 
     def test_shape_mismatch_rejected(self):
         params = tiny_params()
@@ -70,30 +82,27 @@ class TestForward:
         rng = np.random.default_rng(1)
         xi, xn = random_inputs(rng)
         perm = rng.permutation(8)
-        base = forward(params, xi, xn)
-        shuffled = forward(params, xi[perm], xn)
-        np.testing.assert_allclose(shuffled.remove_prob, base.remove_prob[perm],
-                                   rtol=1e-6)
-        np.testing.assert_allclose(shuffled.add_prob, base.add_prob, rtol=1e-6)
+        base_remove, base_add = forward(params, xi, xn)
+        shuffled_remove, shuffled_add = forward(params, xi[perm], xn)
+        np.testing.assert_allclose(shuffled_remove, base_remove[perm], rtol=1e-6)
+        np.testing.assert_allclose(shuffled_add, base_add, rtol=1e-6)
 
     def test_duplicate_points_equal_probs(self):
         params = tiny_params(seed=4)
         rng = np.random.default_rng(2)
         xi, xn = random_inputs(rng)
         xi[3] = xi[0]
-        pred = forward(params, xi, xn)
-        assert pred.remove_prob[3] == pytest.approx(pred.remove_prob[0], rel=1e-6)
+        remove_prob, _ = forward(params, xi, xn)
+        assert remove_prob[3] == pytest.approx(remove_prob[0], rel=1e-6)
 
 
 class TestLoss:
     def test_hand_value(self):
-        pred = MaskPrediction(np.array([0.5]), np.array([0.5]))
-        loss = bce_loss(pred, np.array([1]), np.array([0]))
+        loss = bce_loss(np.array([0.5]), np.array([0.5]), np.array([1]), np.array([0]))
         assert loss == pytest.approx(2 * np.log(2), rel=1e-9)
 
     def test_perfect_predictions_near_zero(self):
-        pred = MaskPrediction(np.full(4, 1 - 1e-7), np.full(4, 1e-7))
-        loss = bce_loss(pred, np.ones(4), np.zeros(4))
+        loss = bce_loss(np.full(4, 1 - 1e-7), np.full(4, 1e-7), np.ones(4), np.zeros(4))
         assert loss < 1e-5
 
     def test_symmetry_under_flip(self):
@@ -102,8 +111,8 @@ class TestLoss:
         p_a = rng.uniform(0.1, 0.9, 6)
         t_r = rng.integers(0, 2, 6)
         t_a = rng.integers(0, 2, 6)
-        a = bce_loss(MaskPrediction(p_r, p_a), t_r, t_a)
-        b = bce_loss(MaskPrediction(1 - p_r, 1 - p_a), 1 - t_r, 1 - t_a)
+        a = bce_loss(p_r, p_a, t_r, t_a)
+        b = bce_loss(1 - p_r, 1 - p_a, 1 - t_r, 1 - t_a)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_loss_finite_for_extreme_logits(self):
@@ -112,8 +121,7 @@ class TestLoss:
             t *= 50.0
         rng = np.random.default_rng(4)
         xi, xn = random_inputs(rng)
-        pred = forward(params, xi, xn)
-        loss = bce_loss(pred, np.ones(8), np.ones(8))
+        loss = bce_loss(*forward(params, xi, xn), np.ones(8), np.ones(8))
         assert np.isfinite(loss)
 
 
@@ -255,12 +263,29 @@ class TestCheckpoint:
         params = tiny_params(seed=7)
         rng = np.random.default_rng(8)
         xi, xn = random_inputs(rng)
-        before = forward(params, xi, xn)
+        before_remove, before_add = forward(params, xi, xn)
         path = tmp_path / "p.ckpt"
         save_params(params, path)
-        after = forward(load_params(path), xi, xn)
-        np.testing.assert_array_equal(before.remove_prob, after.remove_prob)
-        np.testing.assert_array_equal(before.add_prob, after.add_prob)
+        after_remove, after_add = forward(load_params(path), xi, xn)
+        np.testing.assert_array_equal(before_remove, after_remove)
+        np.testing.assert_array_equal(before_add, after_add)
+
+    def test_loaded_float32_checkpoint_matches_concat_oracle(self, tmp_path):
+        # the checkpoint keeps the (skip + 2G, out) layout of decoder layer 1,
+        # so a saved model predicts as the tiled-concat network did
+        params = init_params((32, 32, 32, 64, 128), (64, 32, 1), i_size=128, j_size=128,
+                             seed=14)
+        rng = np.random.default_rng(15)
+        for _, t in param_tensors(params):
+            t += rng.normal(scale=0.05, size=t.shape).astype(np.float32)
+        path = tmp_path / "p.ckpt"
+        save_params(params, path)
+        xi = rng.normal(size=(3, 128, 13))
+        xn = rng.normal(size=(3, 128, 13))
+        got = forward_batch(load_params(path), xi, xn)
+        expected = concat_decoder_oracle(params, xi.astype(np.float32), xn.astype(np.float32))
+        for a, b in zip(got, expected):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-6)
 
     def test_truncated_rejected(self, tmp_path):
         params = tiny_params()
@@ -299,10 +324,10 @@ class TestPredictor:
         params = tiny_params(seed=11)
         rng = np.random.default_rng(12)
         xi, xn = random_inputs(rng)
-        pred = forward(params, xi, xn)
+        remove_prob, add_prob = forward(params, xi, xn)
         p_r, p_a = Predictor(params)(xi, xn)
-        np.testing.assert_allclose(p_r, pred.remove_prob, rtol=1e-6)
-        np.testing.assert_allclose(p_a, pred.add_prob, rtol=1e-6)
+        np.testing.assert_allclose(p_r, remove_prob, rtol=1e-6)
+        np.testing.assert_allclose(p_a, add_prob, rtol=1e-6)
 
 
 class TestMaxPoolRouting:
@@ -321,3 +346,83 @@ class TestMaxPoolRouting:
             & (pooled[2] == pooled.max(axis=0)))
         assert tie_features.size > 0
         assert (winners[tie_features] <= 2).all()  # never the later duplicate
+
+
+def piece_signature(cache):
+    """Rectifier signs, pool winners and clamped outputs: the smooth piece of
+    the loss an evaluation lands on."""
+    sig = [(z > 0).tobytes() for key in ("zi", "zn") for z in cache[key]]
+    sig += [(z > 0).tobytes() for key in ("ui", "un") for z in cache[key][:-1]]
+    sig += [cache["argi"].tobytes(), cache["argn"].tobytes(),
+            (cache["raw_i"] != cache["p_remove"]).tobytes(),
+            (cache["raw_n"] != cache["p_add"]).tobytes()]
+    return tuple(sig)
+
+
+@st.composite
+def folded_head_cases(draw):
+    enc = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    dec = tuple(draw(st.lists(st.integers(1, 6), min_size=0, max_size=2))) + (1,)
+    skip = draw(st.integers(1, len(enc)))
+    n_features = draw(st.integers(1, 5))
+    batch = draw(st.integers(1, 4))
+    i_size = draw(st.integers(1, 16))
+    j_size = draw(st.integers(1, 16))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    xi = rng.normal(size=(batch, i_size, n_features))
+    xn = rng.normal(size=(batch, j_size, n_features))
+    for x in (xi, xn):  # duplicated points make max-pool ties
+        n_dup = draw(st.integers(0, x.shape[1] - 1))
+        src = rng.integers(0, x.shape[1], n_dup)
+        dst = rng.integers(0, x.shape[1], n_dup)
+        x[:, dst] = x[:, src]
+    params = init_params(enc, dec, skip, n_features=n_features, i_size=i_size,
+                         j_size=j_size, seed=seed, dtype=np.float64)
+    for name, tensor in param_tensors(params):
+        if name.endswith(".b"):  # init_params zeroes biases; exercise them too
+            tensor[...] = rng.normal(scale=0.3, size=tensor.shape)
+    rt = rng.integers(0, 2, (batch, i_size)).astype(float)
+    at = rng.integers(0, 2, (batch, j_size)).astype(float)
+    return params, xi, xn, rt, at
+
+
+class TestFoldedDecoder:
+    """The global vector enters decoder layer 1 as a per-sample bias; it must
+    give the tiled-concat network's outputs and exact gradients for B > 1."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(folded_head_cases())
+    def test_matches_concat_oracle(self, case):
+        params, xi, xn, _, _ = case
+        p_remove, p_add = forward_batch(params, xi, xn)
+        o_remove, o_add = concat_decoder_oracle(params, xi, xn)
+        np.testing.assert_allclose(p_remove, o_remove, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p_add, o_add, rtol=0, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(folded_head_cases())
+    def test_backward_matches_finite_differences(self, case):
+        params, xi, xn, rt, at = case
+        h = 1e-6
+        _, _, cache = forward_batch(params, xi, xn, want_cache=True)
+        base = piece_signature(cache)
+        grads = backward(params, cache, rt, at)
+        fd, an = [], []
+        for (_, tensor), (_, g) in zip(param_tensors(params), param_tensors(grads)):
+            for index in range(tensor.size):
+                orig = tensor.flat[index]
+                losses = []
+                for value in (orig + h, orig - h):
+                    tensor.flat[index] = value
+                    p_r, p_a, c = forward_batch(params, xi, xn, want_cache=True)
+                    losses.append((batch_loss(p_r, p_a, rt, at), piece_signature(c)))
+                tensor.flat[index] = orig
+                if losses[0][1] != base or losses[1][1] != base:
+                    continue  # the probe crossed a kink: no derivative to compare
+                fd.append((losses[0][0] - losses[1][0]) / (2 * h))
+                an.append(g.flat[index])
+        fd = np.array(fd)
+        an = np.array(an)
+        scale = max(np.linalg.norm(fd), np.linalg.norm(an), 1e-8)
+        assert np.linalg.norm(fd - an) / scale < 1e-5

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import delta_components_oracle
+from oracles import delta_components_oracle, instance_closure_oracle
 from regrow.features import build_context
 from regrow.pointcloud import PointCloud
 from regrow.simulate import (
@@ -43,6 +45,29 @@ def two_blob_scene():
     colors = np.full((12, 3), 100, dtype=np.uint8)
     gt = np.array([1] * 6 + [2] * 6, dtype=np.int32)
     return PointCloud(pts, colors, gt)
+
+
+@st.composite
+def labeled_clouds(draw):
+    """Small clouds on a 0.05 grid (so pairs sit exactly at the radius) with
+    duplicate points and 1-3 interleaved instances."""
+    n = draw(st.integers(1, 40))
+    cells = draw(st.lists(st.tuples(*[st.integers(0, 6)] * 3), min_size=n, max_size=n))
+    gt = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    seed = draw(st.integers(0, n - 1))
+    delta = draw(st.sampled_from([0.05, 0.1, 0.12]))
+    pts = np.array(cells, dtype=float) * 0.05
+    return PointCloud(pts, np.full((n, 3), 80, np.uint8), np.array(gt, np.int32)), seed, delta
+
+
+class TestInstanceClosure:
+    @settings(max_examples=60, deadline=None)
+    @given(labeled_clouds())
+    def test_matches_brute_force_closure(self, case):
+        cloud, seed, delta = case
+        ctx = build_context(cloud, delta=delta, features=np.zeros((cloud.n_points, 13)))
+        expected = instance_closure_oracle(cloud.positions, cloud.gt_instance, seed, delta)
+        np.testing.assert_array_equal(instance_closure(ctx, seed), expected)
 
 
 class TestOracleGrowth:
