@@ -23,7 +23,7 @@ from .features import DEFAULT_DELTA, DEFAULT_KNN, FEATURE_SUBSETS, build_context
 from .grow import DEFAULT_MIN_SEGMENT, GrowConfig, segment_scene
 from .network import Predictor, TrainConfig, load_params, train
 from .pointcloud import export_colored_ply, load_scene, read_labels, write_labels
-from .search import SearchConfig
+from .search import STRATEGIES, SearchConfig
 from .simulate import SimConfig, generate_dataset
 
 
@@ -152,19 +152,21 @@ def build_parser(file_cfg: dict | None = None) -> _Parser:
     p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--seed", type=int, default=0)
 
+    search, grow = SearchConfig(), GrowConfig()
     p = add_parser("segment",
                        help="segment scenes with a trained network")
     p.add_argument("--scenes", required=True, help="scene file or directory")
     p.add_argument("--model", required=True, help="checkpoint file")
     p.add_argument("--out", required=True, help="output directory for labels")
-    p.add_argument("--strategy", default="greedy",
-                   choices=["greedy", "rr-ml", "rr-np", "bs-ml", "bs-np"])
-    p.add_argument("--restarts", type=int, default=10, help="random-restart rollouts")
-    p.add_argument("--beam", type=int, default=3, help="beam width")
-    p.add_argument("--expansions", type=int, default=3, help="expansions per beam state")
-    p.add_argument("--min-segment", type=int, default=DEFAULT_MIN_SEGMENT,
+    p.add_argument("--strategy", default=search.strategy, choices=STRATEGIES)
+    p.add_argument("--restarts", type=int, default=search.restarts,
+                   help="random-restart rollouts")
+    p.add_argument("--beam", type=int, default=search.beam_width, help="beam width")
+    p.add_argument("--expansions", type=int, default=search.expansions,
+                   help="expansions per beam state")
+    p.add_argument("--min-segment", type=int, default=grow.min_segment,
                    help="segments smaller than this are reassigned")
-    p.add_argument("--max-steps", type=int, default=500, help="hard cap per region")
+    p.add_argument("--max-steps", type=int, default=grow.max_steps, help="hard cap per region")
     p.add_argument("--no-remove-mask", action="store_true",
                    help="never remove points from a region")
     p.add_argument("--random-seeding", action="store_true",
@@ -457,12 +459,13 @@ def _cmd_ablate(args) -> int:
 
     pred_dir = knob_dir / "pred"
     pred_dir.mkdir(exist_ok=True)
+    search, grow = SearchConfig(), GrowConfig()
     opts = {
         "model": str(model), "out": str(pred_dir), "delta": args.delta, "knn": args.knn,
-        "strategy": "greedy", "restarts": 10, "beam": 3, "expansions": 3,
-        "min_segment": DEFAULT_MIN_SEGMENT, "max_steps": 500,
-        "no_remove_mask": False, "random_seeding": False, "seed": args.seed,
-        "ply": False, "features_dir": None,
+        "strategy": search.strategy, "restarts": search.restarts, "beam": search.beam_width,
+        "expansions": search.expansions, "min_segment": grow.min_segment,
+        "max_steps": grow.max_steps, "no_remove_mask": False, "random_seeding": False,
+        "seed": args.seed, "ply": False, "features_dir": None,
     }
     opts.update(seg_overrides)
     for scene in _scene_paths(args.test_scenes):

@@ -1,5 +1,5 @@
 """Per-point features, the cKDTree radius adjacency, the region engine
-(`FrontierTracker`) and network input prep.
+(`FrontierTracker`) and network input prep (`region_inputs`).
 
 Each point gets 13 feature columns:
 
@@ -228,6 +228,21 @@ def normalize_inputs(inliers: np.ndarray, neighbors: np.ndarray, passthrough=COL
 def passthrough_positions(columns) -> tuple[int, ...]:
     """Positions of the room-normalized columns within a feature subset."""
     return tuple(i for i, c in enumerate(columns) if c in COL_ROOM)
+
+
+def region_inputs(ctx: SceneContext, members, frontier, i_size: int, j_size: int,
+                  rng: np.random.Generator, feature_columns=None, normalize: bool = True):
+    """Sampled member and frontier indices (members drawn first) and their
+    selected feature columns, median-normalized when asked: (inl, nbr, xi, xn)."""
+    inl = sample_fixed(members, i_size, rng)
+    nbr = sample_fixed(frontier, j_size, rng)
+    cols = tuple(feature_columns) if feature_columns is not None \
+        else tuple(range(ctx.features.shape[1]))
+    xi = ctx.features[inl][:, cols]
+    xn = ctx.features[nbr][:, cols]
+    if normalize:
+        xi, xn = normalize_inputs(xi, xn, passthrough=passthrough_positions(cols))
+    return inl, nbr, xi, xn
 
 
 @dataclass

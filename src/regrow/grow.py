@@ -14,13 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .features import (
-    COL_CURVATURE,
-    SceneContext,
-    normalize_inputs,
-    passthrough_positions,
-    sample_fixed,
-)
+from .features import COL_CURVATURE, SceneContext, region_inputs
 from .simulate import RegionState
 
 MASK_THRESHOLD = 0.5
@@ -38,7 +32,6 @@ class GrowConfig:
     use_remove_mask: bool = True
     normalize: bool = True
     feature_columns: tuple[int, ...] | None = None
-    protect_seed: bool = True
     seed_selection: str = "curvature"  # curvature | random
 
 
@@ -82,18 +75,6 @@ def _vote(ids: np.ndarray, bits: np.ndarray, majority: bool) -> np.ndarray:
     return uniq[yes >= 1]
 
 
-def _region_inputs(ctx: SceneContext, members, frontier, cfg: GrowConfig, rng):
-    inl = sample_fixed(members, cfg.i_size, rng)
-    nbr = sample_fixed(frontier, cfg.j_size, rng)
-    cols = cfg.feature_columns if cfg.feature_columns is not None \
-        else tuple(range(ctx.features.shape[1]))
-    xi = ctx.features[inl][:, cols]
-    xn = ctx.features[nbr][:, cols]
-    if cfg.normalize:
-        xi, xn = normalize_inputs(xi, xn, passthrough=passthrough_positions(cols))
-    return inl, nbr, xi, xn
-
-
 def grow_step(ctx: SceneContext, predictor, state: RegionState, frontier: np.ndarray,
               cfg: GrowConfig, rng: np.random.Generator) -> GrowStep:
     """One prediction-driven update of the region from its nonempty frontier.
@@ -102,7 +83,9 @@ def grow_step(ctx: SceneContext, predictor, state: RegionState, frontier: np.nda
     untouched (the caller treats that as a termination signal).
     """
     tracker = state.tracker
-    inl, nbr, xi, xn = _region_inputs(ctx, np.flatnonzero(tracker.member), frontier, cfg, rng)
+    inl, nbr, xi, xn = region_inputs(ctx, np.flatnonzero(tracker.member), frontier,
+                                     cfg.i_size, cfg.j_size, rng, cfg.feature_columns,
+                                     cfg.normalize)
     p_remove, p_add = predictor(xi, xn)
 
     if cfg.policy == "greedy":
@@ -127,8 +110,7 @@ def grow_step(ctx: SceneContext, predictor, state: RegionState, frontier: np.nda
     if added.size == 0:
         return GrowStep(added, np.empty(0, dtype=np.int64), loglik)
     removed = _vote(inl, remove_bits, majority=True)
-    if cfg.protect_seed:
-        removed = removed[removed != state.seed]
+    removed = removed[removed != state.seed]  # the seed is never removed
 
     size = tracker.size
     tracker.remove(removed)

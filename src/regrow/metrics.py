@@ -43,13 +43,6 @@ def build_contingency(gt, pred) -> Contingency:
                        gt_ids, pred_ids)
 
 
-def _canonical(labels: np.ndarray) -> np.ndarray:
-    """Relabel by order of first occurrence, so partition structure is comparable."""
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    order = np.argsort(np.argsort(first))
-    return order[inverse]
-
-
 def _same_partition(c: Contingency) -> bool:
     """True when the two labelings induce identical partitions."""
     nz = c.counts > 0

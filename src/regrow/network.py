@@ -9,7 +9,6 @@ derived by hand for this fixed graph; there is no autodiff involved.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -92,6 +91,8 @@ def init_params(enc_widths=FULL_ENC_WIDTHS, dec_widths=FULL_DEC_WIDTHS,
     """Seeded uniform (Glorot-range) weights, zero biases."""
     enc_widths = tuple(int(w) for w in enc_widths)
     dec_widths = tuple(int(w) for w in dec_widths)
+    if not enc_widths or not dec_widths:
+        raise ValueError("encoder and decoder need at least one layer each")
     if dec_widths[-1] != 1:
         raise ValueError("last decoder width must be 1 (per-point logit)")
     if not 1 <= skip_layer <= len(enc_widths):
@@ -357,8 +358,6 @@ class TrainConfig:
     checkpoint: str | None = None
     feature_columns: tuple[int, ...] | None = None
     normalize: bool = True
-    expect_i: int | None = None
-    expect_j: int | None = None
 
 
 def train(dataset_path, cfg: TrainConfig):
@@ -368,10 +367,6 @@ def train(dataset_path, cfg: TrainConfig):
     if len(cols) != ds.n_features:
         raise ValueError(
             f"feature columns ({len(cols)}) do not match dataset features ({ds.n_features})")
-    if cfg.expect_i is not None and cfg.expect_i != ds.i_size:
-        raise ValueError(f"dataset inlier size {ds.i_size} != configured {cfg.expect_i}")
-    if cfg.expect_j is not None and cfg.expect_j != ds.j_size:
-        raise ValueError(f"dataset neighbor size {ds.j_size} != configured {cfg.expect_j}")
     params = init_params(cfg.enc_widths, cfg.dec_widths, cfg.skip_layer,
                          n_features=ds.n_features, i_size=ds.i_size, j_size=ds.j_size,
                          feature_columns=cols, normalize=cfg.normalize, seed=cfg.seed)
@@ -416,7 +411,7 @@ CHECKPOINT_VERSION = 1
 
 
 def save_params(params: NetworkParams, path) -> None:
-    """Self-describing binary checkpoint, float32 tensors in declaration order."""
+    """Self-describing checkpoint: magic, uint32 header, float32 tensors in declaration order."""
     header = [CHECKPOINT_VERSION, params.n_features, params.i_size, params.j_size,
               len(params.enc_widths), *params.enc_widths,
               len(params.dec_widths), *params.dec_widths,
@@ -425,7 +420,7 @@ def save_params(params: NetworkParams, path) -> None:
               1 if params.normalize else 0]
     with open(Path(path), "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack(f"<{len(header)}I", *header))
+        fh.write(np.array(header, dtype="<u4").tobytes())
         for _, tensor in param_tensors(params):
             fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
 
@@ -434,37 +429,33 @@ def load_params(path) -> NetworkParams:
     raw = Path(path).read_bytes()
     if len(raw) < 4 or raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a network checkpoint")
-    off = 4
+    words = np.frombuffer(raw, "<u4", len(raw) // 4 - 1, offset=4)
+    pos = 0
 
-    def read_u32(count=1):
-        nonlocal off
-        if off + 4 * count > len(raw):
-            raise CheckpointError(f"{path}: truncated header")
-        vals = struct.unpack_from(f"<{count}I", raw, off)
-        off += 4 * count
-        return vals if count > 1 else vals[0]
+    def take(count: int) -> np.ndarray:
+        nonlocal pos
+        if pos + count > words.size:
+            raise CheckpointError(f"{path}: truncated checkpoint")
+        pos += count
+        return words[pos - count:pos]
 
-    version = read_u32()
+    version, n_features, i_size, j_size, n_enc = take(5).tolist()
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    n_features, i_size, j_size = read_u32(3)
-    n_enc = read_u32()
-    enc_widths = read_u32(n_enc) if n_enc > 1 else (read_u32(),)
-    n_dec = read_u32()
-    dec_widths = read_u32(n_dec) if n_dec > 1 else (read_u32(),)
-    skip_layer = read_u32()
-    n_cols = read_u32()
-    cols = read_u32(n_cols) if n_cols > 1 else (read_u32(),)
-    normalize = bool(read_u32())
-    params = init_params(enc_widths, dec_widths, skip_layer, n_features=n_features,
-                         i_size=i_size, j_size=j_size, feature_columns=cols,
-                         normalize=normalize, seed=0)
+    enc_widths = take(n_enc)
+    (n_dec,) = take(1).tolist()
+    dec_widths = take(n_dec)
+    skip_layer, n_cols = take(2).tolist()
+    cols = take(n_cols)
+    (normalize,) = take(1).tolist()
+    try:
+        params = init_params(enc_widths, dec_widths, skip_layer, n_features=n_features,
+                             i_size=i_size, j_size=j_size, feature_columns=cols,
+                             normalize=bool(normalize), seed=0)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     for _, tensor in param_tensors(params):
-        nbytes = tensor.size * 4
-        if off + nbytes > len(raw):
-            raise CheckpointError(f"{path}: truncated tensor data")
-        tensor[...] = np.frombuffer(raw, "<f4", tensor.size, off).reshape(tensor.shape)
-        off += nbytes
-    if off != len(raw):
+        tensor[...] = take(tensor.size).view("<f4").reshape(tensor.shape)
+    if 4 * (pos + 1) != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after tensor data")
     return params

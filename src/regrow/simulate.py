@@ -6,34 +6,20 @@ removes wrong-instance members; each of those decisions is independently
 flipped with a mistake probability that decays per step, so the network sees
 noisy intermediate regions. Targets are always computed against ground truth.
 
-Dataset file layout (little endian):
-
-    magic b"RGDS", uint32 version, uint32 I, uint32 J, uint32 F
-    per record: uint32 payload length, then
-        inlier features  I*F float32
-        neighbor features J*F float32
-        remove targets   I uint8
-        add targets      J uint8
-        meta             3 int32 (scene, instance, step)
+A dataset file is the magic b"RGDS", a little-endian uint32 header of
+version, I, J and F, then whole records of `record_dtype(I, J, F)`, the one
+definition of the record layout.
 """
 
 from __future__ import annotations
 
-import struct
+import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .features import (
-    FrontierTracker,
-    SceneContext,
-    build_context,
-    normalize_inputs,
-    passthrough_positions,
-    sample_fixed,
-)
+from .features import FrontierTracker, SceneContext, build_context, region_inputs
 from .pointcloud import PointCloud
 
 SIM_STEP_CAP = 500
@@ -137,14 +123,8 @@ def make_training_sample(ctx: SceneContext, state: RegionState, i_size: int,
     frontier = state.tracker.frontier()
     if frontier.size == 0:
         return None
-    inl = sample_fixed(np.flatnonzero(state.tracker.member), i_size, rng)
-    nbr = sample_fixed(frontier, j_size, rng)
-
-    cols = tuple(feature_columns) if feature_columns is not None else tuple(range(ctx.features.shape[1]))
-    xi = ctx.features[inl][:, cols]
-    xn = ctx.features[nbr][:, cols]
-    if normalize:
-        xi, xn = normalize_inputs(xi, xn, passthrough=passthrough_positions(cols))
+    inl, nbr, xi, xn = region_inputs(ctx, np.flatnonzero(state.tracker.member), frontier,
+                                     i_size, j_size, rng, feature_columns, normalize)
     remove = (gt[inl] != inst).astype(np.uint8)
     add = (gt[nbr] == inst).astype(np.uint8)
     return TrainingSample(xi.astype(np.float32), xn.astype(np.float32), remove, add, meta)
@@ -239,6 +219,20 @@ def generate_dataset(scenes, cfg: SimConfig, out_path) -> int:
 
 DATASET_MAGIC = b"RGDS"
 DATASET_VERSION = 1
+DATASET_HEADER_BYTES = 20  # magic and four uint32 words
+
+
+def record_dtype(i_size: int, j_size: int, n_features: int) -> np.dtype:
+    """One packed dataset record: `length`, the byte size of the fields after
+    it, then the fields of `TrainingSample` and `Dataset`, in their order."""
+    return np.dtype([
+        ("length", "<u4"),
+        ("inlier_features", "<f4", (i_size, n_features)),
+        ("neighbor_features", "<f4", (j_size, n_features)),
+        ("remove_target", "u1", (i_size,)),
+        ("add_target", "u1", (j_size,)),
+        ("meta", "<i4", (3,)),  # (scene, instance, step)
+    ])
 
 
 class DatasetError(ValueError):
@@ -247,27 +241,22 @@ class DatasetError(ValueError):
 
 class DatasetWriter:
     def __init__(self, path, i_size: int, j_size: int, n_features: int):
-        self.path = Path(path)
-        self.i_size = i_size
-        self.j_size = j_size
-        self.n_features = n_features
-        self._fh = open(self.path, "wb")
+        self._record = np.zeros((), record_dtype(i_size, j_size, n_features))
+        self._record["length"] = self._record.itemsize - 4
+        self._fh = open(path, "wb")
         self._fh.write(DATASET_MAGIC)
-        self._fh.write(struct.pack("<IIII", DATASET_VERSION, i_size, j_size, n_features))
+        self._fh.write(np.array([DATASET_VERSION, i_size, j_size, n_features], "<u4").tobytes())
 
     def write(self, sample: TrainingSample) -> None:
-        xi = np.ascontiguousarray(sample.inlier_features, dtype="<f4")
-        xn = np.ascontiguousarray(sample.neighbor_features, dtype="<f4")
-        if xi.shape != (self.i_size, self.n_features) or xn.shape != (self.j_size, self.n_features):
-            raise DatasetError(
-                f"sample shapes {xi.shape}/{xn.shape} do not match header "
-                f"({self.i_size}/{self.j_size} x {self.n_features})")
-        rm = np.ascontiguousarray(sample.remove_target, dtype=np.uint8)
-        ad = np.ascontiguousarray(sample.add_target, dtype=np.uint8)
-        meta = np.asarray(sample.meta, dtype="<i4")
-        payload = xi.tobytes() + xn.tobytes() + rm.tobytes() + ad.tobytes() + meta.tobytes()
-        self._fh.write(struct.pack("<I", len(payload)))
-        self._fh.write(payload)
+        rec = self._record
+        for name in rec.dtype.names[1:]:
+            value = getattr(sample, name)
+            # field assignment broadcasts, so a wrong shape must be caught here
+            if np.shape(value) != rec[name].shape:
+                raise DatasetError(f"sample {name} shape {np.shape(value)} does not match "
+                                   f"the header's {rec[name].shape}")
+            rec[name] = value
+        self._fh.write(rec.tobytes())
 
     def close(self) -> None:
         self._fh.close()
@@ -282,6 +271,8 @@ class DatasetWriter:
 
 @dataclass
 class Dataset:
+    """Fields are views into the records read from the file."""
+
     inlier_features: np.ndarray    # (S, I, F) float32
     neighbor_features: np.ndarray  # (S, J, F) float32
     remove_target: np.ndarray      # (S, I) uint8
@@ -296,41 +287,25 @@ class Dataset:
 
 
 def load_dataset(path) -> Dataset:
-    raw = Path(path).read_bytes()
-    if len(raw) < 20 or raw[:4] != DATASET_MAGIC:
-        raise DatasetError(f"{path}: not a training dataset file")
-    version, i_size, j_size, n_feat = struct.unpack("<IIII", raw[4:20])
-    if version != DATASET_VERSION:
-        raise DatasetError(f"{path}: unsupported dataset version {version}")
-    record = 4 * (i_size + j_size) * n_feat + i_size + j_size + 12
-    xi_list, xn_list, rm_list, ad_list, meta_list = [], [], [], [], []
-    off = 20
-    while off < len(raw):
-        if off + 4 > len(raw):
-            raise DatasetError(f"{path}: truncated record header")
-        (length,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        if length != record or off + length > len(raw):
-            raise DatasetError(f"{path}: truncated or inconsistent record")
-        buf = raw[off:off + length]
-        off += length
-        p = 0
-        xi = np.frombuffer(buf, "<f4", i_size * n_feat, p).reshape(i_size, n_feat)
-        p += 4 * i_size * n_feat
-        xn = np.frombuffer(buf, "<f4", j_size * n_feat, p).reshape(j_size, n_feat)
-        p += 4 * j_size * n_feat
-        rm = np.frombuffer(buf, np.uint8, i_size, p)
-        p += i_size
-        ad = np.frombuffer(buf, np.uint8, j_size, p)
-        p += j_size
-        meta = np.frombuffer(buf, "<i4", 3, p)
-        xi_list.append(xi)
-        xn_list.append(xn)
-        rm_list.append(rm)
-        ad_list.append(ad)
-        meta_list.append(meta)
-    if not xi_list:
-        raise DatasetError(f"{path}: dataset contains no samples")
-    return Dataset(
-        np.stack(xi_list), np.stack(xn_list), np.stack(rm_list), np.stack(ad_list),
-        np.stack(meta_list).astype(np.int32), i_size, j_size, n_feat)
+    """Read every record in one call (not memory-mapped: that peaks no lower,
+    and a file rewritten while mapped faults on access)."""
+    with open(path, "rb") as fh:
+        head = fh.read(DATASET_HEADER_BYTES)
+        if len(head) < DATASET_HEADER_BYTES or head[:4] != DATASET_MAGIC:
+            raise DatasetError(f"{path}: not a training dataset file")
+        version, i_size, j_size, n_feat = np.frombuffer(head, "<u4", offset=4).tolist()
+        if version != DATASET_VERSION:
+            raise DatasetError(f"{path}: unsupported dataset version {version}")
+        try:
+            rec = record_dtype(i_size, j_size, n_feat)
+        except ValueError as exc:
+            raise DatasetError(f"{path}: sizes {i_size}/{j_size}/{n_feat} out of range") from exc
+        body = os.fstat(fh.fileno()).st_size - DATASET_HEADER_BYTES
+        if body == 0:
+            raise DatasetError(f"{path}: dataset contains no samples")
+        if body % rec.itemsize:
+            raise DatasetError(f"{path}: truncated record")
+        records = np.fromfile(fh, rec)
+    if (records["length"] != rec.itemsize - 4).any():
+        raise DatasetError(f"{path}: inconsistent record length")
+    return Dataset(*(records[name] for name in rec.names[1:]), i_size, j_size, n_feat)

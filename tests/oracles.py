@@ -2,11 +2,13 @@
 
 These deliberately avoid the library's code paths: pair enumeration instead
 of contingency algebra, probability dictionaries instead of vectorized sums,
-and scipy's hypergeometric pmf for the expected mutual information.
+scipy's hypergeometric pmf for the expected mutual information, and a
+record-by-record `struct` reader for the dataset file.
 """
 
 import itertools
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -219,3 +221,45 @@ def instance_closure_oracle(positions, gt, seed, delta):
                 seen[j] = True
                 stack.append(int(j))
     return seen
+
+
+def dataset_oracle(path):
+    """Read a dataset file record by record with `struct`.
+
+    Returns (inlier_features (S, I, F) float32, neighbor_features (S, J, F)
+    float32, remove_target (S, I) uint8, add_target (S, J) uint8,
+    meta (S, 3) int32).
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) < 20 or raw[:4] != b"RGDS":
+        raise ValueError("not a training dataset file")
+    version, i_size, j_size, n_feat = struct.unpack("<IIII", raw[4:20])
+    if version != 1:
+        raise ValueError(f"unsupported dataset version {version}")
+    record = 4 * (i_size + j_size) * n_feat + i_size + j_size + 12
+    xi_list, xn_list, rm_list, ad_list, meta_list = [], [], [], [], []
+    off = 20
+    while off < len(raw):
+        if off + 4 > len(raw):
+            raise ValueError("truncated record header")
+        (length,) = struct.unpack_from("<I", raw, off)
+        off += 4
+        if length != record or off + length > len(raw):
+            raise ValueError("truncated or inconsistent record")
+        buf = raw[off:off + length]
+        off += length
+        p = 0
+        xi_list.append(np.frombuffer(buf, "<f4", i_size * n_feat, p).reshape(i_size, n_feat))
+        p += 4 * i_size * n_feat
+        xn_list.append(np.frombuffer(buf, "<f4", j_size * n_feat, p).reshape(j_size, n_feat))
+        p += 4 * j_size * n_feat
+        rm_list.append(np.frombuffer(buf, np.uint8, i_size, p))
+        p += i_size
+        ad_list.append(np.frombuffer(buf, np.uint8, j_size, p))
+        p += j_size
+        meta_list.append(np.frombuffer(buf, "<i4", 3, p))
+    if not xi_list:
+        raise ValueError("dataset contains no samples")
+    return (np.stack(xi_list), np.stack(xn_list), np.stack(rm_list), np.stack(ad_list),
+            np.stack(meta_list).astype(np.int32))

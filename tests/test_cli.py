@@ -9,7 +9,9 @@ import pytest
 from regrow import cli
 from regrow.cli import main
 from regrow.features import compute_features
+from regrow.grow import GrowConfig
 from regrow.pointcloud import load_scene, read_labels, write_labels
+from regrow.search import SearchConfig
 
 SMALL_SYNTH = ["--extent", "1.4", "1.4", "0.9", "--spacing", "0.06",
                "--objects-min", "1", "--objects-max", "3"]
@@ -80,6 +82,16 @@ class TestUsage:
             run(["simulate", "--help"])
         out = capsys.readouterr().out
         assert "512" in out and "0.1" in out  # I/J and delta defaults
+
+    def test_segment_defaults_match_configs(self):
+        args = cli.build_parser().parse_args(
+            ["segment", "--scenes", "s", "--model", "m", "--out", "o"])
+        search, grow = SearchConfig(), GrowConfig()
+        assert (args.strategy, args.restarts, args.beam, args.expansions) == \
+            (search.strategy, search.restarts, search.beam_width, search.expansions)
+        assert (args.max_steps, args.min_segment) == (grow.max_steps, grow.min_segment)
+        assert args.no_remove_mask is not grow.use_remove_mask
+        assert args.random_seeding is (grow.seed_selection == "random")
 
     def test_runtime_error_exits_two(self, tmp_path):
         assert run(["eval", "--scenes", str(tmp_path / "missing"),

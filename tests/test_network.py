@@ -251,12 +251,6 @@ class TestTrain:
         violations = sum(1 for a, b in zip(losses, losses[1:]) if b > a * 1.01)
         assert violations <= len(losses) // 10
 
-    def test_mismatched_expectation_rejected(self, tmp_path):
-        path = build_tiny_dataset(tmp_path)
-        cfg = TrainConfig(TINY_ENC, TINY_DEC, epochs=1, expect_i=512)
-        with pytest.raises(ValueError):
-            train(path, cfg)
-
 
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
@@ -293,6 +287,17 @@ class TestCheckpoint:
         save_params(params, path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 9])
+        with pytest.raises(CheckpointError):
+            load_params(path)
+
+    @pytest.mark.parametrize("empty", ["enc", "dec", "cols"])
+    def test_zero_layer_or_column_count_rejected(self, tmp_path, empty):
+        lists = {"enc": list(TINY_ENC), "dec": list(TINY_DEC), "cols": list(range(13))}
+        lists[empty] = []
+        header = [1, 13, 8, 8, len(lists["enc"]), *lists["enc"],
+                  len(lists["dec"]), *lists["dec"], 2, len(lists["cols"]), *lists["cols"], 1]
+        path = tmp_path / "p.ckpt"
+        path.write_bytes(b"RGNW" + np.array(header, "<u4").tobytes() + b"\x00" * 64)
         with pytest.raises(CheckpointError):
             load_params(path)
 

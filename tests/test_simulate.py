@@ -1,16 +1,21 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import delta_components_oracle, instance_closure_oracle
+from oracles import dataset_oracle, delta_components_oracle, instance_closure_oracle
 from regrow.features import build_context
 from regrow.pointcloud import PointCloud
 from regrow.simulate import (
     DatasetError,
+    DatasetWriter,
     NoiseSchedule,
     RegionState,
     SimConfig,
+    TrainingSample,
     augment_scene,
     corrupt_region,
     generate_dataset,
@@ -295,6 +300,26 @@ class TestGenerateDataset:
         with pytest.raises(DatasetError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("damage", ["header-only", "version", "length", "partial"])
+    def test_corrupt_dataset_rejected(self, tmp_path, damage):
+        path = tmp_path / "d.bin"
+        generate_dataset([two_blob_scene()], SimConfig(i_size=6, j_size=5, seed=3), path)
+        raw = bytearray(path.read_bytes())
+        record = 4 + 4 * (6 + 5) * 13 + 6 + 5 + 12
+        assert len(raw) >= 20 + 2 * record
+        if damage == "header-only":
+            raw = raw[:20]
+        elif damage == "version":
+            raw[4:8] = np.array([2], "<u4").tobytes()
+        elif damage == "length":
+            # the second record claims one byte more; the file size is unchanged
+            raw[20 + record:24 + record] = np.array([record - 3], "<u4").tobytes()
+        else:
+            raw = raw[:20 + record + 4]
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DatasetError):
+            load_dataset(path)
+
     def test_steps_per_instance_same_order_as_reference_ratio(self, tmp_path):
         # large-scale runs average on the order of twenty-odd samples per
         # instance; the decaying mistake schedule should keep synthetic data
@@ -331,3 +356,45 @@ class TestGenerateDataset:
                 if sample is None:
                     break
                 corrupt_region(ctx, state, schedule, rng2)
+
+
+@st.composite
+def sample_batches(draw):
+    i, j, f = (draw(st.integers(1, 8)) for _ in range(3))
+    count = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = [TrainingSample(rng.normal(size=(i, f)).astype(np.float32),
+                              rng.normal(size=(j, f)).astype(np.float32),
+                              rng.integers(0, 2, i).astype(np.uint8),
+                              rng.integers(0, 2, j).astype(np.uint8),
+                              tuple(int(v) for v in rng.integers(-2**31, 2**31, 3)))
+               for _ in range(count)]
+    return i, j, f, samples
+
+
+class TestDatasetFile:
+    @given(sample_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_loader_matches_struct_oracle(self, batch):
+        i, j, f, samples = batch
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.bin"
+            with DatasetWriter(path, i, j, f) as writer:
+                for sample in samples:
+                    writer.write(sample)
+            ds = load_dataset(path)
+            expected = dataset_oracle(path)
+        got = (ds.inlier_features, ds.neighbor_features, ds.remove_target, ds.add_target,
+               ds.meta)
+        assert (len(ds), ds.i_size, ds.j_size, ds.n_features) == (len(samples), i, j, f)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        np.testing.assert_array_equal(ds.meta, [s.meta for s in samples])
+
+    def test_wrong_sample_shape_rejected(self, tmp_path):
+        sample = TrainingSample(np.zeros((4, 3), np.float32), np.zeros((5, 3), np.float32),
+                                np.zeros(4, np.uint8), np.zeros(1, np.uint8), (0, 0, 0))
+        with DatasetWriter(tmp_path / "d.bin", 4, 5, 3) as writer:
+            with pytest.raises(DatasetError):
+                writer.write(sample)
