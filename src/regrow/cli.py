@@ -68,15 +68,22 @@ def _feature_columns(name: str | None):
     return FEATURE_SUBSETS[name]
 
 
+def _scene_sha256(scene_path) -> str:
+    return hashlib.sha256(Path(scene_path).read_bytes()).hexdigest()
+
+
 def _load_context(scene_path, delta, knn, features_dir=None):
+    """The scene's context, with features from the cache only when they were
+    computed from this very file with the same `knn`."""
     cloud = load_scene(scene_path)
     feats = None
     if features_dir:
         cache = Path(features_dir) / (Path(scene_path).stem + ".features.npz")
         if cache.exists():
-            data = np.load(cache)
-            if data["features"].shape[0] == cloud.n_points and int(data["knn"]) == knn:
-                feats = data["features"]
+            with np.load(cache) as data:
+                if ("scene_sha256" in data and int(data["knn"]) == knn
+                        and str(data["scene_sha256"]) == _scene_sha256(scene_path)):
+                    feats = data["features"]
     return build_context(cloud, delta=delta, knn=knn, features=feats)
 
 
@@ -254,7 +261,7 @@ def _features_worker(task) -> str:
     cloud = load_scene(scene_path)
     feats = compute_features(cloud, k=min(knn, cloud.n_points))
     out = Path(out_dir) / (Path(scene_path).stem + ".features.npz")
-    np.savez(out, features=feats, delta=delta, knn=knn)
+    np.savez(out, features=feats, delta=delta, knn=knn, scene_sha256=_scene_sha256(scene_path))
     return str(out)
 
 
@@ -431,8 +438,7 @@ def _cmd_ablate(args) -> int:
     # from, so a rerun with other settings or scenes builds new ones
     train_paths = _scene_paths(args.train_scenes)
     sim_inputs = [subset, normalize, i_size, j_size, args.delta, args.knn, args.augment,
-                  args.seed, [(str(p.resolve()), hashlib.sha256(p.read_bytes()).hexdigest())
-                              for p in train_paths]]
+                  args.seed, [(str(p.resolve()), _scene_sha256(p)) for p in train_paths]]
     data_key = hashlib.sha256(json.dumps(sim_inputs).encode()).hexdigest()[:16]
     train_inputs = [data_key, args.enc_widths, args.dec_widths, args.lr, args.batch,
                     args.epochs]

@@ -266,9 +266,6 @@ class SceneContext:
         tracker.add(members)
         return tracker
 
-    def neighbors_of(self, i: int) -> np.ndarray:
-        return self.adj_indices[self.adj_indptr[i]:self.adj_indptr[i + 1]]
-
 
 def build_context(cloud, delta: float = DEFAULT_DELTA, knn: int = DEFAULT_KNN,
                   features: np.ndarray | None = None) -> SceneContext:

@@ -84,25 +84,27 @@ def nmi(c: Contingency) -> float:
 
 
 def expected_mutual_information(c: Contingency) -> float:
-    """Exact E[MI] under the hypergeometric (fixed-margins) model."""
+    """Exact E[MI] under the hypergeometric (fixed-margins) model: one sum
+    over every (a_i, b_j, k) with max(1, a_i + b_j - n) <= k <= min(a_i, b_j)."""
     n = c.n
-    log_fact_n = gammaln(n + 1)
-    emi = 0.0
-    for ai in c.row_sums:
-        for bj in c.col_sums:
-            lo = max(1, int(ai) + int(bj) - n)
-            hi = min(int(ai), int(bj))
-            if hi < lo:
-                continue
-            k = np.arange(lo, hi + 1, dtype=np.float64)
-            log_pmf = (
-                gammaln(ai + 1) - gammaln(k + 1) - gammaln(ai - k + 1)
-                + gammaln(n - ai + 1) - gammaln(bj - k + 1) - gammaln(n - ai - bj + k + 1)
-                - (log_fact_n - gammaln(bj + 1) - gammaln(n - bj + 1))
-            )
-            terms = (k / n) * (np.log(n * k) - np.log(float(ai) * float(bj))) * np.exp(log_pmf)
-            emi += float(terms.sum())
-    return emi
+    a = np.repeat(c.row_sums, len(c.col_sums)).astype(np.float64)
+    b = np.tile(c.col_sums, len(c.row_sums)).astype(np.float64)
+    lo = np.maximum(1.0, a + b - n)
+    count = (np.minimum(a, b) - lo + 1).astype(np.int64)  # >= 1, as a_i, b_j <= n
+    # per (a_i, b_j) pair, repeated for each of its k: log a_i!, log (n - a_i)!,
+    # log C(n, b_j) and log(a_i b_j)
+    pair = (gammaln(a + 1), gammaln(n - a + 1),
+            gammaln(n + 1) - gammaln(b + 1) - gammaln(n - b + 1), np.log(a * b), a, b)
+    g_a, g_na, log_comb_b, log_ab, ai, bj = (np.repeat(x, count) for x in pair)
+    ends = np.cumsum(count)
+    k = np.arange(ends[-1]) - np.repeat(ends - count - lo, count)
+    log_pmf = (
+        g_a - gammaln(k + 1) - gammaln(ai - k + 1)
+        + g_na - gammaln(bj - k + 1) - gammaln(n - ai - bj + k + 1)
+        - log_comb_b
+    )
+    terms = (k / n) * (np.log(n * k) - log_ab) * np.exp(log_pmf)
+    return float(terms.sum())
 
 
 def ami(c: Contingency) -> float:

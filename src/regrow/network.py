@@ -57,14 +57,6 @@ class NetworkParams:
     def dtype(self):
         return self.inlier.enc_w[0].dtype
 
-    def astype(self, dtype) -> "NetworkParams":
-        def cast(bp: BranchParams) -> BranchParams:
-            return BranchParams([w.astype(dtype) for w in bp.enc_w],
-                                [b.astype(dtype) for b in bp.enc_b],
-                                [w.astype(dtype) for w in bp.dec_w],
-                                [b.astype(dtype) for b in bp.dec_b])
-        return replace(self, inlier=cast(self.inlier), neighbor=cast(self.neighbor))
-
 
 def param_tensors(params: NetworkParams):
     """(name, array) pairs in fixed declaration order."""

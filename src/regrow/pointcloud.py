@@ -12,6 +12,7 @@ integer >= 1. Instance id 0 is reserved everywhere for "unassigned".
 from __future__ import annotations
 
 import colorsys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,9 +78,46 @@ class PointCloud:
         return PointCloud(positions, self.colors, self.gt_instance)
 
 
+_XYZ_RGB = [("xyz", "f8", (3,)), ("rgb", "f8", (3,))]
+_RECORD = {6: np.dtype(_XYZ_RGB), 7: np.dtype(_XYZ_RGB + [("id", "i8")])}
+_ID_MAX = int(np.iinfo(np.int32).max)
+
+
 def load_scene(path) -> PointCloud:
-    """Parse a scene file, raising SceneFormatError with the offending line number."""
+    """Parse a scene file, raising SceneFormatError with the offending line number.
+
+    One `np.loadtxt` pass reads the whole file into records; a file that pass
+    does not take (comment lines, Python-only spellings such as ``1_0``) or
+    whose values fail a check is re-scanned line by line, which gives the
+    same cloud or names the first offending line.
+    """
     path = Path(path)
+    cloud = _load_records(path)
+    return cloud if cloud is not None else _load_lines(path)
+
+
+def _load_records(path: Path) -> PointCloud | None:
+    """The scene from one record pass, or None when it needs the line scan."""
+    try:
+        with open(path, "r") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. a file with no records
+            ncols = len(fh.readline().split())
+            if ncols not in _RECORD:
+                return None
+            fh.seek(0)
+            rec = np.loadtxt(fh, dtype=_RECORD[ncols], comments=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):  # includes UnicodeDecodeError
+        return None
+    xyz, rgb = rec["xyz"], rec["rgb"]
+    ids = rec["id"] if ncols == 7 else None
+    if not (np.isfinite(xyz).all() and ((rgb >= 0) & (rgb <= 255)).all()
+            and (ids is None or ((ids >= 1) & (ids <= _ID_MAX)).all())):
+        return None
+    return PointCloud(xyz, np.rint(rgb).astype(np.uint8), ids)
+
+
+def _load_lines(path: Path) -> PointCloud:
+    """The scene from a line-by-line scan, which skips blank and ``#`` lines."""
     positions: list[tuple[float, float, float]] = []
     colors: list[tuple[int, int, int]] = []
     labels: list[int] = []
@@ -109,10 +147,12 @@ def load_scene(path) -> PointCloud:
                 raise SceneFormatError(f"{path}: line {lineno}: {exc}") from None
             if not all(np.isfinite((x, y, z))):
                 raise SceneFormatError(f"{path}: line {lineno}: non-finite coordinate")
-            if any(c < 0 or c > 255 for c in rgb):
+            if not all(0 <= c <= 255 for c in rgb):
                 raise SceneFormatError(f"{path}: line {lineno}: color outside [0, 255]")
             if ncols == 7 and inst < 1:
                 raise SceneFormatError(f"{path}: line {lineno}: instance id must be >= 1")
+            if ncols == 7 and inst > _ID_MAX:
+                raise SceneFormatError(f"{path}: line {lineno}: instance id above {_ID_MAX}")
             positions.append((x, y, z))
             colors.append(tuple(int(round(c)) for c in rgb))
             if ncols == 7:

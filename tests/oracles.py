@@ -2,16 +2,23 @@
 
 These deliberately avoid the library's code paths: pair enumeration instead
 of contingency algebra, probability dictionaries instead of vectorized sums,
-scipy's hypergeometric pmf for the expected mutual information, and a
-record-by-record `struct` reader for the dataset file.
+scipy's hypergeometric pmf for the expected mutual information, a
+record-by-record `struct` reader for the dataset file, per-edge seeded flood
+fills for the classical baselines and a line-by-line scene parser.
 """
 
 import itertools
 import math
 import struct
+from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+
+from regrow.baselines import SmoothnessConfig, ThresholdConfig
+from regrow.grow import reassign_small_segments, select_seed
+from regrow.pointcloud import PointCloud, SceneFormatError
 
 
 def ari_oracle(gt, pred):
@@ -263,3 +270,107 @@ def dataset_oracle(path):
         raise ValueError("dataset contains no samples")
     return (np.stack(xi_list), np.stack(xn_list), np.stack(rm_list), np.stack(ad_list),
             np.stack(meta_list).astype(np.int32))
+
+
+def _flood_oracle(ctx, join, enqueue):
+    """Seeded flood fill over the radius adjacency, one edge at a time.
+
+    Seeds are the unlabeled points of minimum curvature (ties: lowest index);
+    `join(q, p)` decides whether unlabeled neighbor p joins front point q's
+    region and `enqueue(p)` whether p extends the front (the seed always does).
+    """
+    curvature = ctx.features[:, 12]
+    labels = np.zeros(ctx.n_points, dtype=np.int32)
+    next_id = 1
+    while (labels == 0).any():
+        seed = select_seed(curvature, labels)
+        labels[seed] = next_id
+        queue = deque([seed])
+        while queue:
+            q = queue.popleft()
+            for p in ctx.adj_indices[ctx.adj_indptr[q]:ctx.adj_indptr[q + 1]]:
+                p = int(p)
+                if labels[p] == 0 and join(q, p):
+                    labels[p] = next_id
+                    if enqueue(p):
+                        queue.append(p)
+        next_id += 1
+    return labels
+
+
+def threshold_oracle(ctx, cfg=None):
+    """Threshold baseline: join on normal angle and color distance, every
+    joined point extends the front."""
+    cfg = cfg or ThresholdConfig()
+    normals = ctx.features[:, 9:12]
+    rgb = ctx.features[:, 6:9]
+    cos_th = math.cos(math.radians(cfg.normal_angle_max))
+    max_col2 = cfg.color_dist_max ** 2
+
+    def join(q, p):
+        if abs(float(normals[q] @ normals[p])) < cos_th:
+            return False
+        d = rgb[q] - rgb[p]
+        return float(d @ d) <= max_col2
+
+    labels = _flood_oracle(ctx, join, lambda p: True)
+    return reassign_small_segments(ctx.cloud, labels, cfg.min_segment)
+
+
+def smoothness_oracle(ctx, cfg=None):
+    """Smoothness baseline: join on normal angle, only points of curvature at
+    most `curvature_th` extend the front."""
+    cfg = cfg or SmoothnessConfig()
+    normals = ctx.features[:, 9:12]
+    curvature = ctx.features[:, 12]
+    cos_th = math.cos(math.radians(cfg.theta_th))
+
+    def join(q, p):
+        return abs(float(normals[q] @ normals[p])) >= cos_th
+
+    labels = _flood_oracle(ctx, join, lambda p: curvature[p] <= cfg.curvature_th)
+    return reassign_small_segments(ctx.cloud, labels, cfg.min_segment)
+
+
+def scene_oracle(path):
+    """Parse a scene file line by line with Python's float() and int()."""
+    path = Path(path)
+    positions, colors, labels = [], [], []
+    ncols = None
+    with open(path, "r") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if ncols is None:
+                if len(parts) not in (6, 7):
+                    raise SceneFormatError(
+                        f"{path}: line {lineno}: expected 6 or 7 fields, got {len(parts)}"
+                    )
+                ncols = len(parts)
+            elif len(parts) != ncols:
+                raise SceneFormatError(
+                    f"{path}: line {lineno}: expected {ncols} fields, got {len(parts)}"
+                )
+            try:
+                x, y, z = float(parts[0]), float(parts[1]), float(parts[2])
+                rgb = [float(parts[i]) for i in (3, 4, 5)]
+                if ncols == 7:
+                    inst = int(parts[6])
+            except ValueError as exc:
+                raise SceneFormatError(f"{path}: line {lineno}: {exc}") from None
+            if not all(np.isfinite((x, y, z))):
+                raise SceneFormatError(f"{path}: line {lineno}: non-finite coordinate")
+            if any(c < 0 or c > 255 for c in rgb):
+                raise SceneFormatError(f"{path}: line {lineno}: color outside [0, 255]")
+            if ncols == 7 and inst < 1:
+                raise SceneFormatError(f"{path}: line {lineno}: instance id must be >= 1")
+            positions.append((x, y, z))
+            colors.append(tuple(int(round(c)) for c in rgb))
+            if ncols == 7:
+                labels.append(inst)
+    if not positions:
+        raise SceneFormatError(f"{path}: empty scene (no data records)")
+    gt = np.array(labels, dtype=np.int32) if ncols == 7 else None
+    return PointCloud(np.array(positions), np.array(colors, dtype=np.uint8), gt)

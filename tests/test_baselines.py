@@ -1,12 +1,17 @@
-import numpy as np
+import math
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import smoothness_oracle, threshold_oracle
 from regrow.baselines import (
     SmoothnessConfig,
     ThresholdConfig,
     grow_smoothness,
     grow_threshold,
 )
-from regrow.features import build_context
+from regrow.features import N_FEATURES, SceneContext, build_context, radius_adjacency
 from regrow.pointcloud import PointCloud
 
 
@@ -153,3 +158,84 @@ class TestSmoothnessBaseline:
         b = grow_smoothness(ctx)
         assert np.array_equal(a, b)
         assert (a > 0).all()
+
+
+# angles whose cosine, as the baselines compute it, is exactly the dot
+# product of the palette normal (cos a, sin a, 0) with (1, 0, 0)
+ANGLES = (10.0, 30.0, 45.0)
+NORMALS = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (-1.0, 0.0, 0.0),
+           (0.6, 0.8, 0.0), (0.0, 0.6, 0.8)] + [
+    (math.cos(math.radians(a)), math.sin(math.radians(a)), 0.0) for a in ANGLES]
+# colors 0.25 apart sit exactly at the default color gate
+RGB = [(0.0, 0.0, 0.0), (0.25, 0.0, 0.0), (0.5, 0.0, 0.0), (0.25, 0.25, 0.0), (1.0, 1.0, 1.0)]
+CURVATURES = (0.0, 0.01, 0.05, 0.1, 0.2)  # 0.05 is the default curvature gate
+
+
+@st.composite
+def baseline_scenes(draw):
+    """A context on a coarse grid (duplicate points, isolated far points)
+    whose normals, colors and curvatures come from a few palette entries, so
+    joins hit the gates exactly and seeds tie on curvature."""
+    n = draw(st.integers(1, 40))
+    side = draw(st.integers(1, 5))
+    cells = draw(st.lists(st.tuples(st.integers(0, side), st.integers(0, side),
+                                    st.integers(0, 1)), min_size=n, max_size=n))
+    pos = np.array(cells, dtype=np.float64) * 0.05
+    far = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    pos[far] += np.arange(n)[far][:, None] * 10.0
+    curv_mode = draw(st.sampled_from(["mixed", "all-low", "all-high"]))
+    curv_pool = {"mixed": CURVATURES, "all-low": (0.0, 0.01), "all-high": (0.1, 0.2)}[curv_mode]
+
+    def column(pool):
+        few = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        return [draw(st.sampled_from(few)) for _ in range(n)]
+
+    feats = np.zeros((n, N_FEATURES))
+    feats[:, 6:9] = column(RGB)
+    feats[:, 9:12] = column(NORMALS)
+    feats[:, 12] = column(curv_pool)
+    indptr, indices = radius_adjacency(pos, 0.1)
+    cloud = PointCloud(pos, np.zeros((n, 3), dtype=np.uint8))
+    return SceneContext(cloud, feats, indptr, indices, 0.1, 8)
+
+
+class TestAgainstFloodOracle:
+    @given(baseline_scenes(), st.sampled_from(ANGLES), st.sampled_from((0.25, 0.5)),
+           st.sampled_from((1, 2, 3, 10)))
+    @settings(max_examples=150, deadline=None)
+    def test_threshold_matches_oracle(self, ctx, angle, color, min_segment):
+        cfg = ThresholdConfig(normal_angle_max=angle, color_dist_max=color,
+                              min_segment=min_segment)
+        labels = grow_threshold(ctx, cfg)
+        expected = threshold_oracle(ctx, cfg)
+        assert labels.dtype == expected.dtype
+        np.testing.assert_array_equal(labels, expected)
+
+    @given(baseline_scenes(), st.sampled_from(ANGLES), st.sampled_from((0.01, 0.05, 0.1)),
+           st.sampled_from((1, 2, 3, 10)))
+    @settings(max_examples=150, deadline=None)
+    def test_smoothness_matches_oracle(self, ctx, angle, curvature, min_segment):
+        cfg = SmoothnessConfig(theta_th=angle, curvature_th=curvature, min_segment=min_segment)
+        labels = grow_smoothness(ctx, cfg)
+        expected = smoothness_oracle(ctx, cfg)
+        assert labels.dtype == expected.dtype
+        np.testing.assert_array_equal(labels, expected)
+
+    def test_room_matches_oracle(self):
+        # PCA normals and curvatures of a cluttered scene, two settings per baseline
+        rng = np.random.default_rng(5)
+        pts = np.vstack([plane(10, 10), plane(10, 10, origin=(0, 0, 0.05), axis="x"),
+                         sphere_points(r=0.2) + 0.6, rng.uniform(0, 0.6, (80, 3))])
+        col = rng.integers(0, 256, (len(pts), 3)).astype(np.uint8)
+        col[:200] = (120, 120, 120)
+        ctx = build_context(PointCloud(pts, col), delta=0.1, knn=8)
+        for min_segment in (1, 10):
+            for cfg in (ThresholdConfig(min_segment=min_segment),
+                        ThresholdConfig(normal_angle_max=10.0, color_dist_max=1.0,
+                                        min_segment=min_segment)):
+                np.testing.assert_array_equal(grow_threshold(ctx, cfg), threshold_oracle(ctx, cfg))
+            for cfg in (SmoothnessConfig(min_segment=min_segment),
+                        SmoothnessConfig(theta_th=30.0, curvature_th=0.01,
+                                         min_segment=min_segment)):
+                np.testing.assert_array_equal(grow_smoothness(ctx, cfg),
+                                              smoothness_oracle(ctx, cfg))

@@ -124,6 +124,12 @@ class TestFeaturesCommand:
         data = np.load(cached[0])
         assert data["features"].shape[1] == 13
 
+    def test_instance_id_above_int32_is_a_format_error(self, tmp_path, capsys):
+        scene = tmp_path / "big.txt"
+        scene.write_text("0 0 0 1 2 3 1\n0.1 0 0 1 2 3 3000000000\n0 0.1 0 1 2 3 1\n")
+        assert run(["features", "--scenes", str(scene), "--out", str(tmp_path / "f")]) == 2
+        assert "line 2: instance id above 2147483647" in capsys.readouterr().err
+
 
 class TestSegmentAndEval:
     def test_greedy_segment_writes_labels_and_stats(self, workspace, tmp_path):
@@ -258,6 +264,22 @@ class TestParallelAndCache:
                     "--features-dir", str(cache)]) == 0
         scene = load_scene(next(scenes.glob("*.txt")))
         np.testing.assert_array_equal(used[0], compute_features(scene, k=16))
+
+
+    def test_cache_of_rewritten_scene_is_recomputed(self, workspace, tmp_path):
+        scenes = tmp_path / "scenes"
+        shutil.copytree(workspace / "data" / "test", scenes)
+        cache = tmp_path / "cache"
+        assert run(["features", "--scenes", str(scenes), "--out", str(cache)]) == 0
+        # the same file size, other point order
+        scene = next(scenes.glob("*.txt"))
+        lines = scene.read_text().splitlines(keepends=True)
+        scene.write_text("".join(lines[1:] + lines[:1]))
+        for out, extra in (("fresh", []), ("cached", ["--features-dir", str(cache)])):
+            assert run(["baseline", "--scenes", str(scenes), "--method", "smoothness",
+                        "--out", str(tmp_path / out)] + extra) == 0
+        f = next((tmp_path / "fresh").glob("*.labels"))
+        assert sha(f) == sha(tmp_path / "cached" / f.name)
 
 
 class TestAblate:

@@ -1,8 +1,10 @@
-"""Golden SHA-256 digests of simulator and segmentation outputs.
+"""Golden SHA-256 digests of simulator, segmentation and baseline outputs.
 
-The digests were recorded from the implementation that predates the shared
-region engine (tracked member bitmask plus cKDTree radius adjacency); any
-refactor of simulation, growing or search must reproduce them byte for byte.
+The simulator and segmentation digests were recorded from the implementation
+that predates the shared region engine (tracked member bitmask plus cKDTree
+radius adjacency), the baseline digests from the per-edge flood fills that
+predate the connected-component baselines; any refactor of simulation,
+growing, search or the baselines must reproduce them byte for byte.
 No network is involved: segmentation uses a deterministic NumPy predictor, so
 changes to the network's float arithmetic cannot move these digests.
 """
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from regrow import synth
+from regrow.baselines import SmoothnessConfig, ThresholdConfig, grow_smoothness, grow_threshold
 from regrow.features import build_context
 from regrow.grow import GrowConfig, segment_scene
 from regrow.search import SearchConfig
@@ -24,6 +27,13 @@ DATASET_SHA256 = "bb81a0f7a0d19c0a6752210b082a1176ec8fc74e7fc1753c710bc5c192d15c
 LABELS_SHA256 = {
     "greedy": "78d971328505ce45a1861e09d5699294e8a124eb9764bf44f67164a731ce9ff7",
     "bs-np": "ad3deb565d8ac1fd074a3678effdbfc287a0d70aac8376d4a2d7a68260ed8617",
+}
+
+BASELINE_SHA256 = {
+    ("threshold", 10): "668efc6fd823ccbe6f877580252f4cb05991c79655db2db565653831e069eba9",
+    ("threshold", 1): "e73c6aa3e7921bebd021ea6214d6feba2b00e4054f9996468e517964cc133099",
+    ("smoothness", 10): "d221713f6e3bc983d5ccb33b29acaa52cd70043e9cde4d43c033ab7421958b94",
+    ("smoothness", 1): "05204dba12aeaf02484064d427da34594206beeaa1fc8724420fc694271c5abb",
 }
 
 
@@ -63,3 +73,13 @@ def test_segment_labels_match_golden(strategy):
         rng=np.random.default_rng(11))
     assert stats["instances"] > 1
     assert _sha256(labels.astype("<i4").tobytes()) == LABELS_SHA256[strategy]
+
+
+@pytest.mark.parametrize("method,min_segment", sorted(BASELINE_SHA256))
+def test_baseline_labels_match_golden(method, min_segment):
+    ctx = build_context(synth.generate_room(ROOM, seed=4), delta=0.1, knn=8)
+    if method == "threshold":
+        labels = grow_threshold(ctx, ThresholdConfig(min_segment=min_segment))
+    else:
+        labels = grow_smoothness(ctx, SmoothnessConfig(min_segment=min_segment))
+    assert _sha256(labels.astype("<i4").tobytes()) == BASELINE_SHA256[method, min_segment]

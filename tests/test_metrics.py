@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ami_oracle, ari_oracle, nmi_oracle
+from oracles import ami_oracle, ari_oracle, emi_oracle, nmi_oracle
 from regrow.metrics import (
     ami,
     ari,
     build_contingency,
+    expected_mutual_information,
     match_and_score,
     nmi,
     per_room_average,
@@ -75,6 +76,15 @@ class TestClusteringIndices:
             assert ari(c) == pytest.approx(ari_oracle(gt, pred), abs=1e-9)
             assert nmi(c) == pytest.approx(nmi_oracle(gt, pred), abs=1e-9)
             assert ami(c) == pytest.approx(ami_oracle(gt, pred), abs=1e-9)
+
+    @given(st.tuples(st.integers(2, 80), st.sampled_from([3, 12])).flatmap(
+        lambda nk: st.lists(st.tuples(st.integers(1, nk[1]), st.integers(1, nk[1])),
+                            min_size=nk[0], max_size=nk[0])))
+    @settings(max_examples=200, deadline=None)
+    def test_expected_mutual_information_matches_oracle(self, pairs):
+        gt, pred = zip(*pairs)
+        emi = expected_mutual_information(build_contingency(gt, pred))
+        assert emi == pytest.approx(emi_oracle(gt, pred), rel=1e-12, abs=1e-15)
 
     def test_random_labelings_near_zero_ari(self):
         rng = np.random.default_rng(2)
