@@ -292,9 +292,11 @@ def _cmd_train(args) -> int:
         skip_layer=args.skip_layer, lr=args.lr, batch_size=args.batch,
         epochs=args.epochs, seed=args.seed, checkpoint=args.out,
         feature_columns=cols, normalize=not args.no_normalize)
-    _params, losses = train(args.dataset, cfg)
-    for epoch, loss in enumerate(losses, start=1):
+    def report(epoch, loss, seconds, samples):
         print(f"epoch {epoch}: loss {loss:.6f}")
+        print(f"epoch {epoch} time: {seconds:.3f} s, {samples / seconds:.1f} samples/s")
+
+    train(args.dataset, cfg, report)
     print(f"checkpoint written to {args.out}")
     return 0
 

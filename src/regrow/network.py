@@ -9,6 +9,7 @@ derived by hand for this fixed graph; there is no autodiff involved.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -76,11 +77,10 @@ def _glorot(rng, fan_in: int, fan_out: int, dtype) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
 
 
-def init_params(enc_widths=FULL_ENC_WIDTHS, dec_widths=FULL_DEC_WIDTHS,
-                skip_layer: int = 2, n_features: int = 13, i_size: int = 512,
-                j_size: int = 512, feature_columns=None, normalize: bool = True,
-                seed: int = 0, dtype=np.float32) -> NetworkParams:
-    """Seeded uniform (Glorot-range) weights, zero biases."""
+def _architecture(enc_widths, dec_widths, skip_layer: int, n_features: int,
+                  feature_columns):
+    """Checked widths and feature columns, plus one branch's encoder and
+    decoder layers as (fan_in, width) pairs."""
     enc_widths = tuple(int(w) for w in enc_widths)
     dec_widths = tuple(int(w) for w in dec_widths)
     if not enc_widths or not dec_widths:
@@ -94,35 +94,30 @@ def init_params(enc_widths=FULL_ENC_WIDTHS, dec_widths=FULL_DEC_WIDTHS,
     feature_columns = tuple(int(c) for c in feature_columns)
     if len(feature_columns) != n_features:
         raise ValueError("feature_columns length must equal n_features")
-    rng = np.random.default_rng(seed)
     dec_in = enc_widths[skip_layer - 1] + 2 * enc_widths[-1]
+    enc_layers = list(zip((n_features, *enc_widths[:-1]), enc_widths))
+    dec_layers = list(zip((dec_in, *dec_widths[:-1]), dec_widths))
+    return enc_widths, dec_widths, feature_columns, enc_layers, dec_layers
+
+
+def init_params(enc_widths=FULL_ENC_WIDTHS, dec_widths=FULL_DEC_WIDTHS,
+                skip_layer: int = 2, n_features: int = 13, i_size: int = 512,
+                j_size: int = 512, feature_columns=None, normalize: bool = True,
+                seed: int = 0, dtype=np.float32) -> NetworkParams:
+    """Seeded uniform (Glorot-range) weights, zero biases."""
+    enc_widths, dec_widths, feature_columns, enc_layers, dec_layers = _architecture(
+        enc_widths, dec_widths, skip_layer, n_features, feature_columns)
+    rng = np.random.default_rng(seed)
 
     def make_branch() -> BranchParams:
-        enc_w, enc_b, dec_w, dec_b = [], [], [], []
-        fan = n_features
-        for w in enc_widths:
-            enc_w.append(_glorot(rng, fan, w, dtype))
-            enc_b.append(np.zeros(w, dtype=dtype))
-            fan = w
-        fan = dec_in
-        for w in dec_widths:
-            dec_w.append(_glorot(rng, fan, w, dtype))
-            dec_b.append(np.zeros(w, dtype=dtype))
-            fan = w
-        return BranchParams(enc_w, enc_b, dec_w, dec_b)
+        return BranchParams([_glorot(rng, fan, w, dtype) for fan, w in enc_layers],
+                            [np.zeros(w, dtype=dtype) for _, w in enc_layers],
+                            [_glorot(rng, fan, w, dtype) for fan, w in dec_layers],
+                            [np.zeros(w, dtype=dtype) for _, w in dec_layers])
 
     return NetworkParams(make_branch(), make_branch(), enc_widths, dec_widths,
                          skip_layer, n_features, i_size, j_size, feature_columns,
                          normalize)
-
-
-def zeros_like_params(params: NetworkParams) -> NetworkParams:
-    def z(bp: BranchParams) -> BranchParams:
-        return BranchParams([np.zeros_like(w) for w in bp.enc_w],
-                            [np.zeros_like(b) for b in bp.enc_b],
-                            [np.zeros_like(w) for w in bp.dec_w],
-                            [np.zeros_like(b) for b in bp.dec_b])
-    return replace(params, inlier=z(params.inlier), neighbor=z(params.neighbor))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -143,33 +138,57 @@ def _pointwise(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(batch, n, w.shape[1])
 
 
-def _encode(bp: BranchParams, x: np.ndarray):
-    """Point-wise MLP with rectifier activations. x: (B, n, F)."""
-    zs, acts = [], [x]
-    h = x
+def _encode(bp: BranchParams, x: np.ndarray) -> list[np.ndarray]:
+    """Point-wise MLP with rectifier activations. x: (B, n, F) -> [x, h1, ...].
+
+    Each layer is rectified in place: backward only needs its sign, and
+    h > 0 exactly where the pre-activation is."""
+    acts = [x]
     for w, b in zip(bp.enc_w, bp.enc_b):
-        z = _pointwise(h, w, b)
-        h = np.maximum(z, 0)
-        zs.append(z)
-        acts.append(h)
-    return zs, acts
+        h = _pointwise(acts[-1], w, b)
+        acts.append(np.maximum(h, 0, out=h))
+    return acts
 
 
-def _decode(bp: BranchParams, skip: np.ndarray, global_vec: np.ndarray):
+def _decode(bp: BranchParams, skip: np.ndarray, global_vec: np.ndarray) -> list[np.ndarray]:
     """Per-point decoder over the skip features concatenated with the global
     vector. Layer 1 splits over that concatenation, [s, g] @ W = s @ W[:s] +
     g @ W[s:], so the global half is applied once per sample as a (B, out) bias
-    broadcast over the points instead of being tiled onto every point."""
+    broadcast over the points instead of being tiled onto every point.
+
+    Returns every layer's output: the hidden ones rectified in place, then the
+    (B, n, 1) logits."""
     batch, n, s = skip.shape
     w0 = bp.dec_w[0]
     z = (skip.reshape(batch * n, s) @ w0[:s]).reshape(batch, n, w0.shape[1])
     z += (global_vec @ w0[s:] + bp.dec_b[0])[:, None, :]
-    zs, acts = [z], [skip]
+    outs = [z]
     for w, b in zip(bp.dec_w[1:], bp.dec_b[1:]):
-        acts.append(np.maximum(z, 0))  # every layer but the last is rectified
-        z = _pointwise(acts[-1], w, b)
-        zs.append(z)
-    return zs, acts, z[..., 0]  # logits (B, n)
+        h = np.maximum(outs[-1], 0, out=outs[-1])  # every layer but the last is rectified
+        outs.append(_pointwise(h, w, b))
+    return outs
+
+
+def _pool_argmax(top: np.ndarray, pooled: np.ndarray) -> np.ndarray:
+    """`top.argmax(axis=1)` given `pooled = top.max(axis=1)`: the first point
+    equal to each pooled feature, found without argmax's strided pass.
+
+    A hit at point k scores n - k, so the column maximum picks the first hit.
+    A column with no hit holds a NaN; argmax answers for it."""
+    n = top.shape[1]
+    weights = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]
+    hits = top == pooled[:, None, :]
+    if weights.dtype == np.uint8:
+        scores = hits.view(np.uint8)
+        scores *= weights
+    else:
+        scores = hits * weights
+    best = scores.max(axis=1)
+    arg = n - best.astype(np.intp)
+    b, g = np.nonzero(best == 0)
+    if b.size:
+        arg[b, g] = top[b, :, g].argmax(axis=1)
+    return arg
 
 
 def forward_batch(params: NetworkParams, xi: np.ndarray, xn: np.ndarray,
@@ -185,24 +204,25 @@ def forward_batch(params: NetworkParams, xi: np.ndarray, xn: np.ndarray,
             or xn.shape[2] != params.n_features or xi.shape[0] != xn.shape[0]:
         raise ValueError(
             f"expected (B, n, {params.n_features}) inputs, got {xi.shape} and {xn.shape}")
-    zi, ai = _encode(params.inlier, xi)
-    zn, an = _encode(params.neighbor, xn)
-    global_vec = np.concatenate([ai[-1].max(axis=1), an[-1].max(axis=1)], axis=1)
-    skip_i = ai[params.skip_layer]
-    skip_n = an[params.skip_layer]
-    ui, di, logit_i = _decode(params.inlier, skip_i, global_vec)
-    un, dn, logit_n = _decode(params.neighbor, skip_n, global_vec)
-    raw_i = _sigmoid(logit_i)
-    raw_n = _sigmoid(logit_n)
+    ai = _encode(params.inlier, xi)
+    an = _encode(params.neighbor, xn)
+    pool_i = ai[-1].max(axis=1)
+    pool_n = an[-1].max(axis=1)
+    global_vec = np.concatenate([pool_i, pool_n], axis=1)
+    ui = _decode(params.inlier, ai[params.skip_layer], global_vec)
+    un = _decode(params.neighbor, an[params.skip_layer], global_vec)
+    raw_i = _sigmoid(ui[-1][..., 0])
+    raw_n = _sigmoid(un[-1][..., 0])
     p_remove = np.clip(raw_i, PROB_EPS, 1.0 - PROB_EPS)
     p_add = np.clip(raw_n, PROB_EPS, 1.0 - PROB_EPS)
     if not want_cache:
         return p_remove, p_add
+    # "zi"/"zn" and the hidden entries of "ui"/"un" hold rectified outputs,
+    # whose signs are the pre-activations' signs
     cache = {
-        "zi": zi, "ai": ai, "zn": zn, "an": an,
-        "argi": ai[-1].argmax(axis=1), "argn": an[-1].argmax(axis=1),
-        "global": global_vec,
-        "ui": ui, "di": di, "un": un, "dn": dn,
+        "ai": ai, "an": an, "zi": ai[1:], "zn": an[1:],
+        "argi": _pool_argmax(ai[-1], pool_i), "argn": _pool_argmax(an[-1], pool_n),
+        "global": global_vec, "ui": ui, "un": un,
         "p_remove": p_remove, "p_add": p_add,
         "raw_i": raw_i, "raw_n": raw_n,
     }
@@ -228,8 +248,9 @@ def backward(params: NetworkParams, cache: dict, remove_t: np.ndarray,
 
     Max-pool routes each global feature's gradient to the argmax point (first
     index on ties); clamped output probabilities receive zero gradient.
+    Rectifier masks come from the cached outputs' signs, and each gradient is
+    the array its matmul or sum returns.
     """
-    grads = zeros_like_params(params)
     dtype = params.dtype
     batch = cache["p_remove"].shape[0]
     g_width = params.global_width
@@ -257,52 +278,49 @@ def backward(params: NetworkParams, cache: dict, remove_t: np.ndarray,
 
     global_vec = cache["global"]
 
-    def decoder_backward(bp, gbp, us, ds, dlogit):
-        """Returns (d_skip, d_global contribution (B, 2G))."""
+    def decoder_backward(bp, outs, skip, dlogit):
+        """Returns (branch decoder grads (dec_w, dec_b), d_skip, d_global
+        contribution (B, 2G))."""
+        layers = len(bp.dec_w)
+        dec_w, dec_b = [None] * layers, [None] * layers
         dz = dlogit
-        for l in range(len(bp.dec_w) - 1, 0, -1):
-            dw, db = layer_grads(ds[l], dz)
-            gbp.dec_w[l] += dw
-            gbp.dec_b[l] += db
+        for l in range(layers - 1, 0, -1):
+            dec_w[l], dec_b[l] = layer_grads(outs[l - 1], dz)
             dz = input_grad(dz, bp.dec_w[l])
-            dz *= us[l - 1] > 0
+            dz *= outs[l - 1] > 0
         # layer 1: the skip rows act per point, the global rows per sample
-        s = ds[0].shape[2]
+        s = skip.shape[2]
         w0 = bp.dec_w[0]
-        dw, db = layer_grads(ds[0], dz)
+        dw, dec_b[0] = layer_grads(skip, dz)
         dz_sum = dz.sum(axis=1)  # (B, out)
-        gbp.dec_w[0][:s] += dw
-        gbp.dec_w[0][s:] += global_vec.T @ dz_sum
-        gbp.dec_b[0] += db
-        return input_grad(dz, w0[:s]), dz_sum @ w0[s:].T
+        dec_w[0] = np.concatenate([dw, global_vec.T @ dz_sum])
+        return (dec_w, dec_b), input_grad(dz, w0[:s]), dz_sum @ w0[s:].T
 
-    d_skip_i, d_glob_i = decoder_backward(params.inlier, grads.inlier,
-                                          cache["ui"], cache["di"], dlogit_i)
-    d_skip_n, d_glob_n = decoder_backward(params.neighbor, grads.neighbor,
-                                          cache["un"], cache["dn"], dlogit_n)
-    d_global = d_glob_i + d_glob_n
-    dgi = d_global[:, :g_width]
-    dgn = d_global[:, g_width:]
-
-    def encoder_backward(bp, gbp, zs, acts, arg, dg, d_skip):
-        dtop = np.zeros_like(acts[-1])
-        np.put_along_axis(dtop, arg[:, None, :], dg[:, None, :], axis=1)
-        dh = dtop
-        for l in range(len(bp.enc_w) - 1, -1, -1):
+    def encoder_backward(bp, acts, arg, dg, d_skip):
+        layers = len(bp.enc_w)
+        enc_w, enc_b = [None] * layers, [None] * layers
+        dh = np.zeros_like(acts[-1])
+        np.put_along_axis(dh, arg[:, None, :], dg[:, None, :], axis=1)
+        for l in range(layers - 1, -1, -1):
             if l + 1 == params.skip_layer:
                 dh += d_skip
-            dz = np.multiply(dh, zs[l] > 0, out=dh)  # dh is a fresh array here
-            dw, db = layer_grads(acts[l], dz)
-            gbp.enc_w[l] += dw
-            gbp.enc_b[l] += db
+            dz = np.multiply(dh, acts[l + 1] > 0, out=dh)  # dh is a fresh array here
+            enc_w[l], enc_b[l] = layer_grads(acts[l], dz)
             if l:  # nothing consumes the gradient wrt the network input
                 dh = input_grad(dz, bp.enc_w[l])
+        return enc_w, enc_b
 
-    encoder_backward(params.inlier, grads.inlier, cache["zi"], cache["ai"],
-                     cache["argi"], dgi, d_skip_i)
-    encoder_backward(params.neighbor, grads.neighbor, cache["zn"], cache["an"],
-                     cache["argn"], dgn, d_skip_n)
-    return grads
+    dec_i, d_skip_i, d_glob_i = decoder_backward(
+        params.inlier, cache["ui"], cache["ai"][params.skip_layer], dlogit_i)
+    dec_n, d_skip_n, d_glob_n = decoder_backward(
+        params.neighbor, cache["un"], cache["an"][params.skip_layer], dlogit_n)
+    d_global = d_glob_i + d_glob_n
+    enc_i = encoder_backward(params.inlier, cache["ai"], cache["argi"],
+                             d_global[:, :g_width], d_skip_i)
+    enc_n = encoder_backward(params.neighbor, cache["an"], cache["argn"],
+                             d_global[:, g_width:], d_skip_n)
+    return replace(params, inlier=BranchParams(*enc_i, *dec_i),
+                   neighbor=BranchParams(*enc_n, *dec_n))
 
 
 @dataclass
@@ -323,7 +341,10 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: NetworkParams, grads: NetworkParams) -> None:
-    """Standard bias-corrected update, in place on the parameter arrays."""
+    """Standard bias-corrected update, in place on the parameter arrays.
+
+    Two scratch arrays per tensor hold the intermediates; the operations and
+    their order are those of p -= lr * (m / c1) / (sqrt(v / c2) + eps)."""
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.t
@@ -331,11 +352,20 @@ def adam_step(state: AdamState, params: NetworkParams, grads: NetworkParams) -> 
     for k, ((_, p), (_, g)) in enumerate(zip(param_tensors(params), param_tensors(grads))):
         m = state.m[k]
         v = state.v[k]
+        step = np.multiply(g, 1.0 - b1)
+        denom = np.multiply(g, 1.0 - b2)
         m *= b1
-        m += (1.0 - b1) * g
+        m += step
+        denom *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        p -= (state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)).astype(p.dtype)
+        v += denom
+        np.divide(v, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.divide(m, c1, out=step)
+        step *= state.lr
+        step /= denom
+        p -= step
 
 
 @dataclass
@@ -352,8 +382,12 @@ class TrainConfig:
     normalize: bool = True
 
 
-def train(dataset_path, cfg: TrainConfig):
-    """Train on a simulated dataset; returns (params, per-epoch mean losses)."""
+def train(dataset_path, cfg: TrainConfig, report=None):
+    """Train on a simulated dataset; returns (params, per-epoch mean losses).
+
+    After each epoch, `report(epoch, loss, seconds, samples)` is called if
+    given, with the epoch's 1-based number, mean loss, wall time of its
+    batches and sample count."""
     ds = load_dataset(dataset_path)
     cols = cfg.feature_columns if cfg.feature_columns is not None else tuple(range(ds.n_features))
     if len(cols) != ds.n_features:
@@ -366,7 +400,8 @@ def train(dataset_path, cfg: TrainConfig):
     rng = np.random.default_rng(cfg.seed)
     n = len(ds)
     losses = []
-    for _epoch in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
+        started = time.perf_counter()
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
@@ -380,9 +415,12 @@ def train(dataset_path, cfg: TrainConfig):
             grads = backward(params, cache, rt, at)
             adam_step(adam, params, grads)
             total += loss * len(sel)
+        seconds = time.perf_counter() - started
         losses.append(total / n)
         if cfg.checkpoint:
             save_params(params, cfg.checkpoint)
+        if report is not None:
+            report(epoch, losses[-1], seconds, n)
     return params, losses
 
 
@@ -441,13 +479,22 @@ def load_params(path) -> NetworkParams:
     cols = take(n_cols)
     (normalize,) = take(1).tolist()
     try:
-        params = init_params(enc_widths, dec_widths, skip_layer, n_features=n_features,
-                             i_size=i_size, j_size=j_size, feature_columns=cols,
-                             normalize=bool(normalize), seed=0)
+        enc_widths, dec_widths, cols, enc_layers, dec_layers = _architecture(
+            enc_widths, dec_widths, skip_layer, n_features, cols)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    for _, tensor in param_tensors(params):
-        tensor[...] = take(tensor.size).view("<f4").reshape(tensor.shape)
+
+    def read(layers):
+        """(weights, biases) of consecutive layers, stored as w1, b1, w2, ..."""
+        weights, biases = [], []
+        for fan, width in layers:
+            weights.append(take(fan * width).view("<f4").reshape(fan, width).astype(np.float32))
+            biases.append(take(width).view("<f4").astype(np.float32))
+        return weights, biases
+
+    inlier = BranchParams(*read(enc_layers), *read(dec_layers))
+    neighbor = BranchParams(*read(enc_layers), *read(dec_layers))
     if 4 * (pos + 1) != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after tensor data")
-    return params
+    return NetworkParams(inlier, neighbor, enc_widths, dec_widths, skip_layer, n_features,
+                         i_size, j_size, cols, bool(normalize))

@@ -69,10 +69,6 @@ class PointCloud:
         """Axis-aligned (min_corner, max_corner) of all positions."""
         return self.positions.min(axis=0), self.positions.max(axis=0)
 
-    @property
-    def has_labels(self) -> bool:
-        return self.gt_instance is not None
-
     def with_positions(self, positions: np.ndarray) -> "PointCloud":
         """Copy of this cloud with replaced positions (colors/labels shared)."""
         return PointCloud(positions, self.colors, self.gt_instance)

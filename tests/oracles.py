@@ -4,13 +4,16 @@ These deliberately avoid the library's code paths: pair enumeration instead
 of contingency algebra, probability dictionaries instead of vectorized sums,
 scipy's hypergeometric pmf for the expected mutual information, a
 record-by-record `struct` reader for the dataset file, per-edge seeded flood
-fills for the classical baselines and a line-by-line scene parser.
+fills for the classical baselines, a line-by-line scene parser, and the
+training step that keeps every pre-activation, accumulates gradients into
+zeroed arrays and runs Adam through temporaries.
 """
 
 import itertools
 import math
 import struct
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +21,7 @@ import numpy as np
 
 from regrow.baselines import SmoothnessConfig, ThresholdConfig
 from regrow.grow import reassign_small_segments, select_seed
+from regrow.network import BranchParams, param_tensors
 from regrow.pointcloud import PointCloud, SceneFormatError
 
 
@@ -166,20 +170,22 @@ def frontier_oracle(positions, members, delta, eligible=None):
     return np.array(sorted(near), dtype=np.int64)
 
 
+def _sigmoid(z):
+    """Logistic function, split by sign so that exp never overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def concat_decoder_oracle(params, xi, xn):
     """The network's forward pass with the global vector tiled onto every
     point and concatenated to the skip features before decoder layer 1 (the
     PointNet segmentation-head layout), in float64. xi: (B, I, F),
     xn: (B, J, F) -> (remove_prob (B, I), add_prob (B, J)), clamped."""
     eps = 1e-7
-
-    def sigmoid(z):
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
 
     def pointwise(h, w, b):
         batch, n, din = h.shape
@@ -209,8 +215,173 @@ def concat_decoder_oracle(params, xi, xn):
     global_vec = np.concatenate([ai[-1].max(axis=1), an[-1].max(axis=1)], axis=1)
     logit_i = decode(params.inlier, ai[params.skip_layer], global_vec)
     logit_n = decode(params.neighbor, an[params.skip_layer], global_vec)
-    return (np.clip(sigmoid(logit_i), eps, 1.0 - eps),
-            np.clip(sigmoid(logit_n), eps, 1.0 - eps))
+    return (np.clip(_sigmoid(logit_i), eps, 1.0 - eps),
+            np.clip(_sigmoid(logit_n), eps, 1.0 - eps))
+
+
+def zeros_like_params(params):
+    """A NetworkParams of zero tensors shaped like `params`."""
+    def z(bp):
+        return BranchParams([np.zeros_like(w) for w in bp.enc_w],
+                            [np.zeros_like(b) for b in bp.enc_b],
+                            [np.zeros_like(w) for w in bp.dec_w],
+                            [np.zeros_like(b) for b in bp.dec_b])
+    return replace(params, inlier=z(params.inlier), neighbor=z(params.neighbor))
+
+
+_PROB_EPS = 1e-7
+
+
+def _step_pointwise(h, w, b):
+    batch, n, din = h.shape
+    out = h.reshape(batch * n, din) @ w
+    out += b
+    return out.reshape(batch, n, w.shape[1])
+
+
+def forward_oracle(params, xi, xn):
+    """The training forward pass that caches every pre-activation next to a
+    fresh rectified copy and takes the pool winners with a strided
+    `argmax(axis=1)`. Its matmuls are the network's own, operand for operand,
+    so the network must match it byte for byte. Returns
+    (remove_prob, add_prob, cache)."""
+    dtype = params.dtype
+    xi = np.asarray(xi, dtype=dtype)
+    xn = np.asarray(xn, dtype=dtype)
+
+    def encode(bp, x):
+        zs, acts = [], [x]
+        h = x
+        for w, b in zip(bp.enc_w, bp.enc_b):
+            z = _step_pointwise(h, w, b)
+            h = np.maximum(z, 0)
+            zs.append(z)
+            acts.append(h)
+        return zs, acts
+
+    def decode(bp, skip, global_vec):
+        batch, n, s = skip.shape
+        w0 = bp.dec_w[0]
+        z = (skip.reshape(batch * n, s) @ w0[:s]).reshape(batch, n, w0.shape[1])
+        z += (global_vec @ w0[s:] + bp.dec_b[0])[:, None, :]
+        zs, acts = [z], [skip]
+        for w, b in zip(bp.dec_w[1:], bp.dec_b[1:]):
+            acts.append(np.maximum(z, 0))
+            z = _step_pointwise(acts[-1], w, b)
+            zs.append(z)
+        return zs, acts, z[..., 0]
+
+    zi, ai = encode(params.inlier, xi)
+    zn, an = encode(params.neighbor, xn)
+    global_vec = np.concatenate([ai[-1].max(axis=1), an[-1].max(axis=1)], axis=1)
+    ui, di, logit_i = decode(params.inlier, ai[params.skip_layer], global_vec)
+    un, dn, logit_n = decode(params.neighbor, an[params.skip_layer], global_vec)
+    raw_i = _sigmoid(logit_i)
+    raw_n = _sigmoid(logit_n)
+    p_remove = np.clip(raw_i, _PROB_EPS, 1.0 - _PROB_EPS)
+    p_add = np.clip(raw_n, _PROB_EPS, 1.0 - _PROB_EPS)
+    cache = {
+        "zi": zi, "ai": ai, "zn": zn, "an": an,
+        "argi": ai[-1].argmax(axis=1), "argn": an[-1].argmax(axis=1),
+        "global": global_vec,
+        "ui": ui, "di": di, "un": un, "dn": dn,
+        "p_remove": p_remove, "p_add": p_add,
+        "raw_i": raw_i, "raw_n": raw_n,
+    }
+    return p_remove, p_add, cache
+
+
+def backward_oracle(params, cache, remove_t, add_t):
+    """Gradients from a `forward_oracle` cache: rectifier masks from the
+    pre-activations, a dense scatter of the pooled gradient, and every
+    parameter gradient added into a zeroed tensor."""
+    grads = zeros_like_params(params)
+    dtype = params.dtype
+    batch = cache["p_remove"].shape[0]
+    g_width = params.global_width
+
+    def head_grad(p_clamped, p_raw, target, n):
+        d = (p_clamped.astype(np.float64) - target.astype(np.float64)) / (n * batch)
+        clamped = (p_raw < _PROB_EPS) | (p_raw > 1.0 - _PROB_EPS)
+        d[clamped] = 0.0
+        return d.astype(dtype)[..., None]
+
+    dlogit_i = head_grad(cache["p_remove"], cache["raw_i"], np.asarray(remove_t),
+                         cache["p_remove"].shape[1])
+    dlogit_n = head_grad(cache["p_add"], cache["raw_n"], np.asarray(add_t),
+                         cache["p_add"].shape[1])
+
+    def layer_grads(inp, dz):
+        flat_in = inp.reshape(-1, inp.shape[2])
+        flat_dz = dz.reshape(-1, dz.shape[2])
+        return flat_in.T @ flat_dz, flat_dz.sum(axis=0)
+
+    def input_grad(dz, w):
+        return (dz.reshape(-1, dz.shape[2]) @ w.T).reshape(*dz.shape[:2], w.shape[0])
+
+    global_vec = cache["global"]
+
+    def decoder_backward(bp, gbp, us, ds, dlogit):
+        dz = dlogit
+        for l in range(len(bp.dec_w) - 1, 0, -1):
+            dw, db = layer_grads(ds[l], dz)
+            gbp.dec_w[l] += dw
+            gbp.dec_b[l] += db
+            dz = input_grad(dz, bp.dec_w[l])
+            dz *= us[l - 1] > 0
+        s = ds[0].shape[2]
+        w0 = bp.dec_w[0]
+        dw, db = layer_grads(ds[0], dz)
+        dz_sum = dz.sum(axis=1)
+        gbp.dec_w[0][:s] += dw
+        gbp.dec_w[0][s:] += global_vec.T @ dz_sum
+        gbp.dec_b[0] += db
+        return input_grad(dz, w0[:s]), dz_sum @ w0[s:].T
+
+    d_skip_i, d_glob_i = decoder_backward(params.inlier, grads.inlier,
+                                          cache["ui"], cache["di"], dlogit_i)
+    d_skip_n, d_glob_n = decoder_backward(params.neighbor, grads.neighbor,
+                                          cache["un"], cache["dn"], dlogit_n)
+    d_global = d_glob_i + d_glob_n
+    dgi = d_global[:, :g_width]
+    dgn = d_global[:, g_width:]
+
+    def encoder_backward(bp, gbp, zs, acts, arg, dg, d_skip):
+        dtop = np.zeros_like(acts[-1])
+        np.put_along_axis(dtop, arg[:, None, :], dg[:, None, :], axis=1)
+        dh = dtop
+        for l in range(len(bp.enc_w) - 1, -1, -1):
+            if l + 1 == params.skip_layer:
+                dh += d_skip
+            dz = np.multiply(dh, zs[l] > 0, out=dh)
+            dw, db = layer_grads(acts[l], dz)
+            gbp.enc_w[l] += dw
+            gbp.enc_b[l] += db
+            if l:
+                dh = input_grad(dz, bp.enc_w[l])
+
+    encoder_backward(params.inlier, grads.inlier, cache["zi"], cache["ai"],
+                     cache["argi"], dgi, d_skip_i)
+    encoder_backward(params.neighbor, grads.neighbor, cache["zn"], cache["an"],
+                     cache["argn"], dgn, d_skip_n)
+    return grads
+
+
+def adam_oracle(state, params, grads):
+    """The bias-corrected Adam update written with temporaries, in place on
+    the parameter arrays and on `state`."""
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** state.t
+    c2 = 1.0 - b2 ** state.t
+    for k, ((_, p), (_, g)) in enumerate(zip(param_tensors(params), param_tensors(grads))):
+        m = state.m[k]
+        v = state.v[k]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= (state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)).astype(p.dtype)
 
 
 def instance_closure_oracle(positions, gt, seed, delta):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -58,7 +59,7 @@ class TestSynth:
         run(["synth", "--out", str(tmp_path), "--train", "1", "--test", "0",
              "--seed", "1"] + SMALL_SYNTH)
         cloud = load_scene(next((tmp_path / "train").glob("*.txt")))
-        assert cloud.has_labels
+        assert cloud.gt_instance is not None
 
 
 class TestUsage:
@@ -129,6 +130,24 @@ class TestFeaturesCommand:
         scene.write_text("0 0 0 1 2 3 1\n0.1 0 0 1 2 3 3000000000\n0 0.1 0 1 2 3 1\n")
         assert run(["features", "--scenes", str(scene), "--out", str(tmp_path / "f")]) == 2
         assert "line 2: instance id above 2147483647" in capsys.readouterr().err
+
+
+class TestTrainCommand:
+    def test_epoch_lines_report_loss_then_time(self, workspace, tmp_path, capsys):
+        assert run(["train", "--dataset", str(workspace / "train.bin"),
+                    "--out", str(tmp_path / "m.ckpt"),
+                    "--enc-widths", "8", "8", "8", "8", "16", "--dec-widths", "8", "8", "1",
+                    "--epochs", "2", "--batch", "64", "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        # the loss line keeps the exact form that log parsers anchor on
+        assert len(re.findall(r"^epoch \d+: loss (\S+)$", out, re.M)) == 2
+        lines = out.splitlines()
+        for epoch in (1, 2):
+            loss_line, time_line = lines[2 * epoch - 2:2 * epoch]
+            assert re.fullmatch(rf"epoch {epoch}: loss \d+\.\d{{6}}", loss_line)
+            match = re.fullmatch(rf"epoch {epoch} time: (\S+) s, (\S+) samples/s", time_line)
+            assert match and float(match[1]) > 0 and float(match[2]) > 0
+        assert lines[4:] == [f"checkpoint written to {tmp_path / 'm.ckpt'}"]
 
 
 class TestSegmentAndEval:

@@ -1,12 +1,16 @@
-"""Golden SHA-256 digests of simulator, segmentation and baseline outputs.
+"""Golden SHA-256 digests of simulator, segmentation, baseline and training outputs.
 
 The simulator and segmentation digests were recorded from the implementation
 that predates the shared region engine (tracked member bitmask plus cKDTree
 radius adjacency), the baseline digests from the per-edge flood fills that
-predate the connected-component baselines; any refactor of simulation,
-growing, search or the baselines must reproduce them byte for byte.
-No network is involved: segmentation uses a deterministic NumPy predictor, so
-changes to the network's float arithmetic cannot move these digests.
+predate the connected-component baselines, and the checkpoint digest from the
+training step that kept pre-activations and accumulated gradients into zeroed
+arrays; any refactor of simulation, growing, search, the baselines or the
+training step must reproduce them byte for byte.
+Segmentation uses a deterministic NumPy predictor, so changes to the network's
+float arithmetic cannot move the label digests. The checkpoint digest does
+depend on it, and on the BLAS kernels: it was recorded with OpenBLAS 0.3.31
+(Haswell kernels) in float32, and another BLAS build may round differently.
 """
 
 import hashlib
@@ -18,12 +22,14 @@ from regrow import synth
 from regrow.baselines import SmoothnessConfig, ThresholdConfig, grow_smoothness, grow_threshold
 from regrow.features import build_context
 from regrow.grow import GrowConfig, segment_scene
+from regrow.network import TrainConfig, train
 from regrow.search import SearchConfig
 from regrow.simulate import SimConfig, generate_dataset
 
 ROOM = synth.RoomConfig(extent=(1.2, 1.2, 0.8), spacing=0.06, n_objects=(2, 3))
 
 DATASET_SHA256 = "bb81a0f7a0d19c0a6752210b082a1176ec8fc74e7fc1753c710bc5c192d15cdc"
+CHECKPOINT_SHA256 = "2d472dc05fe9d422939cd09cf8949d9d0acf42f57461e0d2d35cd7bd10f4f109"
 LABELS_SHA256 = {
     "greedy": "78d971328505ce45a1861e09d5699294e8a124eb9764bf44f67164a731ce9ff7",
     "bs-np": "ad3deb565d8ac1fd074a3678effdbfc287a0d70aac8376d4a2d7a68260ed8617",
@@ -56,12 +62,25 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_dataset_bytes_match_golden(tmp_path):
+def _golden_dataset(tmp_path):
     cloud = synth.generate_room(ROOM, seed=3)
     path = tmp_path / "golden.bin"
     cfg = SimConfig(i_size=16, j_size=16, alpha_range=(0.2, 0.4), seed=7)
     assert generate_dataset([cloud], cfg, path) > 0
-    assert _sha256(path.read_bytes()) == DATASET_SHA256
+    return path
+
+
+def test_dataset_bytes_match_golden(tmp_path):
+    assert _sha256(_golden_dataset(tmp_path).read_bytes()) == DATASET_SHA256
+
+
+def test_trained_checkpoint_matches_golden(tmp_path):
+    # 183 samples in batches of 20: nine full batches and a short one per epoch
+    checkpoint = tmp_path / "golden.ckpt"
+    cfg = TrainConfig((8, 8, 8, 16, 32), (16, 8, 1), skip_layer=2, lr=0.003,
+                      batch_size=20, epochs=2, seed=0, checkpoint=str(checkpoint))
+    train(_golden_dataset(tmp_path), cfg)
+    assert _sha256(checkpoint.read_bytes()) == CHECKPOINT_SHA256
 
 
 @pytest.mark.parametrize("strategy", ["greedy", "bs-np"])

@@ -1,9 +1,17 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import concat_decoder_oracle
+from oracles import (
+    adam_oracle,
+    backward_oracle,
+    concat_decoder_oracle,
+    forward_oracle,
+    zeros_like_params,
+)
 from regrow.network import (
     AdamState,
     CheckpointError,
@@ -18,7 +26,6 @@ from regrow.network import (
     param_tensors,
     save_params,
     train,
-    zeros_like_params,
 )
 from regrow.simulate import SimConfig, generate_dataset
 from regrow.pointcloud import PointCloud
@@ -290,6 +297,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_params(path)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda raw: raw + b"\x00" * 4, "trailing bytes"),
+        (lambda raw: raw[:4] + np.array([2], "<u4").tobytes() + raw[8:], "version 2"),
+    ])
+    def test_trailing_bytes_or_other_version_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "p.ckpt"
+        save_params(tiny_params(), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(CheckpointError, match=message):
+            load_params(path)
+
     @pytest.mark.parametrize("empty", ["enc", "dec", "cols"])
     def test_zero_layer_or_column_count_rejected(self, tmp_path, empty):
         lists = {"enc": list(TINY_ENC), "dec": list(TINY_DEC), "cols": list(range(13))}
@@ -299,6 +317,14 @@ class TestCheckpoint:
         path = tmp_path / "p.ckpt"
         path.write_bytes(b"RGNW" + np.array(header, "<u4").tobytes() + b"\x00" * 64)
         with pytest.raises(CheckpointError):
+            load_params(path)
+
+    def test_oversized_header_is_truncated_not_allocated(self, tmp_path):
+        # widths are checked against the file's size before any tensor exists
+        header = [1, 13, 8, 8, 5, *[1 << 20] * 5, 3, 8, 8, 1, 2, 13, *range(13), 1]
+        path = tmp_path / "p.ckpt"
+        path.write_bytes(b"RGNW" + np.array(header, "<u4").tobytes() + b"\x00" * 64)
+        with pytest.raises(CheckpointError, match="truncated"):
             load_params(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
@@ -431,3 +457,83 @@ class TestFoldedDecoder:
         an = np.array(an)
         scale = max(np.linalg.norm(fd), np.linalg.norm(an), 1e-8)
         assert np.linalg.norm(fd - an) / scale < 1e-5
+
+
+@st.composite
+def training_step_cases(draw):
+    """Small widths, every skip layer, B 1-4 and point counts on both sides of
+    the 256-point switch in the pool argmax, with duplicated points (pool
+    ties), all-negative encoder columns and, rarely, a NaN feature."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    enc = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=5)))
+    dec = tuple(draw(st.lists(st.integers(1, 6), min_size=0, max_size=2))) + (1,)
+    skip = draw(st.integers(1, len(enc)))
+    n_features = draw(st.integers(1, 5))
+    batch = draw(st.integers(1, 4))
+    sizes = st.one_of(st.integers(1, 24), st.integers(240, 300))
+    i_size, j_size = draw(sizes), draw(sizes)
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    xi = rng.normal(size=(batch, i_size, n_features))
+    xn = rng.normal(size=(batch, j_size, n_features))
+    for x in (xi, xn):
+        n_dup = draw(st.integers(0, x.shape[1] - 1))
+        x[:, rng.integers(0, x.shape[1], n_dup)] = x[:, rng.integers(0, x.shape[1], n_dup)]
+    if draw(st.integers(0, 9)) == 0:
+        xi[rng.integers(batch), rng.integers(i_size), rng.integers(n_features)] = np.nan
+    params = init_params(enc, dec, skip, n_features=n_features, i_size=i_size,
+                         j_size=j_size, seed=seed, dtype=dtype)
+    for name, tensor in param_tensors(params):
+        if name.endswith(".b"):
+            tensor[...] = rng.normal(scale=0.3, size=tensor.shape)
+    for bp in (params.inlier, params.neighbor):
+        for b in bp.enc_b:  # columns rectified to zero at every point
+            b[rng.random(b.size) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = -1e3
+    rt = rng.integers(0, 2, (batch, i_size)).astype(np.uint8)
+    at = rng.integers(0, 2, (batch, j_size)).astype(np.uint8)
+    return params, xi, xn, rt, at
+
+
+def assert_same_bytes(got, expected, what):
+    assert got.dtype == expected.dtype and got.shape == expected.shape, what
+    assert got.tobytes() == expected.tobytes(), what
+
+
+class TestTrainingStepOracle:
+    """The training step rectifies in place, masks by the outputs' signs,
+    writes each gradient as its matmul returns it and runs Adam through two
+    scratch arrays; every BLAS call is the oracle's, so probabilities, pool
+    winners, gradients and updated parameters must equal the oracle's bytes,
+    signed zeros and NaNs included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(training_step_cases())
+    def test_forward_and_backward_match_oracle(self, case):
+        params, xi, xn, rt, at = case
+        p_remove, p_add, cache = forward_batch(params, xi, xn, want_cache=True)
+        o_remove, o_add, o_cache = forward_oracle(params, xi, xn)
+        assert_same_bytes(p_remove, o_remove, "remove_prob")
+        assert_same_bytes(p_add, o_add, "add_prob")
+        assert_same_bytes(cache["argi"], o_cache["argi"], "argi")
+        assert_same_bytes(cache["argn"], o_cache["argn"], "argn")
+        grads = backward(params, cache, rt, at)
+        expected = backward_oracle(params, o_cache, rt, at)
+        for (name, g), (_, e) in zip(param_tensors(grads), param_tensors(expected)):
+            assert_same_bytes(g, e, name)
+
+    @settings(max_examples=30, deadline=None)
+    @given(training_step_cases())
+    def test_three_adam_steps_match_oracle(self, case):
+        params, xi, xn, rt, at = case
+        mirror = copy.deepcopy(params)
+        state = AdamState.init(params, lr=0.01)
+        o_state = AdamState.init(mirror, lr=0.01)
+        for _ in range(3):
+            _, _, cache = forward_batch(params, xi, xn, want_cache=True)
+            adam_step(state, params, backward(params, cache, rt, at))
+            _, _, o_cache = forward_oracle(mirror, xi, xn)
+            adam_oracle(o_state, mirror, backward_oracle(mirror, o_cache, rt, at))
+            for (name, p), (_, o) in zip(param_tensors(params), param_tensors(mirror)):
+                assert_same_bytes(p, o, name)
+            for m, o in zip(state.m + state.v, o_state.m + o_state.v):
+                assert_same_bytes(m, o, "adam moments")

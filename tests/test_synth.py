@@ -77,7 +77,7 @@ class TestGenerateSplit:
         assert (tmp_path / "manifest.json").exists()
         for path in train + test:
             cloud = load_scene(path)
-            assert cloud.has_labels
+            assert cloud.gt_instance is not None
 
     def test_disjoint_seed_ranges(self, tmp_path):
         train, test = generate_split(SMALL, 2, 2, tmp_path, base_seed=0)
