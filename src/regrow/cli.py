@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+import zipfile
 
 from multiprocessing import Pool
 from pathlib import Path
@@ -19,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, metrics, network, synth
-from .features import DEFAULT_DELTA, DEFAULT_KNN, FEATURE_SUBSETS, build_context, compute_features
+from .features import (DEFAULT_DELTA, DEFAULT_KNN, FEATURE_SUBSETS, build_context,
+                       compute_features, radius_adjacency)
 from .grow import DEFAULT_MIN_SEGMENT, GrowConfig, segment_scene
 from .network import Predictor, TrainConfig, load_params, train
 from .pointcloud import export_colored_ply, load_scene, read_labels, write_labels
@@ -72,19 +75,33 @@ def _scene_sha256(scene_path) -> str:
     return hashlib.sha256(Path(scene_path).read_bytes()).hexdigest()
 
 
+def _read_cache(cache, scene_path, delta, knn):
+    """(features, adjacency) from a features cache entry: the features only
+    when they were computed from this very file with the same `knn`, the
+    adjacency only when also at the same `delta`, and None in their place
+    otherwise. An entry that is missing or cannot be read gives (None, None)."""
+    try:
+        with np.load(cache) as data:
+            if not ("scene_sha256" in data and int(data["knn"]) == knn
+                    and str(data["scene_sha256"]) == _scene_sha256(scene_path)):
+                return None, None
+            adjacency = None
+            if "adj_indptr" in data and float(data["delta"]) == delta:
+                adjacency = data["adj_indptr"], data["adj_indices"]
+            return data["features"], adjacency
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
+        return None, None
+
+
 def _load_context(scene_path, delta, knn, features_dir=None):
-    """The scene's context, with features from the cache only when they were
-    computed from this very file with the same `knn`."""
+    """The scene's context, with features and adjacency from the cache where
+    `_read_cache` finds them valid."""
     cloud = load_scene(scene_path)
-    feats = None
+    feats = adjacency = None
     if features_dir:
         cache = Path(features_dir) / (Path(scene_path).stem + ".features.npz")
-        if cache.exists():
-            with np.load(cache) as data:
-                if ("scene_sha256" in data and int(data["knn"]) == knn
-                        and str(data["scene_sha256"]) == _scene_sha256(scene_path)):
-                    feats = data["features"]
-    return build_context(cloud, delta=delta, knn=knn, features=feats)
+        feats, adjacency = _read_cache(cache, scene_path, delta, knn)
+    return build_context(cloud, delta=delta, knn=knn, features=feats, adjacency=adjacency)
 
 
 def _add_common_scene_args(p):
@@ -120,7 +137,7 @@ def build_parser(file_cfg: dict | None = None) -> _Parser:
     p.add_argument("--color-noise", type=float, default=8.0)
 
     p = add_parser("features",
-                       help="precompute and cache per-point features")
+                   help="precompute and cache per-point features and the radius adjacency")
     p.add_argument("--scenes", required=True, help="scene file or directory")
     p.add_argument("--out", required=True, help="cache directory")
     _add_common_scene_args(p)
@@ -260,8 +277,19 @@ def _features_worker(task) -> str:
     scene_path, out_dir, delta, knn = task
     cloud = load_scene(scene_path)
     feats = compute_features(cloud, k=min(knn, cloud.n_points))
+    indptr, indices = radius_adjacency(cloud.positions, delta)
     out = Path(out_dir) / (Path(scene_path).stem + ".features.npz")
-    np.savez(out, features=feats, delta=delta, knn=knn, scene_sha256=_scene_sha256(scene_path))
+    # written whole beside the entry, then renamed over it, so that an
+    # interrupted run leaves no partial entry
+    tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            np.savez(f, features=feats, adj_indptr=indptr, adj_indices=indices,
+                     delta=delta, knn=knn, scene_sha256=_scene_sha256(scene_path))
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return str(out)
 
 

@@ -54,8 +54,6 @@ def compute_normals_curvature(cloud, k: int = DEFAULT_KNN):
         raise ValueError(f"k={k} exceeds point count {n}")
     tree = cKDTree(pts)
     _, idx = tree.query(pts, k=k)
-    if k == 1:
-        idx = idx[:, None]
     nbrs = pts[idx]
     centered = nbrs - nbrs.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / k
@@ -107,21 +105,31 @@ def radius_adjacency(positions: np.ndarray, delta: float = DEFAULT_DELTA):
 
     The k-d tree proposes pairs with a hair of slack on the radius; the exact
     test is the squared coordinate difference summed in x, y, z order against
-    delta**2, so the relation is symmetric and independent of the tree. To
-    bound memory, pairs are filtered in chunks straight into one int64 key
-    per directed edge (row * n + col), and sorting the keys yields the CSR.
+    delta**2, so the relation is symmetric and independent of the tree. The
+    test gathers from three contiguous coordinate columns, with the rounding
+    of `((p - q) ** 2).sum(axis=1)`. To bound memory, pairs are filtered in
+    chunks straight into one int64 key per directed edge (row * n + col), and
+    sorting the keys yields the CSR.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     pts = np.asarray(positions, dtype=np.float64)
     n = pts.shape[0]
+    x, y, z = (np.ascontiguousarray(pts[:, c]) for c in range(3))
     pairs = cKDTree(pts).query_pairs(delta * (1 + 1e-9), output_type="ndarray")
     m = len(pairs)
     keys = np.empty(2 * m, dtype=np.int64)  # forward keys first, reversed from m on
     kept = 0
     for lo in range(0, m, 1 << 16):
         p = pairs[lo:lo + (1 << 16)].astype(np.int64, copy=False)
-        p = p[((pts[p[:, 0]] - pts[p[:, 1]]) ** 2).sum(axis=1) < delta * delta]
+        a, b = p[:, 0], p[:, 1]
+        d = x[a] - x[b]
+        d2 = d * d
+        d = y[a] - y[b]
+        d2 += d * d
+        d = z[a] - z[b]
+        d2 += d * d
+        p = p[d2 < delta * delta]
         keys[kept:kept + len(p)] = p[:, 0] * n + p[:, 1]
         keys[m + kept:m + kept + len(p)] = p[:, 1] * n + p[:, 0]
         kept += len(p)
@@ -268,9 +276,13 @@ class SceneContext:
 
 
 def build_context(cloud, delta: float = DEFAULT_DELTA, knn: int = DEFAULT_KNN,
-                  features: np.ndarray | None = None) -> SceneContext:
-    """Compute features and the radius adjacency for a scene."""
+                  features: np.ndarray | None = None,
+                  adjacency: tuple[np.ndarray, np.ndarray] | None = None) -> SceneContext:
+    """A scene's context; the features and the CSR radius adjacency
+    (indptr, indices) are computed unless given."""
     if features is None:
         features = compute_features(cloud, k=min(knn, cloud.n_points))
-    indptr, indices = radius_adjacency(cloud.positions, delta)
+    if adjacency is None:
+        adjacency = radius_adjacency(cloud.positions, delta)
+    indptr, indices = adjacency
     return SceneContext(cloud, features, indptr, indices, float(delta), knn)

@@ -180,7 +180,8 @@ def read_labels(path) -> np.ndarray:
 
 
 def write_labels(labels: np.ndarray, path) -> None:
-    Path(path).write_text("\n".join(str(int(v)) for v in labels) + "\n")
+    values = np.asarray(labels, dtype=np.int64).tolist()
+    Path(path).write_text("\n".join(map(str, values)) + "\n")
 
 
 def _build_palette(n: int = 64) -> np.ndarray:

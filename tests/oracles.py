@@ -4,9 +4,10 @@ These deliberately avoid the library's code paths: pair enumeration instead
 of contingency algebra, probability dictionaries instead of vectorized sums,
 scipy's hypergeometric pmf for the expected mutual information, a
 record-by-record `struct` reader for the dataset file, per-edge seeded flood
-fills for the classical baselines, a line-by-line scene parser, and the
-training step that keeps every pre-activation, accumulates gradients into
-zeroed arrays and runs Adam through temporaries.
+fills for the classical baselines, a line-by-line scene parser, a
+per-element labels writer, and the training step that keeps every
+pre-activation, accumulates gradients into zeroed arrays and runs Adam
+through temporaries.
 """
 
 import itertools
@@ -545,3 +546,8 @@ def scene_oracle(path):
         raise SceneFormatError(f"{path}: empty scene (no data records)")
     gt = np.array(labels, dtype=np.int32) if ncols == 7 else None
     return PointCloud(np.array(positions), np.array(colors, dtype=np.uint8), gt)
+
+
+def write_labels_oracle(labels, path):
+    """Write labels one `int()` at a time, a line each."""
+    Path(path).write_text("\n".join(str(int(v)) for v in labels) + "\n")

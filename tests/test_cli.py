@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regrow import cli
+from regrow import cli, features
 from regrow.cli import main
-from regrow.features import compute_features
+from regrow.features import compute_features, radius_adjacency
 from regrow.grow import GrowConfig
 from regrow.pointcloud import load_scene, read_labels, write_labels
 from regrow.search import SearchConfig
@@ -124,6 +124,38 @@ class TestFeaturesCommand:
         assert len(cached) == 2
         data = np.load(cached[0])
         assert data["features"].shape[1] == 13
+
+    def test_cache_holds_the_radius_adjacency(self, workspace, tmp_path):
+        scenes = workspace / "data" / "train"
+        out = tmp_path / "feat"
+        assert run(["features", "--scenes", str(scenes), "--out", str(out),
+                    "--delta", "0.08"]) == 0
+        for scene_path in sorted(scenes.glob("*.txt")):
+            indptr, indices = radius_adjacency(load_scene(scene_path).positions, 0.08)
+            with np.load(out / f"{scene_path.stem}.features.npz") as data:
+                assert float(data["delta"]) == 0.08
+                for cached, fresh in ((data["adj_indptr"], indptr),
+                                      (data["adj_indices"], indices)):
+                    assert cached.dtype == fresh.dtype
+                    assert cached.tobytes() == fresh.tobytes()
+        assert not list(out.glob("*.tmp"))
+
+    def test_interrupted_write_keeps_the_old_entry(self, workspace, tmp_path, monkeypatch):
+        scenes = workspace / "data" / "test"
+        out = tmp_path / "feat"
+        assert run(["features", "--scenes", str(scenes), "--out", str(out)]) == 0
+        entry = next(out.glob("*.features.npz"))
+        before = entry.read_bytes()
+
+        def interrupted(f, **arrays):
+            f.write(b"PK\x03\x04 half an entry")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.np, "savez", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(["features", "--scenes", str(scenes), "--out", str(out)])
+        assert entry.read_bytes() == before
+        assert sorted(out.iterdir()) == [entry]
 
     def test_instance_id_above_int32_is_a_format_error(self, tmp_path, capsys):
         scene = tmp_path / "big.txt"
@@ -284,6 +316,75 @@ class TestParallelAndCache:
         scene = load_scene(next(scenes.glob("*.txt")))
         np.testing.assert_array_equal(used[0], compute_features(scene, k=16))
 
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts of the features and adjacencies that contexts compute."""
+        counts = {"features": 0, "adjacency": 0}
+
+        def counted(fn, key):
+            def spy(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(features, "compute_features",
+                            counted(features.compute_features, "features"))
+        monkeypatch.setattr(features, "radius_adjacency",
+                            counted(features.radius_adjacency, "adjacency"))
+        return counts
+
+    def test_matching_cache_skips_the_adjacency(self, workspace, tmp_path, builds):
+        scenes = workspace / "data" / "test"
+        cache = tmp_path / "cache"
+        assert run(["features", "--scenes", str(scenes), "--out", str(cache)]) == 0
+        cached = ["--features-dir", str(cache)]
+        assert run(["baseline", "--scenes", str(scenes), "--method", "smoothness",
+                    "--out", str(tmp_path / "bl")] + cached) == 0
+        assert run(["segment", "--scenes", str(scenes), "--model", str(workspace / "model.ckpt"),
+                    "--out", str(tmp_path / "pred"), "--seed", "4"] + cached) == 0
+        assert builds == {"features": 0, "adjacency": 0}
+
+    def test_cache_at_other_delta_recomputes_the_adjacency(self, workspace, tmp_path, builds):
+        scenes = workspace / "data" / "train"
+        cache = tmp_path / "cache"
+        assert run(["features", "--scenes", str(scenes), "--out", str(cache),
+                    "--delta", "0.08"]) == 0
+        for out, extra in (("fresh", []), ("cached", ["--features-dir", str(cache)])):
+            assert run(["baseline", "--scenes", str(scenes), "--method", "threshold",
+                        "--out", str(tmp_path / out)] + extra) == 0
+        # two scenes: both built fresh, then only the adjacency for the cached run
+        assert builds == {"features": 2, "adjacency": 4}
+        for f in sorted((tmp_path / "fresh").glob("*.labels")):
+            assert sha(f) == sha(tmp_path / "cached" / f.name)
+
+    def test_cache_without_adjacency_still_supplies_features(self, workspace, tmp_path,
+                                                             builds):
+        scenes = workspace / "data" / "test"
+        cache = tmp_path / "cache"
+        assert run(["features", "--scenes", str(scenes), "--out", str(cache)]) == 0
+        # rewrite the entry in the earlier format: features and keys, no adjacency
+        entry = next(cache.glob("*.features.npz"))
+        with np.load(entry) as data:
+            old = {k: data[k] for k in ("features", "delta", "knn", "scene_sha256")}
+        np.savez(entry, **old)
+        for out, extra in (("fresh", []), ("cached", ["--features-dir", str(cache)])):
+            assert run(["baseline", "--scenes", str(scenes), "--method", "smoothness",
+                        "--out", str(tmp_path / out)] + extra) == 0
+        assert builds == {"features": 1, "adjacency": 2}
+        f = next((tmp_path / "fresh").glob("*.labels"))
+        assert sha(f) == sha(tmp_path / "cached" / f.name)
+
+    def test_damaged_cache_is_recomputed(self, workspace, tmp_path):
+        scenes = workspace / "data" / "test"
+        cache = tmp_path / "cache"
+        assert run(["features", "--scenes", str(scenes), "--out", str(cache)]) == 0
+        entry = next(cache.glob("*.features.npz"))
+        entry.write_bytes(entry.read_bytes()[:entry.stat().st_size // 2])
+        for out, extra in (("fresh", []), ("cached", ["--features-dir", str(cache)])):
+            assert run(["baseline", "--scenes", str(scenes), "--method", "threshold",
+                        "--out", str(tmp_path / out)] + extra) == 0
+        f = next((tmp_path / "fresh").glob("*.labels"))
+        assert sha(f) == sha(tmp_path / "cached" / f.name)
 
     def test_cache_of_rewritten_scene_is_recomputed(self, workspace, tmp_path):
         scenes = tmp_path / "scenes"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scene_oracle
+from oracles import scene_oracle, write_labels_oracle
 from regrow import pointcloud
 from regrow.pointcloud import (
     PALETTE,
@@ -279,3 +279,16 @@ class TestAgainstSceneOracle:
 
 def _line_of(message):
     return int(re.search(r": line (\d+): ", message).group(1))
+
+
+class TestAgainstLabelsOracle:
+    @given(st.sampled_from([np.int32, np.int64]),
+           st.lists(st.integers(1, 2**31 - 1), max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_write_labels_matches_oracle(self, dtype, values):
+        labels = np.array(values, dtype=dtype)
+        with tempfile.TemporaryDirectory() as tmp:
+            got, expected = Path(tmp) / "got.labels", Path(tmp) / "expected.labels"
+            write_labels(labels, got)
+            write_labels_oracle(labels, expected)
+            assert got.read_bytes() == expected.read_bytes()
