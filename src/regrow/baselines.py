@@ -17,7 +17,9 @@ which give the flood fill's labels exactly:
 
 The join tests take their dot products with `np.vecdot`, whose inner loop is
 the one `a @ b` uses for two vectors, so a join exactly at a threshold is
-decided as the scalar test decides it.
+decided as the scalar test decides it. Both tests are symmetric bit for bit
+(`q . p == p . q` and `(q - p) . (q - p) == (p - q) . (p - q)`), so each
+undirected pair of the radius adjacency is tested once.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import COL_CURVATURE, COL_NORMAL, COL_RGB, SceneContext
-from .grow import DEFAULT_MIN_SEGMENT, reassign_small_segments
+from .grow import DEFAULT_MIN_SEGMENT, first_rank, reassign_small_segments
 
 _EDGE_CHUNK = 1 << 16
 
@@ -47,47 +49,33 @@ class SmoothnessConfig:
     min_segment: int = DEFAULT_MIN_SEGMENT
 
 
-def _edge_rows(ctx: SceneContext) -> np.ndarray:
-    """Row (front point) of every directed edge of the radius adjacency."""
-    return np.repeat(np.arange(ctx.n_points, dtype=np.int32), np.diff(ctx.adj_indptr))
-
-
-def _join_mask(ctx: SceneContext, rows: np.ndarray, columns, join) -> np.ndarray:
-    """`join(x[q], x[p])` for every directed edge (q, p) of the radius
-    adjacency, where x is `columns` of the features; evaluated on 64k-edge
+def _joined_edges(ctx: SceneContext, columns, join):
+    """(rows, cols, mask): each undirected edge of the radius adjacency once,
+    as its CSR entry with col > row, in CSR order, and `join(x[row], x[col])`
+    for it, where x is `columns` of the features; evaluated on 64k-edge
     chunks so no gather spans all edges."""
+    indices = ctx.adj_indices
+    rows = np.repeat(np.arange(ctx.n_points, dtype=np.int32), np.diff(ctx.adj_indptr))
+    upper = indices > rows
+    rows, cols = rows[upper], indices[upper]
     x = np.ascontiguousarray(ctx.features[:, list(columns)])
     mask = np.empty(len(rows), dtype=bool)
     for lo in range(0, len(rows), _EDGE_CHUNK):
         hi = lo + _EDGE_CHUNK
-        mask[lo:hi] = join(np.take(x, rows[lo:hi], axis=0),
-                           np.take(x, ctx.adj_indices[lo:hi], axis=0))
-    return mask
+        mask[lo:hi] = join(np.take(x, rows[lo:hi], axis=0), np.take(x, cols[lo:hi], axis=0))
+    return rows, cols, mask
 
 
-def _components(ctx: SceneContext, keep: np.ndarray) -> np.ndarray:
-    """Connected-component id per point over the adjacency's `keep` edges,
-    which must form a symmetric relation."""
+def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Connected-component id per point of the undirected graph on n points
+    whose edges (rows, cols) come in CSR order, as `_joined_edges` gives them."""
     # imported here, as only the baselines need it (see simulate.instance_closure)
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    n = ctx.n_points
-    indptr = np.concatenate(([0], np.cumsum(keep)))[ctx.adj_indptr]
-    graph = csr_matrix((np.ones(indptr[-1], dtype=np.int8), ctx.adj_indices[keep], indptr),
-                       shape=(n, n))
-    # on a symmetric graph the strong components are the components, and
-    # scipy finds them without building the transpose
-    return connected_components(graph, directed=True, connection="strong")[1]
-
-
-def _seed_rank(components: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Per component id, the 1-based rank of its first point in `order`
-    (0 for components without a point there)."""
-    ids, first = np.unique(components[order], return_index=True)
-    rank = np.zeros(components.max() + 1, dtype=np.int32)
-    rank[ids[np.argsort(first)]] = np.arange(1, len(ids) + 1, dtype=np.int32)
-    return rank
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    graph = csr_matrix((np.ones(len(rows), dtype=np.int8), cols, indptr), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
 
 
 def _seed_order(ctx: SceneContext) -> np.ndarray:
@@ -108,9 +96,9 @@ def grow_threshold(ctx: SceneContext, cfg: ThresholdConfig | None = None) -> np.
         return ~(np.abs(np.vecdot(q[:, :3], p[:, :3])) < cos_th) \
             & (np.vecdot(d, d) <= max_col2)
 
-    keep = _join_mask(ctx, _edge_rows(ctx), COL_NORMAL + COL_RGB, join)
-    components = _components(ctx, keep)
-    labels = _seed_rank(components, _seed_order(ctx))[components]
+    rows, cols, keep = _joined_edges(ctx, COL_NORMAL + COL_RGB, join)
+    components = _components(ctx.n_points, rows[keep], cols[keep])
+    labels = first_rank(components, _seed_order(ctx))[components]
     return reassign_small_segments(ctx.cloud, labels, cfg.min_segment)
 
 
@@ -120,32 +108,40 @@ def grow_smoothness(ctx: SceneContext, cfg: SmoothnessConfig | None = None) -> n
     cfg = cfg or SmoothnessConfig()
     low = ctx.features[:, COL_CURVATURE] <= cfg.curvature_th
     cos_th = math.cos(math.radians(cfg.theta_th))
-    indptr, indices = ctx.adj_indptr, ctx.adj_indices
+    n = ctx.n_points
 
-    rows = _edge_rows(ctx)
-    join = _join_mask(ctx, rows, COL_NORMAL,
-                      lambda q, p: np.abs(np.vecdot(q, p)) >= cos_th)
-    low_row, low_col = low[rows], low[indices]
-    components = _components(ctx, join & low_row & low_col)
+    def join(q, p):
+        return np.abs(np.vecdot(q, p)) >= cos_th
+
+    rows, cols, joined = _joined_edges(ctx, COL_NORMAL, join)
+    rows, cols = rows[joined], cols[joined]
+    low_row, low_col = low[rows], low[cols]
+    core = low_row & low_col
+    components = _components(n, rows[core], cols[core])
     order = _seed_order(ctx)
-    labels = np.where(low, _seed_rank(components, order[low[order]])[components], 0)
+    labels = np.where(low, first_rank(components, order[low[order]])[components], 0)
 
-    # each high point takes the earliest core it shares a join edge with
-    edges = np.flatnonzero(join & ~low_row & low_col)
+    # each high point takes the earliest core it shares a join edge with, the
+    # edge read in whichever orientation puts the high point first
+    mixed = low_row != low_col
+    high_end = np.where(low_row, cols, rows)[mixed]
+    core_end = np.where(low_row, rows, cols)[mixed]
     none = np.iinfo(np.int32).max
-    earliest = np.full(ctx.n_points, none, dtype=np.int32)
-    np.minimum.at(earliest, rows[edges], labels[indices[edges]])
+    earliest = np.full(n, none, dtype=np.int32)
+    np.minimum.at(earliest, high_end, labels[core_end])
     labels = np.where(earliest < none, earliest, labels)
 
     # the rest seed, in order, a region of themselves and their unlabeled
-    # join neighbors
+    # join neighbors, their rows' joins tested here
+    normals = ctx.features[:, COL_NORMAL]
+    indptr, indices = ctx.adj_indptr, ctx.adj_indices
     next_id = labels.max() + 1
     for seed in order[labels[order] == 0]:
         if labels[seed]:
             continue
-        row = slice(indptr[seed], indptr[seed + 1])
-        nbrs = indices[row][join[row]]
-        labels[nbrs[labels[nbrs] == 0]] = next_id
+        nbrs = indices[indptr[seed]:indptr[seed + 1]]
+        nbrs = nbrs[labels[nbrs] == 0]
+        labels[nbrs[join(normals[seed], normals[nbrs])]] = next_id
         labels[seed] = next_id
         next_id += 1
     return reassign_small_segments(ctx.cloud, labels, cfg.min_segment)

@@ -19,13 +19,14 @@ from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import baselines, metrics, network, synth
 from .features import (DEFAULT_DELTA, DEFAULT_KNN, FEATURE_SUBSETS, build_context,
                        compute_features, radius_adjacency)
 from .grow import DEFAULT_MIN_SEGMENT, GrowConfig, segment_scene
 from .network import Predictor, TrainConfig, load_params, train
-from .pointcloud import export_colored_ply, load_scene, read_labels, write_labels
+from .pointcloud import PointCloud, export_colored_ply, load_scene, read_labels, write_labels
 from .search import STRATEGIES, SearchConfig
 from .simulate import SimConfig, generate_dataset
 
@@ -76,31 +77,36 @@ def _scene_sha256(scene_path) -> str:
 
 
 def _read_cache(cache, scene_path, delta, knn):
-    """(features, adjacency) from a features cache entry: the features only
-    when they were computed from this very file with the same `knn`, the
-    adjacency only when also at the same `delta`, and None in their place
-    otherwise. An entry that is missing or cannot be read gives (None, None)."""
+    """(cloud, features, adjacency) from a features cache entry: the cloud and
+    features only when they were computed from this very file with the same
+    `knn`, the adjacency only when also at the same `delta`, and None in
+    their place otherwise. An entry in the earlier format holds no cloud; one
+    that is missing or cannot be read gives Nones throughout."""
     try:
         with np.load(cache) as data:
             if not ("scene_sha256" in data and int(data["knn"]) == knn
                     and str(data["scene_sha256"]) == _scene_sha256(scene_path)):
-                return None, None
-            adjacency = None
+                return None, None, None
+            cloud = adjacency = None
+            if "positions" in data:
+                cloud = PointCloud(data["positions"], data["colors"],
+                                   data["gt_instance"] if "gt_instance" in data else None)
             if "adj_indptr" in data and float(data["delta"]) == delta:
                 adjacency = data["adj_indptr"], data["adj_indices"]
-            return data["features"], adjacency
+            return cloud, data["features"], adjacency
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
-        return None, None
+        return None, None, None
 
 
 def _load_context(scene_path, delta, knn, features_dir=None):
-    """The scene's context, with features and adjacency from the cache where
-    `_read_cache` finds them valid."""
-    cloud = load_scene(scene_path)
-    feats = adjacency = None
+    """The scene's context, with cloud, features and adjacency from the cache
+    where `_read_cache` finds them valid; the scene is parsed otherwise."""
+    cloud = feats = adjacency = None
     if features_dir:
         cache = Path(features_dir) / (Path(scene_path).stem + ".features.npz")
-        feats, adjacency = _read_cache(cache, scene_path, delta, knn)
+        cloud, feats, adjacency = _read_cache(cache, scene_path, delta, knn)
+    if cloud is None:
+        cloud = load_scene(scene_path)
     return build_context(cloud, delta=delta, knn=knn, features=feats, adjacency=adjacency)
 
 
@@ -274,17 +280,21 @@ def _cmd_synth(args) -> int:
 
 
 def _features_worker(task) -> str:
+    """Cache a scene's cloud, features, adjacency and the keys that validate them."""
     scene_path, out_dir, delta, knn = task
     cloud = load_scene(scene_path)
-    feats = compute_features(cloud, k=min(knn, cloud.n_points))
-    indptr, indices = radius_adjacency(cloud.positions, delta)
+    tree = cKDTree(cloud.positions)
+    feats = compute_features(cloud, k=min(knn, cloud.n_points), tree=tree)
+    indptr, indices = radius_adjacency(cloud.positions, delta, tree=tree)
+    labels = {} if cloud.gt_instance is None else {"gt_instance": cloud.gt_instance}
     out = Path(out_dir) / (Path(scene_path).stem + ".features.npz")
     # written whole beside the entry, then renamed over it, so that an
     # interrupted run leaves no partial entry
     tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            np.savez(f, features=feats, adj_indptr=indptr, adj_indices=indices,
+            np.savez(f, positions=cloud.positions, colors=cloud.colors, **labels,
+                     features=feats, adj_indptr=indptr, adj_indices=indices,
                      delta=delta, knn=knn, scene_sha256=_scene_sha256(scene_path))
         os.replace(tmp, out)
     except BaseException:

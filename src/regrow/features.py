@@ -8,6 +8,9 @@ Each point gets 13 feature columns:
     6..8   RGB scaled to [0, 1]
     9..11  unit surface normal from local PCA
     12     curvature lam0 / (lam0 + lam1 + lam2), in [0, 1/3]
+
+One k-d tree per scene serves both the PCA neighborhoods and the radius
+adjacency, a CSR pair of int64 row pointers and int32 column ids.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 N_FEATURES = 13
-COL_LOCAL = (0, 1, 2)
 COL_ROOM = (3, 4, 5)
 COL_RGB = (6, 7, 8)
 COL_NORMAL = (9, 10, 11)
@@ -35,13 +37,15 @@ FEATURE_SUBSETS = {
 }
 
 
-def compute_normals_curvature(cloud, k: int = DEFAULT_KNN):
+def compute_normals_curvature(cloud, k: int = DEFAULT_KNN, tree: cKDTree | None = None):
     """PCA normals and curvature over each point's k-nearest neighborhood.
 
     The neighborhood of a point includes the point itself. The normal is the
     eigenvector of the smallest covariance eigenvalue, sign-flipped so that
     nz >= 0 (ties: nx >= 0, then ny >= 0). Degenerate neighborhoods (rank < 2)
-    fall back to normal (0, 0, 1) with curvature 0.
+    fall back to normal (0, 0, 1) with curvature 0. `tree`, a k-d tree over
+    the positions, is queried when given. The covariances sum over each
+    neighborhood in neighbor order, as `tests/oracles.py::normals_oracle` does.
 
     Returns:
         (normals (N, 3), curvature (N,)) float64 arrays.
@@ -52,11 +56,19 @@ def compute_normals_curvature(cloud, k: int = DEFAULT_KNN):
         raise ValueError(f"k must be >= 3, got {k}")
     if k > n:
         raise ValueError(f"k={k} exceeds point count {n}")
-    tree = cKDTree(pts)
-    _, idx = tree.query(pts, k=k)
-    nbrs = pts[idx]
-    centered = nbrs - nbrs.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / k
+    _, idx = (cKDTree(pts) if tree is None else tree).query(pts, k=k)
+    # (k, N) gathers in C order: summing over axis 0 then adds rows in turn;
+    # in F order it would sum along k in blocks and round differently
+    idx = np.ascontiguousarray(idx.T)
+    centered = []
+    for c in range(3):
+        g = pts[:, c][idx]
+        g -= g.sum(axis=0) / k
+        centered.append(g)
+    cov = np.empty((n, 3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            cov[:, i, j] = cov[:, j, i] = (centered[i] * centered[j]).sum(axis=0) / k
     evals, evecs = np.linalg.eigh(cov)  # ascending eigenvalues
     lam = np.clip(evals, 0.0, None)
     total = lam.sum(axis=1)
@@ -77,8 +89,8 @@ def compute_normals_curvature(cloud, k: int = DEFAULT_KNN):
     return normals, np.clip(curvature, 0.0, None)
 
 
-def compute_features(cloud, k: int = DEFAULT_KNN) -> np.ndarray:
-    """Full (N, 13) feature matrix for a scene."""
+def compute_features(cloud, k: int = DEFAULT_KNN, tree: cKDTree | None = None) -> np.ndarray:
+    """Full (N, 13) feature matrix for a scene (`tree`: see the normals)."""
     lo, hi = cloud.bounds
     local = cloud.positions - lo
     extent = hi - lo
@@ -89,7 +101,7 @@ def compute_features(cloud, k: int = DEFAULT_KNN) -> np.ndarray:
         normals = np.tile([0.0, 0.0, 1.0], (cloud.n_points, 1))
         curvature = np.zeros(cloud.n_points)
     else:
-        normals, curvature = compute_normals_curvature(cloud, k=min(k, cloud.n_points))
+        normals, curvature = compute_normals_curvature(cloud, min(k, cloud.n_points), tree)
     feats = np.empty((cloud.n_points, N_FEATURES), dtype=np.float64)
     feats[:, 0:3] = local
     feats[:, 3:6] = room
@@ -99,9 +111,11 @@ def compute_features(cloud, k: int = DEFAULT_KNN) -> np.ndarray:
     return feats
 
 
-def radius_adjacency(positions: np.ndarray, delta: float = DEFAULT_DELTA):
-    """CSR adjacency (indptr, indices): for every point, the other points
-    strictly within `delta`, each row sorted ascending.
+def radius_adjacency(positions: np.ndarray, delta: float = DEFAULT_DELTA,
+                     tree: cKDTree | None = None):
+    """CSR adjacency (int64 indptr, int32 indices): for every point, the other
+    points strictly within `delta`, each row sorted ascending. `tree`, a k-d
+    tree over `positions`, proposes the pairs when given.
 
     The k-d tree proposes pairs with a hair of slack on the radius; the exact
     test is the squared coordinate difference summed in x, y, z order against
@@ -116,7 +130,8 @@ def radius_adjacency(positions: np.ndarray, delta: float = DEFAULT_DELTA):
     pts = np.asarray(positions, dtype=np.float64)
     n = pts.shape[0]
     x, y, z = (np.ascontiguousarray(pts[:, c]) for c in range(3))
-    pairs = cKDTree(pts).query_pairs(delta * (1 + 1e-9), output_type="ndarray")
+    tree = cKDTree(pts) if tree is None else tree
+    pairs = tree.query_pairs(delta * (1 + 1e-9), output_type="ndarray")
     m = len(pairs)
     keys = np.empty(2 * m, dtype=np.int64)  # forward keys first, reversed from m on
     kept = 0
@@ -140,7 +155,7 @@ def radius_adjacency(positions: np.ndarray, delta: float = DEFAULT_DELTA):
     keys.sort()
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     keys %= n
-    return indptr, keys
+    return indptr, keys.astype(np.int32)
 
 
 class FrontierTracker:
@@ -279,10 +294,11 @@ def build_context(cloud, delta: float = DEFAULT_DELTA, knn: int = DEFAULT_KNN,
                   features: np.ndarray | None = None,
                   adjacency: tuple[np.ndarray, np.ndarray] | None = None) -> SceneContext:
     """A scene's context; the features and the CSR radius adjacency
-    (indptr, indices) are computed unless given."""
+    (indptr, indices) are computed unless given, from one shared k-d tree."""
+    tree = None if features is not None and adjacency is not None else cKDTree(cloud.positions)
     if features is None:
-        features = compute_features(cloud, k=min(knn, cloud.n_points))
+        features = compute_features(cloud, k=min(knn, cloud.n_points), tree=tree)
     if adjacency is None:
-        adjacency = radius_adjacency(cloud.positions, delta)
+        adjacency = radius_adjacency(cloud.positions, delta, tree=tree)
     indptr, indices = adjacency
     return SceneContext(cloud, features, indptr, indices, float(delta), knn)

@@ -199,13 +199,16 @@ def reassign_small_segments(cloud, labels: np.ndarray,
         tree = cKDTree(cloud.positions[big_idx])
         _, nearest = tree.query(cloud.positions[small_mask])
         labels[small_mask] = labels[big_idx[nearest]]
-    # contiguous relabel by first occurrence
-    uniq, first = np.unique(labels, return_index=True)
-    order = uniq[np.argsort(first)]
-    remap = np.zeros(labels.max() + 1, dtype=np.int32)
-    for new, old in enumerate(order, start=1):
-        remap[old] = new
-    return remap[labels]
+    return first_rank(labels)[labels]
+
+
+def first_rank(ids: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+    """Per id in [0, ids.max()], the 1-based rank of its first occurrence in
+    `ids[order]` (in `ids` when no order is given), 0 for ids absent there."""
+    uniq, first = np.unique(ids if order is None else ids[order], return_index=True)
+    rank = np.zeros(ids.max() + 1, dtype=np.int32)
+    rank[uniq[np.argsort(first)]] = np.arange(1, len(uniq) + 1, dtype=np.int32)
+    return rank
 
 
 def segment_scene(ctx: SceneContext, predictor, grow_cfg: GrowConfig,

@@ -4,7 +4,8 @@ These deliberately avoid the library's code paths: pair enumeration instead
 of contingency algebra, probability dictionaries instead of vectorized sums,
 scipy's hypergeometric pmf for the expected mutual information, a
 record-by-record `struct` reader for the dataset file, per-edge seeded flood
-fills for the classical baselines, a line-by-line scene parser, a
+fills for the classical baselines, the (N, k, 3) einsum PCA that the
+column-wise covariance kernel replaced, a line-by-line scene parser, a
 per-element labels writer, and the training step that keeps every
 pre-activation, accumulates gradients into zeroed arrays and runs Adam
 through temporaries.
@@ -19,6 +20,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+
+from scipy.spatial import cKDTree
 
 from regrow.baselines import SmoothnessConfig, ThresholdConfig
 from regrow.grow import reassign_small_segments, select_seed
@@ -159,6 +162,33 @@ def radius_adjacency_oracle(positions, delta):
         rows.append(np.array([j for j in range(n) if j != i and d2[j] < delta * delta],
                              dtype=np.int64))
     return rows
+
+
+def normals_oracle(positions, k):
+    """PCA normals and curvature as `features.compute_normals_curvature`
+    computed them before its column-wise kernel: the covariances of the
+    (N, k, 3) neighborhood gather in one einsum, then the same eigen
+    post-processing, so the two must agree to the byte."""
+    pts = np.asarray(positions, dtype=np.float64)
+    _, idx = cKDTree(pts).query(pts, k=k)
+    nbrs = pts[idx]
+    centered = nbrs - nbrs.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", centered, centered) / k
+    evals, evecs = np.linalg.eigh(cov)
+    lam = np.clip(evals, 0.0, None)
+    total = lam.sum(axis=1)
+    normals = evecs[:, :, 0].copy()
+    safe_total = np.where(total > 0, total, 1.0)
+    curvature = np.where(total > 0, lam[:, 0] / safe_total, 0.0)
+    degenerate = (total <= 0) | (lam[:, 1] <= 1e-9 * lam[:, 2])
+    normals[degenerate] = (0.0, 0.0, 1.0)
+    curvature[degenerate] = 0.0
+    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    normals /= np.where(norms > 0, norms, 1.0)
+    nx, ny, nz = normals[:, 0], normals[:, 1], normals[:, 2]
+    flip = (nz < 0) | ((nz == 0) & (nx < 0)) | ((nz == 0) & (nx == 0) & (ny < 0))
+    normals[flip] *= -1.0
+    return normals, np.clip(curvature, 0.0, None)
 
 
 def frontier_oracle(positions, members, delta, eligible=None):

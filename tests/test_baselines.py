@@ -11,7 +11,8 @@ from regrow.baselines import (
     grow_smoothness,
     grow_threshold,
 )
-from regrow.features import N_FEATURES, SceneContext, build_context, radius_adjacency
+from regrow.features import (COL_CURVATURE, COL_NORMAL, N_FEATURES, SceneContext,
+                             build_context, radius_adjacency)
 from regrow.pointcloud import PointCloud
 
 
@@ -172,10 +173,11 @@ CURVATURES = (0.0, 0.01, 0.05, 0.1, 0.2)  # 0.05 is the default curvature gate
 
 
 @st.composite
-def baseline_scenes(draw):
+def baseline_scenes(draw, nan_normals=False):
     """A context on a coarse grid (duplicate points, isolated far points)
     whose normals, colors and curvatures come from a few palette entries, so
-    joins hit the gates exactly and seeds tie on curvature."""
+    joins hit the gates exactly and seeds tie on curvature; with
+    `nan_normals`, some points' normals are NaN."""
     n = draw(st.integers(1, 40))
     side = draw(st.integers(1, 5))
     cells = draw(st.lists(st.tuples(st.integers(0, side), st.integers(0, side),
@@ -194,6 +196,8 @@ def baseline_scenes(draw):
     feats[:, 6:9] = column(RGB)
     feats[:, 9:12] = column(NORMALS)
     feats[:, 12] = column(curv_pool)
+    if nan_normals:
+        feats[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))), 9:12] = np.nan
     indptr, indices = radius_adjacency(pos, 0.1)
     cloud = PointCloud(pos, np.zeros((n, 3), dtype=np.uint8))
     return SceneContext(cloud, feats, indptr, indices, 0.1, 8)
@@ -220,6 +224,42 @@ class TestAgainstFloodOracle:
         expected = smoothness_oracle(ctx, cfg)
         assert labels.dtype == expected.dtype
         np.testing.assert_array_equal(labels, expected)
+
+    @given(baseline_scenes(nan_normals=True), st.sampled_from(ANGLES),
+           st.sampled_from((0.25, 0.5)), st.sampled_from((1, 3)))
+    @settings(max_examples=60, deadline=None)
+    def test_threshold_with_nan_normals_matches_oracle(self, ctx, angle, color, min_segment):
+        # a NaN normal passes the normal gate from either end of an edge
+        cfg = ThresholdConfig(normal_angle_max=angle, color_dist_max=color,
+                              min_segment=min_segment)
+        np.testing.assert_array_equal(grow_threshold(ctx, cfg), threshold_oracle(ctx, cfg))
+
+    def test_nan_normal_joins_from_either_end(self):
+        pts = np.array([[0.0, 0.0, 0.0], [0.05, 0.0, 0.0], [0.1, 0.0, 0.0]])
+        for nan_point in range(3):
+            feats = np.zeros((3, N_FEATURES))
+            feats[:, COL_NORMAL] = (1.0, 0.0, 0.0)
+            feats[nan_point, COL_NORMAL] = np.nan
+            ctx = SceneContext(PointCloud(pts, np.zeros((3, 3), dtype=np.uint8)), feats,
+                               *radius_adjacency(pts, 0.06), 0.06, 8)
+            cfg = ThresholdConfig(min_segment=1)
+            labels = grow_threshold(ctx, cfg)
+            assert labels.tolist() == [1, 1, 1]
+            np.testing.assert_array_equal(labels, threshold_oracle(ctx, cfg))
+
+    def test_high_point_joins_a_core_on_either_side(self):
+        # a high-curvature point joins the core next to it whether its index
+        # is below or above the core's, i.e. through both edge orientations
+        pts = np.array([[0.0, 0.0, 0.0], [0.05, 0.0, 0.0], [1.0, 0.0, 0.0], [1.05, 0.0, 0.0]])
+        feats = np.zeros((4, N_FEATURES))
+        feats[:, COL_NORMAL] = (0.0, 0.0, 1.0)
+        feats[:, COL_CURVATURE] = (0.2, 0.0, 0.0, 0.2)  # high, low | low, high
+        ctx = SceneContext(PointCloud(pts, np.zeros((4, 3), dtype=np.uint8)), feats,
+                           *radius_adjacency(pts, 0.1), 0.1, 8)
+        cfg = SmoothnessConfig(min_segment=1)
+        labels = grow_smoothness(ctx, cfg)
+        assert labels.tolist() == [1, 1, 2, 2]
+        np.testing.assert_array_equal(labels, smoothness_oracle(ctx, cfg))
 
     def test_room_matches_oracle(self):
         # PCA normals and curvatures of a cluttered scene, two settings per baseline

@@ -374,6 +374,62 @@ class TestParallelAndCache:
         f = next((tmp_path / "fresh").glob("*.labels"))
         assert sha(f) == sha(tmp_path / "cached" / f.name)
 
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Names of the scene files that `cli` parses."""
+        parsed = []
+
+        def spy(path):
+            parsed.append(Path(path).name)
+            return load_scene(path)
+
+        monkeypatch.setattr(cli, "load_scene", spy)
+        return parsed
+
+    def test_matching_cache_never_parses_the_scene(self, workspace, tmp_path, parses):
+        scenes = workspace / "data" / "train"
+        cache = tmp_path / "cache"
+        assert run(["features", "--scenes", str(scenes), "--out", str(cache)]) == 0
+        for scene_path in sorted(scenes.glob("*.txt")):
+            cloud = load_scene(scene_path)
+            with np.load(cache / f"{scene_path.stem}.features.npz") as data:
+                for key in ("positions", "colors", "gt_instance"):
+                    assert data[key].dtype == getattr(cloud, key).dtype
+                    assert data[key].tobytes() == getattr(cloud, key).tobytes()
+        parses.clear()
+        for method in ("threshold", "smoothness"):
+            assert run(["baseline", "--scenes", str(scenes), "--method", method,
+                        "--out", str(tmp_path / f"{method}-cached"),
+                        "--features-dir", str(cache)]) == 0
+        assert parses == []
+        for method in ("threshold", "smoothness"):
+            assert run(["baseline", "--scenes", str(scenes), "--method", method,
+                        "--out", str(tmp_path / f"{method}-fresh")]) == 0
+            fresh = sorted((tmp_path / f"{method}-fresh").glob("*.labels"))
+            assert len(fresh) == 2
+            for f in fresh:
+                assert sha(f) == sha(tmp_path / f"{method}-cached" / f.name)
+
+    def test_cache_without_cloud_parses_the_scene(self, workspace, tmp_path, builds, parses):
+        scenes = workspace / "data" / "test"
+        cache = tmp_path / "cache"
+        assert run(["features", "--scenes", str(scenes), "--out", str(cache)]) == 0
+        # rewrite the entry in the earlier format: features, adjacency and keys
+        entry = next(cache.glob("*.features.npz"))
+        with np.load(entry) as data:
+            old = {k: data[k] for k in data.files
+                   if k not in ("positions", "colors", "gt_instance")}
+        np.savez(entry, **old)
+        parses.clear()
+        assert run(["baseline", "--scenes", str(scenes), "--method", "threshold",
+                    "--out", str(tmp_path / "cached"), "--features-dir", str(cache)]) == 0
+        assert parses == [next(scenes.glob("*.txt")).name]
+        assert builds == {"features": 0, "adjacency": 0}
+        assert run(["baseline", "--scenes", str(scenes), "--method", "threshold",
+                    "--out", str(tmp_path / "fresh")]) == 0
+        f = next((tmp_path / "fresh").glob("*.labels"))
+        assert sha(f) == sha(tmp_path / "cached" / f.name)
+
     def test_damaged_cache_is_recomputed(self, workspace, tmp_path):
         scenes = workspace / "data" / "test"
         cache = tmp_path / "cache"
@@ -386,7 +442,7 @@ class TestParallelAndCache:
         f = next((tmp_path / "fresh").glob("*.labels"))
         assert sha(f) == sha(tmp_path / "cached" / f.name)
 
-    def test_cache_of_rewritten_scene_is_recomputed(self, workspace, tmp_path):
+    def test_cache_of_rewritten_scene_is_recomputed(self, workspace, tmp_path, parses):
         scenes = tmp_path / "scenes"
         shutil.copytree(workspace / "data" / "test", scenes)
         cache = tmp_path / "cache"
@@ -395,9 +451,11 @@ class TestParallelAndCache:
         scene = next(scenes.glob("*.txt"))
         lines = scene.read_text().splitlines(keepends=True)
         scene.write_text("".join(lines[1:] + lines[:1]))
+        parses.clear()
         for out, extra in (("fresh", []), ("cached", ["--features-dir", str(cache)])):
             assert run(["baseline", "--scenes", str(scenes), "--method", "smoothness",
                         "--out", str(tmp_path / out)] + extra) == 0
+        assert parses == [scene.name, scene.name]  # the cached run parses it again
         f = next((tmp_path / "fresh").glob("*.labels"))
         assert sha(f) == sha(tmp_path / "cached" / f.name)
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from oracles import frontier_oracle, radius_adjacency_oracle
+from oracles import frontier_oracle, normals_oracle, radius_adjacency_oracle
 from regrow.features import (
     FrontierTracker,
     compute_features,
@@ -89,6 +90,50 @@ class TestNormalsCurvature:
         pts = np.column_stack([rng.uniform(0, 1, 30), rng.uniform(0, 1, 30), np.zeros(30)])
         normals, _ = compute_normals_curvature(cloud_from(pts), k=8)
         assert (normals[:, 2] > 0).all()
+
+
+LINE_DIRECTIONS = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (1.0, 1.0, 0.0), (0.6, 0.0, 0.8),
+                   (1.0, 2.0, 3.0))
+
+
+@st.composite
+def pca_clouds(draw):
+    """(points, k): grid clouds full of distance ties, float clouds, lines
+    and planes (collinear and flat neighborhoods, signed zeros off the line
+    or plane), each with some points duplicated, and k anywhere in [3, n]."""
+    kind = draw(st.sampled_from(["grid", "float", "line", "plane"]))
+    n = draw(st.integers(3, 40))
+    grid = st.integers(-4, 4).map(lambda i: i * 0.0625)
+    if kind == "grid":
+        pts = np.array(draw(st.lists(st.tuples(grid, grid, grid), min_size=n, max_size=n)))
+    elif kind == "float":
+        pts = np.array(draw(st.lists(float_point, min_size=n, max_size=n)))
+    else:
+        t = np.array(draw(st.lists(st.one_of(grid, st.floats(-1, 1)), min_size=n, max_size=n)))
+        zeros = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n)))
+        if kind == "line":
+            pts = np.outer(t, draw(st.sampled_from(LINE_DIRECTIONS)))
+            pts[pts == 0] = np.broadcast_to(zeros[:, None], pts.shape)[pts == 0]
+        else:
+            u = np.array(draw(st.lists(grid, min_size=n, max_size=n)))
+            pts = np.column_stack([t, u, zeros])
+    pts = np.concatenate([pts, pts[:draw(st.integers(0, 3))]])  # duplicates
+    return pts, draw(st.integers(3, len(pts)))
+
+
+class TestNormalsKernel:
+    """The column-wise covariance kernel against the einsum it replaced."""
+
+    @given(pca_clouds())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_einsum_oracle_to_the_byte(self, cloud_k):
+        pts, k = cloud_k
+        expected = normals_oracle(pts, k)
+        for tree in (None, cKDTree(pts)):
+            got = compute_normals_curvature(cloud_from(pts), k=k, tree=tree)
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
 
 
 class TestComputeFeatures:
@@ -208,7 +253,7 @@ class TestSpatialIndex:
     def test_adjacency_matches_oracle(self, points, radius, n_dupes):
         pts = np.array(points + points[:n_dupes], dtype=np.float64)  # duplicates at distance 0
         indptr, indices = radius_adjacency(pts, radius)
-        assert indices.dtype == np.int64
+        assert indptr.dtype == np.int64 and indices.dtype == np.int32
         assert_rows_match(indptr, indices, radius_adjacency_oracle(pts, radius))
 
 
