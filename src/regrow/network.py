@@ -9,7 +9,9 @@ derived by hand for this fixed graph; there is no autodiff involved.
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,6 +25,11 @@ FULL_ENC_WIDTHS = (64, 64, 64, 128, 512)
 FULL_DEC_WIDTHS = (256, 128, 1)
 DESK_ENC_WIDTHS = (32, 32, 32, 64, 128)
 DESK_DEC_WIDTHS = (64, 32, 1)
+
+# Per-branch forward multiply-adds from which a call runs its two branches on
+# two threads (see `_both`). Set from the measured crossover on 2 cores with
+# BLAS on 1 thread: below it the hand-off costs more than the overlap saves.
+SPLIT_MIN_MACS = 8_000_000
 
 
 class CheckpointError(ValueError):
@@ -138,8 +145,9 @@ def _pointwise(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(batch, n, w.shape[1])
 
 
-def _encode(bp: BranchParams, x: np.ndarray) -> list[np.ndarray]:
-    """Point-wise MLP with rectifier activations. x: (B, n, F) -> [x, h1, ...].
+def _encode(bp: BranchParams, x: np.ndarray):
+    """One branch's point-wise MLP with rectifier activations, and its top
+    layer max-pooled over the points. x: (B, n, F) -> ([x, h1, ...], (B, G)).
 
     Each layer is rectified in place: backward only needs its sign, and
     h > 0 exactly where the pre-activation is."""
@@ -147,17 +155,21 @@ def _encode(bp: BranchParams, x: np.ndarray) -> list[np.ndarray]:
     for w, b in zip(bp.enc_w, bp.enc_b):
         h = _pointwise(acts[-1], w, b)
         acts.append(np.maximum(h, 0, out=h))
-    return acts
+    return acts, acts[-1].max(axis=1)
 
 
-def _decode(bp: BranchParams, skip: np.ndarray, global_vec: np.ndarray) -> list[np.ndarray]:
-    """Per-point decoder over the skip features concatenated with the global
-    vector. Layer 1 splits over that concatenation, [s, g] @ W = s @ W[:s] +
-    g @ W[s:], so the global half is applied once per sample as a (B, out) bias
-    broadcast over the points instead of being tiled onto every point.
+def _decode(bp: BranchParams, acts, pooled, skip_layer: int, global_vec: np.ndarray,
+            want_cache: bool):
+    """One branch's per-point decoder over the skip features concatenated with
+    the global vector. Layer 1 splits over that concatenation, [s, g] @ W =
+    s @ W[:s] + g @ W[s:], so the global half is applied once per sample as a
+    (B, out) bias broadcast over the points instead of being tiled onto every
+    point.
 
-    Returns every layer's output: the hidden ones rectified in place, then the
-    (B, n, 1) logits."""
+    Returns every layer's output (the hidden ones rectified in place, then the
+    (B, n, 1) logits), the raw and the clipped probabilities, and, with
+    `want_cache`, the pool winners of the encoder's top layer."""
+    skip = acts[skip_layer]
     batch, n, s = skip.shape
     w0 = bp.dec_w[0]
     z = (skip.reshape(batch * n, s) @ w0[:s]).reshape(batch, n, w0.shape[1])
@@ -166,7 +178,9 @@ def _decode(bp: BranchParams, skip: np.ndarray, global_vec: np.ndarray) -> list[
     for w, b in zip(bp.dec_w[1:], bp.dec_b[1:]):
         h = np.maximum(outs[-1], 0, out=outs[-1])  # every layer but the last is rectified
         outs.append(_pointwise(h, w, b))
-    return outs
+    raw = _sigmoid(outs[-1][..., 0])
+    prob = np.clip(raw, PROB_EPS, 1.0 - PROB_EPS)
+    return outs, raw, prob, _pool_argmax(acts[-1], pooled) if want_cache else None
 
 
 def _pool_argmax(top: np.ndarray, pooled: np.ndarray) -> np.ndarray:
@@ -191,6 +205,41 @@ def _pool_argmax(top: np.ndarray, pooled: np.ndarray) -> np.ndarray:
     return arg
 
 
+def _split(params: NetworkParams, batch: int, n_points: int) -> bool:
+    """Whether a call over `batch` samples of at least `n_points` points per
+    branch is large enough to run its branches concurrently."""
+    skip = params.enc_widths[params.skip_layer - 1]  # decoder layer 1's per-point rows
+    fans = (params.n_features, *params.enc_widths[:-1], skip, *params.dec_widths[:-1])
+    per_point = sum(f * w for f, w in zip(fans, (*params.enc_widths, *params.dec_widths)))
+    return batch * n_points * per_point >= SPLIT_MIN_MACS
+
+
+_branch_thread: tuple[int, ThreadPoolExecutor] | None = None
+
+
+def _both(split: bool, half, inlier_args: tuple, neighbor_args: tuple):
+    """(half(*inlier_args), half(*neighbor_args)). With `split`, the neighbor
+    half runs on this process's branch thread while the calling thread runs
+    the inlier half. The halves share only read-only inputs, and NumPy and
+    BLAS release the GIL for their arrays, so the results are the bytes of the
+    sequential calls. The halves call no public function of this module, whose
+    tracing wrappers (perfbench) keep one span stack for all threads. The
+    thread is made per process: a forked child inherits the executor but not
+    its thread.
+    """
+    if not split:
+        return half(*inlier_args), half(*neighbor_args)
+    global _branch_thread
+    if _branch_thread is None or _branch_thread[0] != os.getpid():
+        _branch_thread = (os.getpid(), ThreadPoolExecutor(1, "regrow-branch"))
+    future = _branch_thread[1].submit(half, *neighbor_args)
+    try:
+        first = half(*inlier_args)
+    finally:
+        wait([future])  # the neighbor half never outlives the call
+    return first, future.result()
+
+
 def forward_batch(params: NetworkParams, xi: np.ndarray, xn: np.ndarray,
                   want_cache: bool = False):
     """Forward pass over a batch. xi: (B, I, F), xn: (B, J, F).
@@ -204,24 +253,19 @@ def forward_batch(params: NetworkParams, xi: np.ndarray, xn: np.ndarray,
             or xn.shape[2] != params.n_features or xi.shape[0] != xn.shape[0]:
         raise ValueError(
             f"expected (B, n, {params.n_features}) inputs, got {xi.shape} and {xn.shape}")
-    ai = _encode(params.inlier, xi)
-    an = _encode(params.neighbor, xn)
-    pool_i = ai[-1].max(axis=1)
-    pool_n = an[-1].max(axis=1)
+    split = _split(params, xi.shape[0], min(xi.shape[1], xn.shape[1]))
+    (ai, pool_i), (an, pool_n) = _both(split, _encode, (params.inlier, xi),
+                                       (params.neighbor, xn))
     global_vec = np.concatenate([pool_i, pool_n], axis=1)
-    ui = _decode(params.inlier, ai[params.skip_layer], global_vec)
-    un = _decode(params.neighbor, an[params.skip_layer], global_vec)
-    raw_i = _sigmoid(ui[-1][..., 0])
-    raw_n = _sigmoid(un[-1][..., 0])
-    p_remove = np.clip(raw_i, PROB_EPS, 1.0 - PROB_EPS)
-    p_add = np.clip(raw_n, PROB_EPS, 1.0 - PROB_EPS)
+    (ui, raw_i, p_remove, argi), (un, raw_n, p_add, argn) = _both(
+        split, _decode, (params.inlier, ai, pool_i, params.skip_layer, global_vec, want_cache),
+        (params.neighbor, an, pool_n, params.skip_layer, global_vec, want_cache))
     if not want_cache:
         return p_remove, p_add
     # "zi"/"zn" and the hidden entries of "ui"/"un" hold rectified outputs,
     # whose signs are the pre-activations' signs
     cache = {
-        "ai": ai, "an": an, "zi": ai[1:], "zn": an[1:],
-        "argi": _pool_argmax(ai[-1], pool_i), "argn": _pool_argmax(an[-1], pool_n),
+        "ai": ai, "an": an, "zi": ai[1:], "zn": an[1:], "argi": argi, "argn": argn,
         "global": global_vec, "ui": ui, "un": un,
         "p_remove": p_remove, "p_add": p_add,
         "raw_i": raw_i, "raw_n": raw_n,
@@ -242,6 +286,58 @@ def batch_loss(p_remove: np.ndarray, p_add: np.ndarray, remove_t: np.ndarray,
     return _bce_batch(p_remove, remove_t) + _bce_batch(p_add, add_t)
 
 
+def _layer_grads(inp, dz):
+    """(dW, db) for one shared linear layer via flat matmuls."""
+    flat_in = inp.reshape(-1, inp.shape[2])
+    flat_dz = dz.reshape(-1, dz.shape[2])
+    return flat_in.T @ flat_dz, flat_dz.sum(axis=0)
+
+
+def _input_grad(dz, w):
+    """Gradient wrt a shared linear layer's input, as one flat matmul."""
+    return (dz.reshape(-1, dz.shape[2]) @ w.T).reshape(*dz.shape[:2], w.shape[0])
+
+
+def _decoder_backward(bp: BranchParams, outs, skip, global_vec, p_clamped, p_raw, target):
+    """One branch's loss head and decoder: returns (decoder grads (dec_w,
+    dec_b), d_skip, d_global contribution (B, 2G)). Clamped output
+    probabilities receive zero gradient."""
+    batch, n = p_clamped.shape
+    d = (p_clamped.astype(np.float64) - np.asarray(target).astype(np.float64)) / (n * batch)
+    d[(p_raw < PROB_EPS) | (p_raw > 1.0 - PROB_EPS)] = 0.0
+    dz = d.astype(bp.dec_w[0].dtype)[..., None]  # (B, n, 1)
+    layers = len(bp.dec_w)
+    dec_w, dec_b = [None] * layers, [None] * layers
+    for l in range(layers - 1, 0, -1):
+        dec_w[l], dec_b[l] = _layer_grads(outs[l - 1], dz)
+        dz = _input_grad(dz, bp.dec_w[l])
+        dz *= outs[l - 1] > 0
+    # layer 1: the skip rows act per point, the global rows per sample
+    s = skip.shape[2]
+    w0 = bp.dec_w[0]
+    dw, dec_b[0] = _layer_grads(skip, dz)
+    dz_sum = dz.sum(axis=1)  # (B, out)
+    dec_w[0] = np.concatenate([dw, global_vec.T @ dz_sum])
+    return (dec_w, dec_b), _input_grad(dz, w0[:s]), dz_sum @ w0[s:].T
+
+
+def _encoder_backward(bp: BranchParams, acts, arg, dg, d_skip, skip_layer: int):
+    """One branch's encoder grads (enc_w, enc_b). Max-pool routes each global
+    feature's gradient to its argmax point."""
+    layers = len(bp.enc_w)
+    enc_w, enc_b = [None] * layers, [None] * layers
+    dh = np.zeros_like(acts[-1])
+    np.put_along_axis(dh, arg[:, None, :], dg[:, None, :], axis=1)
+    for l in range(layers - 1, -1, -1):
+        if l + 1 == skip_layer:
+            dh += d_skip
+        dz = np.multiply(dh, acts[l + 1] > 0, out=dh)  # dh is a fresh array here
+        enc_w[l], enc_b[l] = _layer_grads(acts[l], dz)
+        if l:  # nothing consumes the gradient wrt the network input
+            dh = _input_grad(dz, bp.enc_w[l])
+    return enc_w, enc_b
+
+
 def backward(params: NetworkParams, cache: dict, remove_t: np.ndarray,
              add_t: np.ndarray) -> NetworkParams:
     """Gradients of the batch loss for every parameter.
@@ -251,74 +347,21 @@ def backward(params: NetworkParams, cache: dict, remove_t: np.ndarray,
     Rectifier masks come from the cached outputs' signs, and each gradient is
     the array its matmul or sum returns.
     """
-    dtype = params.dtype
-    batch = cache["p_remove"].shape[0]
-    g_width = params.global_width
-
-    def head_grad(p_clamped, p_raw, target, n):
-        d = (p_clamped.astype(np.float64) - target.astype(np.float64)) / (n * batch)
-        clamped = (p_raw < PROB_EPS) | (p_raw > 1.0 - PROB_EPS)
-        d[clamped] = 0.0
-        return d.astype(dtype)[..., None]  # (B, n, 1)
-
-    dlogit_i = head_grad(cache["p_remove"], cache["raw_i"], np.asarray(remove_t),
-                         cache["p_remove"].shape[1])
-    dlogit_n = head_grad(cache["p_add"], cache["raw_n"], np.asarray(add_t),
-                         cache["p_add"].shape[1])
-
-    def layer_grads(inp, dz):
-        """(dW, db) for one shared linear layer via flat matmuls."""
-        flat_in = inp.reshape(-1, inp.shape[2])
-        flat_dz = dz.reshape(-1, dz.shape[2])
-        return flat_in.T @ flat_dz, flat_dz.sum(axis=0)
-
-    def input_grad(dz, w):
-        """Gradient wrt a shared linear layer's input, as one flat matmul."""
-        return (dz.reshape(-1, dz.shape[2]) @ w.T).reshape(*dz.shape[:2], w.shape[0])
-
-    global_vec = cache["global"]
-
-    def decoder_backward(bp, outs, skip, dlogit):
-        """Returns (branch decoder grads (dec_w, dec_b), d_skip, d_global
-        contribution (B, 2G))."""
-        layers = len(bp.dec_w)
-        dec_w, dec_b = [None] * layers, [None] * layers
-        dz = dlogit
-        for l in range(layers - 1, 0, -1):
-            dec_w[l], dec_b[l] = layer_grads(outs[l - 1], dz)
-            dz = input_grad(dz, bp.dec_w[l])
-            dz *= outs[l - 1] > 0
-        # layer 1: the skip rows act per point, the global rows per sample
-        s = skip.shape[2]
-        w0 = bp.dec_w[0]
-        dw, dec_b[0] = layer_grads(skip, dz)
-        dz_sum = dz.sum(axis=1)  # (B, out)
-        dec_w[0] = np.concatenate([dw, global_vec.T @ dz_sum])
-        return (dec_w, dec_b), input_grad(dz, w0[:s]), dz_sum @ w0[s:].T
-
-    def encoder_backward(bp, acts, arg, dg, d_skip):
-        layers = len(bp.enc_w)
-        enc_w, enc_b = [None] * layers, [None] * layers
-        dh = np.zeros_like(acts[-1])
-        np.put_along_axis(dh, arg[:, None, :], dg[:, None, :], axis=1)
-        for l in range(layers - 1, -1, -1):
-            if l + 1 == params.skip_layer:
-                dh += d_skip
-            dz = np.multiply(dh, acts[l + 1] > 0, out=dh)  # dh is a fresh array here
-            enc_w[l], enc_b[l] = layer_grads(acts[l], dz)
-            if l:  # nothing consumes the gradient wrt the network input
-                dh = input_grad(dz, bp.enc_w[l])
-        return enc_w, enc_b
-
-    dec_i, d_skip_i, d_glob_i = decoder_backward(
-        params.inlier, cache["ui"], cache["ai"][params.skip_layer], dlogit_i)
-    dec_n, d_skip_n, d_glob_n = decoder_backward(
-        params.neighbor, cache["un"], cache["an"][params.skip_layer], dlogit_n)
+    batch, i_size = cache["p_remove"].shape
+    split = _split(params, batch, min(i_size, cache["p_add"].shape[1]))
+    skip = params.skip_layer
+    (dec_i, d_skip_i, d_glob_i), (dec_n, d_skip_n, d_glob_n) = _both(
+        split, _decoder_backward,
+        (params.inlier, cache["ui"], cache["ai"][skip], cache["global"],
+         cache["p_remove"], cache["raw_i"], remove_t),
+        (params.neighbor, cache["un"], cache["an"][skip], cache["global"],
+         cache["p_add"], cache["raw_n"], add_t))
     d_global = d_glob_i + d_glob_n
-    enc_i = encoder_backward(params.inlier, cache["ai"], cache["argi"],
-                             d_global[:, :g_width], d_skip_i)
-    enc_n = encoder_backward(params.neighbor, cache["an"], cache["argn"],
-                             d_global[:, g_width:], d_skip_n)
+    g_width = params.global_width
+    enc_i, enc_n = _both(
+        split, _encoder_backward,
+        (params.inlier, cache["ai"], cache["argi"], d_global[:, :g_width], d_skip_i, skip),
+        (params.neighbor, cache["an"], cache["argn"], d_global[:, g_width:], d_skip_n, skip))
     return replace(params, inlier=BranchParams(*enc_i, *dec_i),
                    neighbor=BranchParams(*enc_n, *dec_n))
 
@@ -380,6 +423,11 @@ class TrainConfig:
     checkpoint: str | None = None
     feature_columns: tuple[int, ...] | None = None
     normalize: bool = True
+
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def train(dataset_path, cfg: TrainConfig, report=None):

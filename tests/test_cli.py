@@ -181,6 +181,22 @@ class TestTrainCommand:
             assert match and float(match[1]) > 0 and float(match[2]) > 0
         assert lines[4:] == [f"checkpoint written to {tmp_path / 'm.ckpt'}"]
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--epochs", "0", "epochs must be >= 1, got 0"),
+        ("--batch", "-5", "batch_size must be >= 1, got -5"),
+        ("--batch", "0", "batch_size must be >= 1, got 0"),
+    ], ids=["epochs-0", "batch-minus-5", "batch-0"])
+    def test_size_below_one_is_rejected(self, workspace, tmp_path, capsys, flag, value,
+                                        message):
+        sizes = {"--epochs": "1", "--batch": "64", flag: value}
+        assert run(["train", "--dataset", str(workspace / "train.bin"),
+                    "--out", str(tmp_path / "m.ckpt"),
+                    "--enc-widths", "8", "8", "8", "8", "16", "--dec-widths", "8", "8", "1",
+                    *(arg for item in sizes.items() for arg in item)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and "checkpoint" not in captured.out
+        assert not (tmp_path / "m.ckpt").exists()
+
 
 class TestSegmentAndEval:
     def test_greedy_segment_writes_labels_and_stats(self, workspace, tmp_path):

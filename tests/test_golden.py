@@ -14,11 +14,12 @@ depend on it, and on the BLAS kernels: it was recorded with OpenBLAS 0.3.31
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from regrow import synth
+from regrow import network, synth
 from regrow.baselines import SmoothnessConfig, ThresholdConfig, grow_smoothness, grow_threshold
 from regrow.features import build_context
 from regrow.grow import GrowConfig, segment_scene
@@ -81,6 +82,13 @@ def test_trained_checkpoint_matches_golden(tmp_path):
                       batch_size=20, epochs=2, seed=0, checkpoint=str(checkpoint))
     train(_golden_dataset(tmp_path), cfg)
     assert _sha256(checkpoint.read_bytes()) == CHECKPOINT_SHA256
+
+
+@pytest.mark.parametrize("split_min_macs", [0, math.inf], ids=["always-split", "never-split"])
+def test_trained_checkpoint_matches_golden_on_either_branch_schedule(
+        tmp_path, monkeypatch, split_min_macs):
+    monkeypatch.setattr(network, "SPLIT_MIN_MACS", split_min_macs)
+    test_trained_checkpoint_matches_golden(tmp_path)
 
 
 @pytest.mark.parametrize("strategy", ["greedy", "bs-np"])

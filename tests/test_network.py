@@ -1,4 +1,7 @@
 import copy
+import math
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from oracles import (
     forward_oracle,
     zeros_like_params,
 )
+from regrow import network
 from regrow.network import (
     AdamState,
     CheckpointError,
@@ -537,3 +541,96 @@ class TestTrainingStepOracle:
                 assert_same_bytes(p, o, name)
             for m, o in zip(state.m + state.v, o_state.m + o_state.v):
                 assert_same_bytes(m, o, "adam moments")
+
+
+@pytest.fixture(scope="class", params=[0, math.inf], ids=["always-split", "never-split"])
+def branch_schedule(request):
+    """Every call splits its branches over two threads (0) or none does (inf).
+    Class-scoped, restored by hand: Hypothesis tests cannot take monkeypatch."""
+    saved = network.SPLIT_MIN_MACS
+    network.SPLIT_MIN_MACS = request.param
+    yield request.param
+    network.SPLIT_MIN_MACS = saved
+
+
+@pytest.mark.usefixtures("branch_schedule")
+class TestTrainingStepOracleBothSchedules(TestTrainingStepOracle):
+    """The oracle's bytes whether the branches run on one thread or two."""
+
+
+def small_batch(batch=2, seed=0):
+    params = init_params(TINY_ENC, TINY_DEC, 2, i_size=24, j_size=20, seed=seed)
+    rng = np.random.default_rng(seed)
+    return (params, rng.normal(size=(batch, 24, 13)), rng.normal(size=(batch, 20, 13)),
+            rng.integers(0, 2, (batch, 24)).astype(np.uint8),
+            rng.integers(0, 2, (batch, 20)).astype(np.uint8))
+
+
+def split_step(params, xi, xn, rt, at):
+    """Probabilities and gradient bytes of one training step."""
+    p_remove, p_add, cache = forward_batch(params, xi, xn, want_cache=True)
+    grads = backward(params, cache, rt, at)
+    return p_remove.tobytes() + p_add.tobytes() + b"".join(
+        g.tobytes() for _, g in param_tensors(grads))
+
+
+class TestBranchSplit:
+    @pytest.mark.parametrize("threshold,on_worker", [(0, True), (math.inf, False)])
+    def test_neighbor_half_runs_on_the_branch_thread(self, monkeypatch, threshold, on_worker):
+        monkeypatch.setattr(network, "SPLIT_MIN_MACS", threshold)
+        seen = {}
+        halves = {"_encode": network._encode, "_decode": network._decode,
+                  "_decoder_backward": network._decoder_backward,
+                  "_encoder_backward": network._encoder_backward}
+
+        def spy(name, fn):
+            def half(bp, *args):
+                branch = "inlier" if bp is params.inlier else "neighbor"
+                seen[name, branch] = threading.current_thread() is threading.main_thread()
+                return fn(bp, *args)
+            return half
+
+        for name, fn in halves.items():
+            monkeypatch.setattr(network, name, spy(name, fn))
+        params, xi, xn, rt, at = small_batch()
+        split_step(params, xi, xn, rt, at)
+        assert seen == {(name, branch): branch == "inlier" or not on_worker
+                        for name in halves for branch in ("inlier", "neighbor")}
+
+    def test_worker_error_reaches_the_caller_and_the_next_step_runs(self, monkeypatch):
+        monkeypatch.setattr(network, "SPLIT_MIN_MACS", 0)
+        params, xi, xn, rt, at = small_batch()
+        expected = split_step(params, xi, xn, rt, at)
+        decode = network._decode
+
+        def failing_decode(bp, *args):
+            if bp is params.neighbor:
+                raise FloatingPointError("neighbor half failed")
+            return decode(bp, *args)
+
+        monkeypatch.setattr(network, "_decode", failing_decode)
+        with pytest.raises(FloatingPointError, match="neighbor half failed"):
+            forward_batch(params, xi, xn)
+        monkeypatch.setattr(network, "_decode", decode)
+        assert split_step(params, xi, xn, rt, at) == expected
+
+    def test_forked_child_takes_a_split_step(self, monkeypatch):
+        """A forked child (as under `segment --jobs`) has no branch thread of
+        its own; reusing the parent's executor would hang its first split."""
+        monkeypatch.setattr(network, "SPLIT_MIN_MACS", 0)
+        params, xi, xn, rt, at = small_batch()
+        expected = split_step(params, xi, xn, rt, at)  # starts this process's thread
+        receive, send = multiprocessing.Pipe(duplex=False)
+
+        def child():
+            send.send_bytes(split_step(params, xi, xn, rt, at))
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        try:
+            assert receive.poll(30), "the child's split step did not finish"
+            assert receive.recv_bytes() == expected
+        finally:
+            proc.kill()
+            proc.join(10)
+        assert not proc.is_alive()
