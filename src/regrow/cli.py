@@ -15,6 +15,8 @@ import os
 import sys
 import zipfile
 
+from dataclasses import replace
+from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -117,6 +119,16 @@ def _add_common_scene_args(p):
                    help="PCA neighborhood size for normals/curvature")
 
 
+def _add_network_args(p):
+    p.add_argument("--lr", type=float, default=0.001)
+    p.add_argument("--batch", type=int, default=100)
+    p.add_argument("--epochs", type=int, default=40)
+    p.add_argument("--enc-widths", type=int, nargs="+",
+                   default=list(network.FULL_ENC_WIDTHS))
+    p.add_argument("--dec-widths", type=int, nargs="+",
+                   default=list(network.FULL_DEC_WIDTHS))
+
+
 def build_parser(file_cfg: dict | None = None) -> _Parser:
     parser = _Parser(prog="regrow",
                      description="Point-cloud instance segmentation by learned region growing")
@@ -169,13 +181,7 @@ def build_parser(file_cfg: dict | None = None) -> _Parser:
     p = add_parser("train", help="train the mask network")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="checkpoint file")
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch", type=int, default=100)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--enc-widths", type=int, nargs="+",
-                   default=list(network.FULL_ENC_WIDTHS))
-    p.add_argument("--dec-widths", type=int, nargs="+",
-                   default=list(network.FULL_DEC_WIDTHS))
+    _add_network_args(p)
     p.add_argument("--skip-layer", type=int, default=2,
                    help="encoder layer feeding the decoder skip connection")
     p.add_argument("--features", default="full", choices=sorted(FEATURE_SUBSETS))
@@ -238,13 +244,7 @@ def build_parser(file_cfg: dict | None = None) -> _Parser:
     p.add_argument("--i", dest="i_size", type=int, default=512)
     p.add_argument("--j", dest="j_size", type=int, default=512)
     _add_common_scene_args(p)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--batch", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--enc-widths", type=int, nargs="+",
-                   default=list(network.FULL_ENC_WIDTHS))
-    p.add_argument("--dec-widths", type=int, nargs="+",
-                   default=list(network.FULL_DEC_WIDTHS))
+    _add_network_args(p)
     p.add_argument("--augment", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
 
@@ -259,9 +259,7 @@ def build_parser(file_cfg: dict | None = None) -> _Parser:
                                              for v in raw.split()]
                     elif isinstance(a.const, bool) or isinstance(a.default, bool):
                         overrides[a.dest] = raw.lower() in ("1", "true", "yes", "on")
-                    elif a.type is not None:
-                        overrides[a.dest] = a.type(raw)
-                    else:
+                    else:  # argparse applies the type to a string default
                         overrides[a.dest] = raw
             if overrides:
                 sp.set_defaults(**overrides)
@@ -279,9 +277,8 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _features_worker(task) -> str:
+def _features_worker(scene_path, out_dir, delta, knn) -> str:
     """Cache a scene's cloud, features, adjacency and the keys that validate them."""
-    scene_path, out_dir, delta, knn = task
     cloud = load_scene(scene_path)
     tree = cKDTree(cloud.positions)
     feats = compute_features(cloud, k=min(knn, cloud.n_points), tree=tree)
@@ -304,11 +301,8 @@ def _features_worker(task) -> str:
 
 
 def _cmd_features(args) -> int:
-    Path(args.out).mkdir(parents=True, exist_ok=True)
-    tasks = [(str(p), args.out, args.delta, args.knn) for p in _scene_paths(args.scenes)]
-    for out in _run_tasks(_features_worker, tasks, args.jobs):
-        print(out)
-    return 0
+    return _map_scenes(args, partial(_features_worker, out_dir=args.out, delta=args.delta,
+                                     knn=args.knn))
 
 
 def _cmd_simulate(args) -> int:
@@ -339,29 +333,25 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _segment_worker(task) -> str:
-    scene_path, opts = task
-    params = load_params(opts["model"])
-    ctx = _load_context(scene_path, opts["delta"], opts["knn"], opts.get("features_dir"))
-    grow_cfg = GrowConfig(
-        i_size=params.i_size, j_size=params.j_size,
-        max_steps=opts["max_steps"], min_segment=opts["min_segment"],
-        use_remove_mask=not opts["no_remove_mask"],
-        normalize=params.normalize, feature_columns=params.feature_columns,
-        seed_selection="random" if opts["random_seeding"] else "curvature")
-    search_cfg = SearchConfig(strategy=opts["strategy"], restarts=opts["restarts"],
-                              beam_width=opts["beam"], expansions=opts["expansions"])
+def _segment_worker(scene_path, model, out_dir, delta, knn, features_dir,
+                    grow: GrowConfig, search: SearchConfig, seed, ply) -> str:
+    params = load_params(model)
+    ctx = _load_context(scene_path, delta, knn, features_dir)
+    # the checkpoint fixes the network's input sizes and features
+    grow = replace(grow, i_size=params.i_size, j_size=params.j_size,
+                   normalize=params.normalize, feature_columns=params.feature_columns)
     rng = np.random.default_rng(
-        np.random.SeedSequence(opts["seed"], spawn_key=(_path_key(scene_path),)))
-    labels, stats = segment_scene(ctx, Predictor(params), grow_cfg, search_cfg, rng)
+        np.random.SeedSequence(seed, spawn_key=(_path_key(scene_path),)))
+    labels, stats = segment_scene(ctx, Predictor(params), grow, search, rng)
     stem = Path(scene_path).stem
-    out_dir = Path(opts["out"])
+    out_dir = Path(out_dir)
     write_labels(labels, out_dir / f"{stem}.labels")
-    stats["config"] = {k: opts[k] for k in
-                       ("strategy", "restarts", "beam", "expansions", "seed",
-                        "min_segment", "max_steps")}
+    stats["config"] = {"strategy": search.strategy, "restarts": search.restarts,
+                       "beam": search.beam_width, "expansions": search.expansions,
+                       "seed": seed, "min_segment": grow.min_segment,
+                       "max_steps": grow.max_steps}
     (out_dir / f"{stem}.stats.json").write_text(json.dumps(stats, indent=2) + "\n")
-    if opts["ply"]:
+    if ply:
         export_colored_ply(ctx.cloud, labels, out_dir / f"{stem}.ply")
     return f"{stem}: {stats['instances']} instances, {stats['inferences']} inferences"
 
@@ -372,56 +362,52 @@ def _path_key(path) -> int:
 
 
 def _cmd_segment(args) -> int:
-    Path(args.out).mkdir(parents=True, exist_ok=True)
-    opts = {
-        "model": args.model, "out": args.out, "delta": args.delta, "knn": args.knn,
-        "strategy": args.strategy, "restarts": args.restarts, "beam": args.beam,
-        "expansions": args.expansions, "min_segment": args.min_segment,
-        "max_steps": args.max_steps, "no_remove_mask": args.no_remove_mask,
-        "random_seeding": args.random_seeding, "seed": args.seed, "ply": args.ply,
-        "features_dir": args.features_dir,
-    }
-    tasks = [(str(p), opts) for p in _scene_paths(args.scenes)]
-    for line in _run_tasks(_segment_worker, tasks, args.jobs):
-        print(line)
-    return 0
+    grow = GrowConfig(max_steps=args.max_steps, min_segment=args.min_segment,
+                      use_remove_mask=not args.no_remove_mask,
+                      seed_selection="random" if args.random_seeding else "curvature")
+    search = SearchConfig(strategy=args.strategy, restarts=args.restarts,
+                          beam_width=args.beam, expansions=args.expansions)
+    return _map_scenes(args, partial(
+        _segment_worker, model=args.model, out_dir=args.out, delta=args.delta, knn=args.knn,
+        features_dir=args.features_dir, grow=grow, search=search, seed=args.seed,
+        ply=args.ply))
 
 
-def _baseline_worker(task) -> str:
-    scene_path, opts = task
-    ctx = _load_context(scene_path, opts["delta"], opts["knn"], opts.get("features_dir"))
-    if opts["method"] == "threshold":
-        labels = baselines.grow_threshold(ctx, baselines.ThresholdConfig(
-            opts["normal_angle_max"], opts["color_dist_max"], opts["min_segment"]))
+def _baseline_worker(scene_path, out_dir, delta, knn, features_dir, cfg) -> str:
+    ctx = _load_context(scene_path, delta, knn, features_dir)
+    if isinstance(cfg, baselines.ThresholdConfig):
+        labels = baselines.grow_threshold(ctx, cfg)
     else:
-        labels = baselines.grow_smoothness(ctx, baselines.SmoothnessConfig(
-            opts["theta_th"], opts["curvature_th"], opts["min_segment"]))
+        labels = baselines.grow_smoothness(ctx, cfg)
     stem = Path(scene_path).stem
-    write_labels(labels, Path(opts["out"]) / f"{stem}.labels")
+    write_labels(labels, Path(out_dir) / f"{stem}.labels")
     return f"{stem}: {int(labels.max())} instances"
 
 
 def _cmd_baseline(args) -> int:
+    if args.method == "threshold":
+        cfg = baselines.ThresholdConfig(args.normal_angle_max, args.color_dist_max,
+                                        args.min_segment)
+    else:
+        cfg = baselines.SmoothnessConfig(args.theta_th, args.curvature_th, args.min_segment)
+    return _map_scenes(args, partial(_baseline_worker, out_dir=args.out, delta=args.delta,
+                                     knn=args.knn, features_dir=args.features_dir, cfg=cfg))
+
+
+def _map_scenes(args, worker) -> int:
+    """Run `worker` on each scene path of `args.scenes`, in a pool of
+    `args.jobs` processes when that is above 1, and print its lines in scene
+    order."""
     Path(args.out).mkdir(parents=True, exist_ok=True)
-    opts = {
-        "method": args.method, "out": args.out, "delta": args.delta, "knn": args.knn,
-        "normal_angle_max": args.normal_angle_max, "color_dist_max": args.color_dist_max,
-        "theta_th": args.theta_th, "curvature_th": args.curvature_th,
-        "min_segment": args.min_segment, "features_dir": args.features_dir,
-    }
-    tasks = [(str(p), opts) for p in _scene_paths(args.scenes)]
-    for line in _run_tasks(_baseline_worker, tasks, args.jobs):
+    paths = [str(p) for p in _scene_paths(args.scenes)]
+    if args.jobs > 1 and len(paths) > 1:
+        with Pool(args.jobs) as pool:
+            lines = pool.map(worker, paths)
+    else:
+        lines = map(worker, paths)
+    for line in lines:
         print(line)
     return 0
-
-
-def _run_tasks(worker, tasks, jobs: int):
-    if jobs and jobs > 1 and len(tasks) > 1:
-        with Pool(jobs) as pool:
-            yield from pool.map(worker, tasks)
-    else:
-        for task in tasks:
-            yield worker(task)
 
 
 def _cmd_eval(args) -> int:
@@ -452,10 +438,10 @@ def _cmd_eval(args) -> int:
 
 
 _ABLATION_KNOBS = {
-    # knob -> (feature subset, normalize, i/j override, segment overrides)
+    # knob -> (feature subset, normalize, i/j override, GrowConfig overrides)
     "full": ("full", True, None, {}),
-    "no-remove": ("full", True, None, {"no_remove_mask": True}),
-    "random-seed": ("full", True, None, {"random_seeding": True}),
+    "no-remove": ("full", True, None, {"use_remove_mask": False}),
+    "random-seed": ("full", True, None, {"seed_selection": "random"}),
     "no-normalize": ("full", False, None, {}),
     "only-xyz": ("xyz", True, None, {}),
     "xyz-rgb": ("xyz-rgb", True, None, {}),
@@ -465,14 +451,14 @@ _ABLATION_KNOBS = {
 
 
 def _cmd_ablate(args) -> int:
-    subset, normalize, size, seg_overrides = _ABLATION_KNOBS[args.knob]
+    subset, normalize, size, grow_overrides = _ABLATION_KNOBS[args.knob]
     i_size = size or args.i_size
     j_size = size or args.j_size
     workdir = Path(args.workdir)
     knob_dir = workdir / args.knob
     (workdir / "datasets").mkdir(parents=True, exist_ok=True)
     (workdir / "models").mkdir(parents=True, exist_ok=True)
-    knob_dir.mkdir(parents=True, exist_ok=True)
+    (knob_dir / "pred").mkdir(parents=True, exist_ok=True)
 
     # cached artifacts are named by a hash of every input they are built
     # from, so a rerun with other settings or scenes builds new ones
@@ -503,20 +489,11 @@ def _cmd_ablate(args) -> int:
         _params, losses = train(dataset, cfg)
         print(f"[{args.knob}] trained, final loss {losses[-1]:.4f}")
 
-    pred_dir = knob_dir / "pred"
-    pred_dir.mkdir(exist_ok=True)
-    search, grow = SearchConfig(), GrowConfig()
-    opts = {
-        "model": str(model), "out": str(pred_dir), "delta": args.delta, "knn": args.knn,
-        "strategy": search.strategy, "restarts": search.restarts, "beam": search.beam_width,
-        "expansions": search.expansions, "min_segment": grow.min_segment,
-        "max_steps": grow.max_steps, "no_remove_mask": False, "random_seeding": False,
-        "seed": args.seed, "ply": False, "features_dir": None,
-    }
-    opts.update(seg_overrides)
+    grow = GrowConfig(**grow_overrides)
     for scene in _scene_paths(args.test_scenes):
-        _segment_worker((str(scene), opts))
-    eval_args = argparse.Namespace(scenes=args.test_scenes, pred=str(pred_dir),
+        _segment_worker(str(scene), str(model), knob_dir / "pred", args.delta, args.knn, None,
+                        grow, SearchConfig(), args.seed, False)
+    eval_args = argparse.Namespace(scenes=args.test_scenes, pred=str(knob_dir / "pred"),
                                    out=str(knob_dir / "metrics.csv"))
     return _cmd_eval(eval_args)
 
@@ -534,18 +511,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        file_cfg = None
-        if "--config" in argv:
-            file_cfg = _load_config_file(argv[argv.index("--config") + 1])
-        parser = build_parser(file_cfg)
-        args = parser.parse_args(argv)
-    except UsageError as exc:
+        # parsed twice, so that argparse finds --config in every spelling it
+        # accepts, and the file's values then sit under the flags
+        args = build_parser().parse_args(argv)
+        if args.config:
+            args = build_parser(_load_config_file(args.config)).parse_args(argv)
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except IndexError:
-        print("error: --config requires a path", file=sys.stderr)
         return 1
     try:
         return _COMMANDS[args.command](args)

@@ -34,6 +34,11 @@ class GrowConfig:
     feature_columns: tuple[int, ...] | None = None
     seed_selection: str = "curvature"  # curvature | random
 
+    def __post_init__(self):
+        for name in ("i_size", "j_size", "max_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass
 class GrowStep:

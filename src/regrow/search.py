@@ -32,34 +32,18 @@ class SearchConfig:
             raise ValueError("restarts, beam_width and expansions must all be >= 1")
 
 
-@dataclass
-class SearchResult:
-    members: np.ndarray  # bool mask over the scene's points
-    criterion: float
-    inferences: int
-    capped: bool = False
-    add_fraction: float = 0.0
-    remove_fraction: float = 0.0
-
-
 def _criterion(size: int, loglik: float, kind: str) -> float:
     return loglik if kind == "ml" else float(size)
 
 
-def _result_from_grow(res: GrowResult, kind: str) -> SearchResult:
-    return SearchResult(res.members, _criterion(np.count_nonzero(res.members), res.loglik, kind),
-                        res.inferences, res.capped, res.add_fraction,
-                        res.remove_fraction)
-
-
 def run_search(ctx: SceneContext, predictor, seed: int, labels,
                grow_cfg: GrowConfig, search_cfg: SearchConfig,
-               rng: np.random.Generator) -> SearchResult:
-    """Find the best final region for one seed under the configured strategy."""
+               rng: np.random.Generator) -> GrowResult:
+    """Find the best final region for one seed under the configured strategy;
+    its `inferences` count every rollout the search ran."""
     if search_cfg.strategy == "greedy":
-        res = grow_region(ctx, predictor, seed, labels,
-                          replace(grow_cfg, policy="greedy"), rng)
-        return _result_from_grow(res, "np")
+        return grow_region(ctx, predictor, seed, labels,
+                           replace(grow_cfg, policy="greedy"), rng)
     kind = search_cfg.strategy[-2:]  # "ml" or "np"
     stochastic = replace(grow_cfg, policy="stochastic")
     if search_cfg.strategy.startswith("rr"):
@@ -70,16 +54,11 @@ def run_search(ctx: SceneContext, predictor, seed: int, labels,
 
 
 def _random_restart(ctx, predictor, seed, labels, grow_cfg, search_cfg, kind, rng):
-    best: SearchResult | None = None
-    inferences = 0
-    for child in rng.spawn(search_cfg.restarts):
-        res = grow_region(ctx, predictor, seed, labels, grow_cfg, child)
-        inferences += res.inferences
-        cand = _result_from_grow(res, kind)
-        if best is None or cand.criterion > best.criterion:
-            best = replace(cand)
-    best.inferences = inferences
-    return best
+    results = [grow_region(ctx, predictor, seed, labels, grow_cfg, child)
+               for child in rng.spawn(search_cfg.restarts)]
+    # max keeps the first of equal results
+    best = max(results, key=lambda r: _criterion(np.count_nonzero(r.members), r.loglik, kind))
+    return replace(best, inferences=sum(r.inferences for r in results))
 
 
 def _beam_search(ctx, predictor, seed, labels, grow_cfg, search_cfg, kind, rng):
@@ -106,4 +85,4 @@ def _beam_search(ctx, predictor, seed, labels, grow_cfg, search_cfg, kind, rng):
             unique.setdefault(child.state.tracker.member.tobytes(), child)
         live = sorted(unique.values(), key=lambda r: -criterion(r))[:search_cfg.beam_width]
     best = max(finished, key=criterion)
-    return replace(_result_from_grow(best.result(), kind), inferences=inferences)
+    return replace(best.result(), inferences=inferences)

@@ -72,15 +72,12 @@ class SimConfig:
     normalize: bool = True
     seed: int = 0
 
-
-def oracle_next_region(ctx: SceneContext, state: RegionState) -> None:
-    """Noiseless growth step: absorb in-radius points of the seed's instance."""
-    gt = ctx.cloud.gt_instance
-    if gt is None:
-        raise ValueError("simulation requires ground-truth instance labels")
-    frontier = state.tracker.frontier()
-    state.tracker.add(frontier[gt[frontier] == gt[state.seed]])
-    state.step += 1
+    def __post_init__(self):
+        for name in ("i_size", "j_size", "augment_copies"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.alpha_range[0] > self.alpha_range[1]:
+            raise ValueError(f"alpha_range must have min <= max, got {self.alpha_range}")
 
 
 def corrupt_region(ctx: SceneContext, state: RegionState, schedule: NoiseSchedule,

@@ -6,9 +6,10 @@ scipy's hypergeometric pmf for the expected mutual information, a
 record-by-record `struct` reader for the dataset file, per-edge seeded flood
 fills for the classical baselines, the (N, k, 3) einsum PCA that the
 column-wise covariance kernel replaced, a line-by-line scene parser, a
-per-element labels writer, and the training step that keeps every
+per-element labels writer, the training step that keeps every
 pre-activation, accumulates gradients into zeroed arrays and runs Adam
-through temporaries.
+through temporaries, and the noiseless growth step that the simulator's
+noisy one corrupts.
 """
 
 import itertools
@@ -430,6 +431,16 @@ def instance_closure_oracle(positions, gt, seed, delta):
                 seen[j] = True
                 stack.append(int(j))
     return seen
+
+
+def oracle_next_region(ctx, state):
+    """Noiseless growth step: absorb in-radius points of the seed's instance."""
+    gt = ctx.cloud.gt_instance
+    if gt is None:
+        raise ValueError("simulation requires ground-truth instance labels")
+    frontier = state.tracker.frontier()
+    state.tracker.add(frontier[gt[frontier] == gt[state.seed]])
+    state.step += 1
 
 
 def dataset_oracle(path):

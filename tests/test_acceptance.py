@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import ami_oracle, ari_oracle, delta_components_oracle, nmi_oracle
+from oracles import (ami_oracle, ari_oracle, delta_components_oracle, nmi_oracle,
+                     oracle_next_region)
 from regrow import baselines, metrics, network, search, synth
 from regrow.features import FEATURE_SUBSETS, build_context
 from regrow.grow import GrowConfig, segment_scene
@@ -32,7 +33,7 @@ from regrow.network import (
     train,
 )
 from regrow.pointcloud import PointCloud, load_scene
-from regrow.simulate import RegionState, SimConfig, generate_dataset, oracle_next_region
+from regrow.simulate import RegionState, SimConfig, generate_dataset
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:

@@ -10,7 +10,7 @@ import pytest
 from regrow import cli, features
 from regrow.cli import main
 from regrow.features import compute_features, radius_adjacency
-from regrow.grow import GrowConfig
+from regrow.grow import GrowConfig, segment_scene
 from regrow.pointcloud import load_scene, read_labels, write_labels
 from regrow.search import SearchConfig
 
@@ -114,6 +114,49 @@ class TestUsage:
                     "--train", "1", "--test", "0", "--seed", "2"] + SMALL_SYNTH) == 0
         assert len(list((out / "train").glob("*.txt"))) == 1
 
+    @pytest.mark.parametrize("form", [["--config", "{}"], ["--config={}"], ["--conf", "{}"]],
+                             ids=["separate", "equals", "abbreviated"])
+    def test_every_config_spelling_is_read(self, tmp_path, monkeypatch, form):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("spacing = 0.05\n")
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "synth", lambda args: seen.append(args.spacing) or 0)
+        argv = [arg.format(cfg) for arg in form]
+        assert run(argv + ["synth", "--out", str(tmp_path / "rooms")]) == 0
+        assert seen == [0.05]
+
+    def test_unusable_config_exits_one(self, tmp_path, capsys):
+        assert run(["--config"]) == 1
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("spacing = wide\n")
+        for cfg, message in ((tmp_path / "missing.cfg", "missing.cfg"),
+                             (bad, "invalid float value: 'wide'")):
+            assert run(["--config", str(cfg), "synth", "--out", str(tmp_path / "rooms")]) == 1
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "rooms").exists()
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("argv,message", [
+        (["segment", "--max-steps", "0"], "max_steps must be >= 1, got 0"),
+        (["segment", "--max-steps", "-3"], "max_steps must be >= 1, got -3"),
+        (["simulate", "--augment", "0"], "augment_copies must be >= 1, got 0"),
+        (["simulate", "--i", "0"], "i_size must be >= 1, got 0"),
+        (["simulate", "--j", "0"], "j_size must be >= 1, got 0"),
+        (["simulate", "--alpha-min", "0.5", "--alpha-max", "0.3"],
+         "alpha_range must have min <= max, got (0.5, 0.3)"),
+    ], ids=["max-steps-0", "max-steps-minus-3", "augment-0", "i-0", "j-0", "alpha-swapped"])
+    def test_nonsense_size_is_rejected(self, workspace, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        paths = {"segment": ["--scenes", str(workspace / "data" / "test"),
+                             "--model", str(workspace / "model.ckpt"), "--out", str(out)],
+                 "simulate": ["--scenes", str(workspace / "data" / "train"),
+                              "--out", str(out)]}
+        assert run(argv[:1] + paths[argv[0]] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not out.exists()
+
 
 class TestFeaturesCommand:
     def test_cache_written(self, workspace, tmp_path):
@@ -212,6 +255,18 @@ class TestSegmentAndEval:
         assert (labels > 0).all()
         stats = json.loads(labels_files[0].with_suffix(".stats.json").read_text())
         assert stats["config"]["strategy"] == "greedy"
+
+    def test_stats_record_the_search_and_grow_settings(self, workspace, tmp_path):
+        out = tmp_path / "pred"
+        assert run(["segment", "--scenes", str(workspace / "data" / "test"),
+                    "--model", str(workspace / "model.ckpt"), "--out", str(out),
+                    "--strategy", "bs-np", "--restarts", "3", "--beam", "2",
+                    "--expansions", "4", "--seed", "6", "--min-segment", "5",
+                    "--max-steps", "9", "--no-remove-mask", "--random-seeding"]) == 0
+        stats = json.loads(next(out.glob("*.stats.json")).read_text())
+        assert list(stats["config"].items()) == [
+            ("strategy", "bs-np"), ("restarts", 3), ("beam", 2), ("expansions", 4),
+            ("seed", 6), ("min_segment", 5), ("max_steps", 9)]
 
     def test_restarts_honored(self, workspace, tmp_path):
         out = tmp_path / "pred_rr"
@@ -510,3 +565,24 @@ class TestAblate:
         ablate("2")
         assert trained == [1, 2, 2]
         assert len(list((tmp_path / "work" / "datasets").glob("*.bin"))) == 2
+
+    def test_knobs_reach_the_grow_config(self, workspace, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(ctx, predictor, grow_cfg, search_cfg, rng):
+            seen.append((grow_cfg, search_cfg))
+            return segment_scene(ctx, predictor, grow_cfg, search_cfg, rng)
+
+        monkeypatch.setattr(cli, "segment_scene", spy)
+        for knob in ("full", "no-remove", "random-seed"):
+            assert run(["ablate", "--train-scenes", str(workspace / "data" / "train"),
+                        "--test-scenes", str(workspace / "data" / "test"),
+                        "--workdir", str(tmp_path / "work"), "--knob", knob,
+                        "--i", "32", "--j", "32", "--epochs", "1",
+                        "--enc-widths", "8", "8", "8", "8", "16",
+                        "--dec-widths", "16", "8", "1", "--seed", "0"]) == 0
+        # the checkpoint's sizes and feature columns, the rest default
+        checkpoint = {"i_size": 32, "j_size": 32, "feature_columns": tuple(range(13))}
+        assert seen == [(GrowConfig(**checkpoint), SearchConfig()),
+                        (GrowConfig(**checkpoint, use_remove_mask=False), SearchConfig()),
+                        (GrowConfig(**checkpoint, seed_selection="random"), SearchConfig())]

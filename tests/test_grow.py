@@ -181,6 +181,11 @@ class TestGrowRegion:
                           np.random.default_rng(0))
         assert res.capped and res.steps == 2
 
+    @pytest.mark.parametrize("field", ["i_size", "j_size", "max_steps"])
+    def test_size_below_one_is_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
+            GrowConfig(**{field: 0})
+
 
 class TestReassignment:
     def test_small_fragment_absorbed(self):

@@ -93,7 +93,7 @@ class TestRunSearch:
             res = grow_region(self.ctx, NoisyPredictor(), 0, self.labels,
                               replace(self.cfg, policy="stochastic"), child)
             logliks.append(res.loglik)
-        assert got.criterion == pytest.approx(max(logliks))
+        assert got.loglik == pytest.approx(max(logliks))
 
     def test_restart_inferences_accumulate(self):
         greedy = run_search(self.ctx, NoisyPredictor(add=0.95), 0, self.labels,
@@ -119,7 +119,7 @@ class TestRunSearch:
                        scfg, np.random.default_rng(9))
         b = run_search(self.ctx, NoisyPredictor(), 0, self.labels, self.cfg,
                        scfg, np.random.default_rng(9))
-        assert np.array_equal(a.members, b.members) and a.criterion == b.criterion
+        assert np.array_equal(a.members, b.members) and a.loglik == b.loglik
 
 
 class TestBeamInternals:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dataset_oracle, delta_components_oracle, instance_closure_oracle
+from oracles import (dataset_oracle, delta_components_oracle, instance_closure_oracle,
+                     oracle_next_region)
 from regrow.features import build_context
 from regrow.pointcloud import PointCloud
 from regrow.simulate import (
@@ -22,7 +23,6 @@ from regrow.simulate import (
     instance_closure,
     load_dataset,
     make_training_sample,
-    oracle_next_region,
     simulate_instance,
 )
 
