@@ -2,8 +2,9 @@
 eval and ablate.
 
 Configuration precedence is defaults < config file < flags, where the config
-file holds `key = value` lines (keys match flag names with dashes or
-underscores) and `#` comments.
+file holds `key = value` lines (keys are flag dests, with dashes or
+underscores) and `#` comments. Its values enter the parse as the command's
+own flags, so argparse checks them as it checks flags.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import sys
 import zipfile
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
@@ -23,10 +24,10 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from . import baselines, metrics, network, synth
+from . import baselines, metrics, synth
 from .features import (DEFAULT_DELTA, DEFAULT_KNN, FEATURE_SUBSETS, build_context,
                        compute_features, radius_adjacency)
-from .grow import DEFAULT_MIN_SEGMENT, GrowConfig, segment_scene
+from .grow import GrowConfig, segment_scene
 from .network import Predictor, TrainConfig, load_params, train
 from .pointcloud import PointCloud, export_colored_ply, load_scene, read_labels, write_labels
 from .search import STRATEGIES, SearchConfig
@@ -43,19 +44,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_config_file(path) -> dict:
-    values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}: line {lineno}: expected 'key = value'")
-        key, val = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = val
-    return values
-
-
 def _scene_paths(path) -> list[Path]:
     path = Path(path)
     if path.is_dir():
@@ -66,12 +54,8 @@ def _scene_paths(path) -> list[Path]:
     return [path]
 
 
-def _feature_columns(name: str | None):
-    if name in (None, "", "full"):
-        return None
-    if name not in FEATURE_SUBSETS:
-        raise UsageError(f"unknown feature subset {name!r}; pick from {sorted(FEATURE_SUBSETS)}")
-    return FEATURE_SUBSETS[name]
+def _feature_columns(name: str):
+    return None if name == "full" else FEATURE_SUBSETS[name]
 
 
 def _scene_sha256(scene_path) -> str:
@@ -112,6 +96,19 @@ def _load_context(scene_path, delta, knn, features_dir=None):
     return build_context(cloud, delta=delta, knn=knn, features=feats, adjacency=adjacency)
 
 
+_ABLATION_KNOBS = {
+    # knob -> (feature subset, normalize, i/j override, GrowConfig overrides)
+    "full": ("full", True, None, {}),
+    "no-remove": ("full", True, None, {"use_remove_mask": False}),
+    "random-seed": ("full", True, None, {"seed_selection": "random"}),
+    "no-normalize": ("full", False, None, {}),
+    "only-xyz": ("xyz", True, None, {}),
+    "xyz-rgb": ("xyz-rgb", True, None, {}),
+    "i128-j128": ("full", True, 128, {}),
+    "i256-j256": ("full", True, 256, {}),
+}
+
+
 def _add_common_scene_args(p):
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
                    help="neighbor radius in meters")
@@ -119,40 +116,42 @@ def _add_common_scene_args(p):
                    help="PCA neighborhood size for normals/curvature")
 
 
-def _add_network_args(p):
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch", type=int, default=100)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--enc-widths", type=int, nargs="+",
-                   default=list(network.FULL_ENC_WIDTHS))
-    p.add_argument("--dec-widths", type=int, nargs="+",
-                   default=list(network.FULL_DEC_WIDTHS))
+def _add_network_args(p, net: TrainConfig):
+    p.add_argument("--lr", type=float, default=net.lr)
+    p.add_argument("--batch", type=int, default=net.batch_size)
+    p.add_argument("--epochs", type=int, default=net.epochs)
+    p.add_argument("--enc-widths", type=int, nargs="+", default=list(net.enc_widths))
+    p.add_argument("--dec-widths", type=int, nargs="+", default=list(net.dec_widths))
 
 
-def build_parser(file_cfg: dict | None = None) -> _Parser:
-    parser = _Parser(prog="regrow",
+# read on its own first, to find the config file before the command's flags
+# are checked; build_parser takes it over as a parent
+_CONFIG_PARSER = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+_CONFIG_PARSER.add_argument("--config", help="key = value config file merged under flags")
+
+
+def build_parser() -> _Parser:
+    """The `regrow` parser; each default is read from the config that owns it."""
+    parser = _Parser(prog="regrow", parents=[_CONFIG_PARSER],
                      description="Point-cloud instance segmentation by learned region growing")
-    parser.add_argument("--config", help="key = value config file merged under flags")
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
-    subparsers = []
-
-    def add_parser(name, **kwargs):
-        p = sub.add_parser(name, formatter_class=fmt, **kwargs)
-        subparsers.append(p)
-        return p
+    parser.commands = sub.choices
+    add_parser = partial(sub.add_parser, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    room, sim, net = synth.RoomConfig(), SimConfig(), TrainConfig()
+    grow, search = GrowConfig(), SearchConfig()
+    threshold, smooth = baselines.ThresholdConfig(), baselines.SmoothnessConfig()
 
     p = add_parser("synth", help="generate synthetic labeled rooms")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--train", type=int, default=40, help="number of training rooms")
     p.add_argument("--test", type=int, default=20, help="number of test rooms")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--extent", type=float, nargs=3, default=[4.0, 4.0, 2.5],
+    p.add_argument("--extent", type=float, nargs=3, default=list(room.extent),
                    metavar=("X", "Y", "Z"))
-    p.add_argument("--spacing", type=float, default=0.03, help="sample spacing in meters")
-    p.add_argument("--objects-min", type=int, default=5)
-    p.add_argument("--objects-max", type=int, default=15)
-    p.add_argument("--color-noise", type=float, default=8.0)
+    p.add_argument("--spacing", type=float, default=room.spacing, help="sample spacing in meters")
+    p.add_argument("--objects-min", type=int, default=room.n_objects[0])
+    p.add_argument("--objects-max", type=int, default=room.n_objects[1])
+    p.add_argument("--color-noise", type=float, default=room.color_noise)
 
     p = add_parser("features",
                    help="precompute and cache per-point features and the radius adjacency")
@@ -162,35 +161,36 @@ def build_parser(file_cfg: dict | None = None) -> _Parser:
     p.add_argument("--jobs", type=int, default=1)
 
     p = add_parser("simulate",
-                       help="simulate region growing into a training dataset")
+                   help="simulate region growing into a training dataset")
     p.add_argument("--scenes", required=True, help="labeled scene file or directory")
     p.add_argument("--out", required=True, help="dataset file to write")
-    p.add_argument("--i", dest="i_size", type=int, default=512, help="inlier set size I")
-    p.add_argument("--j", dest="j_size", type=int, default=512, help="neighbor set size J")
+    p.add_argument("--i", dest="i_size", type=int, default=sim.i_size, help="inlier set size I")
+    p.add_argument("--j", dest="j_size", type=int, default=sim.j_size, help="neighbor set size J")
     _add_common_scene_args(p)
-    p.add_argument("--alpha-min", type=float, default=0.2)
-    p.add_argument("--alpha-max", type=float, default=0.4)
-    p.add_argument("--decay", type=float, default=0.01, help="mistake probability decay per step")
-    p.add_argument("--augment", type=int, default=1, help="augmented copies per scene")
+    p.add_argument("--alpha-min", type=float, default=sim.alpha_range[0])
+    p.add_argument("--alpha-max", type=float, default=sim.alpha_range[1])
+    p.add_argument("--decay", type=float, default=sim.decay,
+                   help="mistake probability decay per step")
+    p.add_argument("--augment", type=int, default=sim.augment_copies,
+                   help="augmented copies per scene")
     p.add_argument("--features", default="full", choices=sorted(FEATURE_SUBSETS),
                    help="feature subset")
     p.add_argument("--no-normalize", action="store_true",
                    help="skip median normalization of network inputs")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=sim.seed)
 
     p = add_parser("train", help="train the mask network")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="checkpoint file")
-    _add_network_args(p)
-    p.add_argument("--skip-layer", type=int, default=2,
+    _add_network_args(p, net)
+    p.add_argument("--skip-layer", type=int, default=net.skip_layer,
                    help="encoder layer feeding the decoder skip connection")
     p.add_argument("--features", default="full", choices=sorted(FEATURE_SUBSETS))
     p.add_argument("--no-normalize", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=net.seed)
 
-    search, grow = SearchConfig(), GrowConfig()
     p = add_parser("segment",
-                       help="segment scenes with a trained network")
+                   help="segment scenes with a trained network")
     p.add_argument("--scenes", required=True, help="scene file or directory")
     p.add_argument("--model", required=True, help="checkpoint file")
     p.add_argument("--out", required=True, help="output directory for labels")
@@ -214,63 +214,87 @@ def build_parser(file_cfg: dict | None = None) -> _Parser:
     p.add_argument("--jobs", type=int, default=1)
 
     p = add_parser("baseline",
-                       help="classical region-growing baselines")
+                   help="classical region-growing baselines")
     p.add_argument("--scenes", required=True)
     p.add_argument("--method", required=True, choices=["threshold", "smoothness"])
     p.add_argument("--out", required=True, help="output directory for labels")
     _add_common_scene_args(p)
     p.add_argument("--features-dir")
-    p.add_argument("--normal-angle-max", type=float, default=30.0)
-    p.add_argument("--color-dist-max", type=float, default=0.25)
-    p.add_argument("--theta-th", type=float, default=10.0)
-    p.add_argument("--curvature-th", type=float, default=0.05)
-    p.add_argument("--min-segment", type=int, default=DEFAULT_MIN_SEGMENT)
+    p.add_argument("--normal-angle-max", type=float, default=threshold.normal_angle_max)
+    p.add_argument("--color-dist-max", type=float, default=threshold.color_dist_max)
+    p.add_argument("--theta-th", type=float, default=smooth.theta_th)
+    p.add_argument("--curvature-th", type=float, default=smooth.curvature_th)
+    p.add_argument("--min-segment", type=int, default=threshold.min_segment)
     p.add_argument("--jobs", type=int, default=1)
 
     p = add_parser("eval",
-                       help="score predicted labels against ground truth")
+                   help="score predicted labels against ground truth")
     p.add_argument("--scenes", required=True, help="labeled scene directory")
     p.add_argument("--pred", required=True, help="directory of .labels files")
     p.add_argument("--out", required=True, help="CSV to write")
 
     p = add_parser("ablate",
-                       help="run one configuration knob end to end")
+                   help="run one configuration knob end to end")
     p.add_argument("--train-scenes", required=True)
     p.add_argument("--test-scenes", required=True)
     p.add_argument("--workdir", required=True)
-    p.add_argument("--knob", required=True,
-                   choices=["full", "no-remove", "random-seed", "no-normalize",
-                            "only-xyz", "xyz-rgb", "i128-j128", "i256-j256"])
-    p.add_argument("--i", dest="i_size", type=int, default=512)
-    p.add_argument("--j", dest="j_size", type=int, default=512)
+    p.add_argument("--knob", required=True, choices=list(_ABLATION_KNOBS))
+    p.add_argument("--i", dest="i_size", type=int, default=sim.i_size)
+    p.add_argument("--j", dest="j_size", type=int, default=sim.j_size)
     _add_common_scene_args(p)
-    _add_network_args(p)
-    p.add_argument("--augment", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-
-    if file_cfg:
-        for sp in subparsers:
-            overrides = {}
-            for a in sp._actions:
-                if a.dest in file_cfg and a.dest != "help":
-                    raw = file_cfg[a.dest]
-                    if a.nargs in ("+", 3):
-                        overrides[a.dest] = [a.type(v) if a.type else v
-                                             for v in raw.split()]
-                    elif isinstance(a.const, bool) or isinstance(a.default, bool):
-                        overrides[a.dest] = raw.lower() in ("1", "true", "yes", "on")
-                    else:  # argparse applies the type to a string default
-                        overrides[a.dest] = raw
-            if overrides:
-                sp.set_defaults(**overrides)
+    _add_network_args(p, net)
+    p.add_argument("--augment", type=int, default=sim.augment_copies)
+    p.add_argument("--seed", type=int, default=sim.seed)
     return parser
 
 
+def _config_flags(command_parser, path) -> list[str]:
+    """The config file's `key = value` lines as the command's own flag tokens:
+    the bare flag for a switch whose value is true, the flag and then its
+    values for a list, `--flag=value` otherwise. A key names a flag by its
+    dest; keys that name none of the command's flags are ignored."""
+    values = {}
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}: line {lineno}: expected 'key = value'")
+        key, val = (part.strip() for part in line.split("=", 1))
+        values[key.replace("-", "_")] = val
+    tokens = []
+    for action in command_parser._actions:
+        raw = values.get(action.dest)
+        if raw is None or action.dest == "help":
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            tokens += [flag] if raw.lower() in ("1", "true", "yes", "on") else []
+        elif action.nargs is None:
+            tokens.append(f"{flag}={raw}")
+        else:
+            tokens += [flag, *raw.split()]
+    return tokens
+
+
+def _with_config_file(parser: _Parser, argv: list[str]) -> list[str]:
+    """`argv` with the config file's flags inserted after the command name,
+    so that argparse checks them as it checks flags and a flag given after
+    them wins."""
+    try:
+        known, rest = _CONFIG_PARSER.parse_known_args(argv)
+    except argparse.ArgumentError:
+        return argv  # a bare --config, which the full parse reports
+    if not known.config or not rest or rest[0] not in parser.commands:
+        return argv
+    at = len(argv) - len(rest) + 1
+    return argv[:at] + _config_flags(parser.commands[rest[0]], known.config) + argv[at:]
+
+
 def _cmd_synth(args) -> int:
-    cfg = synth.RoomConfig(
-        extent=tuple(args.extent), spacing=args.spacing,
-        n_objects=(args.objects_min, args.objects_max),
-        color_noise=args.color_noise)
+    cfg = synth.RoomConfig(extent=tuple(args.extent), spacing=args.spacing,
+                           n_objects=(args.objects_min, args.objects_max),
+                           color_noise=args.color_noise)
     train_paths, test_paths = synth.generate_split(
         cfg, args.train, args.test, args.out, base_seed=args.seed)
     print(f"wrote {len(train_paths)} train + {len(test_paths)} test scenes to {args.out}")
@@ -306,24 +330,22 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cols = _feature_columns(args.features)
-    cfg = SimConfig(
-        i_size=args.i_size, j_size=args.j_size, delta=args.delta, knn=args.knn,
-        alpha_range=(args.alpha_min, args.alpha_max), decay=args.decay,
-        augment_copies=args.augment, feature_columns=cols,
-        normalize=not args.no_normalize, seed=args.seed)
+    cfg = SimConfig(i_size=args.i_size, j_size=args.j_size, delta=args.delta, knn=args.knn,
+                    alpha_range=(args.alpha_min, args.alpha_max), decay=args.decay,
+                    augment_copies=args.augment, feature_columns=_feature_columns(args.features),
+                    normalize=not args.no_normalize, seed=args.seed)
     count = generate_dataset(_scene_paths(args.scenes), cfg, args.out)
     print(f"wrote {count} samples to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    cols = _feature_columns(args.features)
-    cfg = TrainConfig(
-        enc_widths=tuple(args.enc_widths), dec_widths=tuple(args.dec_widths),
-        skip_layer=args.skip_layer, lr=args.lr, batch_size=args.batch,
-        epochs=args.epochs, seed=args.seed, checkpoint=args.out,
-        feature_columns=cols, normalize=not args.no_normalize)
+    cfg = TrainConfig(enc_widths=tuple(args.enc_widths), dec_widths=tuple(args.dec_widths),
+                      skip_layer=args.skip_layer, lr=args.lr, batch_size=args.batch,
+                      epochs=args.epochs, seed=args.seed, checkpoint=args.out,
+                      feature_columns=_feature_columns(args.features),
+                      normalize=not args.no_normalize)
+
     def report(epoch, loss, seconds, samples):
         print(f"epoch {epoch}: loss {loss:.6f}")
         print(f"epoch {epoch} time: {seconds:.3f} s, {samples / seconds:.1f} samples/s")
@@ -411,8 +433,7 @@ def _map_scenes(args, worker) -> int:
 
 
 def _cmd_eval(args) -> int:
-    names = []
-    records = []
+    names, records = [], []
     for scene_path in _scene_paths(args.scenes):
         stem = scene_path.stem
         pred_path = Path(args.pred) / f"{stem}.labels"
@@ -437,56 +458,36 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-_ABLATION_KNOBS = {
-    # knob -> (feature subset, normalize, i/j override, GrowConfig overrides)
-    "full": ("full", True, None, {}),
-    "no-remove": ("full", True, None, {"use_remove_mask": False}),
-    "random-seed": ("full", True, None, {"seed_selection": "random"}),
-    "no-normalize": ("full", False, None, {}),
-    "only-xyz": ("xyz", True, None, {}),
-    "xyz-rgb": ("xyz-rgb", True, None, {}),
-    "i128-j128": ("full", True, 128, {}),
-    "i256-j256": ("full", True, 256, {}),
-}
-
-
 def _cmd_ablate(args) -> int:
     subset, normalize, size, grow_overrides = _ABLATION_KNOBS[args.knob]
-    i_size = size or args.i_size
-    j_size = size or args.j_size
+    cols = _feature_columns(subset)
+    sim = SimConfig(i_size=size or args.i_size, j_size=size or args.j_size, delta=args.delta,
+                    knn=args.knn, augment_copies=args.augment, feature_columns=cols,
+                    normalize=normalize, seed=args.seed)
+    net = TrainConfig(enc_widths=tuple(args.enc_widths), dec_widths=tuple(args.dec_widths),
+                      lr=args.lr, batch_size=args.batch, epochs=args.epochs, seed=args.seed,
+                      feature_columns=cols, normalize=normalize)
     workdir = Path(args.workdir)
     knob_dir = workdir / args.knob
-    (workdir / "datasets").mkdir(parents=True, exist_ok=True)
-    (workdir / "models").mkdir(parents=True, exist_ok=True)
-    (knob_dir / "pred").mkdir(parents=True, exist_ok=True)
+    for directory in (workdir / "datasets", workdir / "models", knob_dir / "pred"):
+        directory.mkdir(parents=True, exist_ok=True)
 
-    # cached artifacts are named by a hash of every input they are built
-    # from, so a rerun with other settings or scenes builds new ones
+    # cached artifacts are named by a hash of the configs they are built
+    # from (the dataset's with the training scenes), so a rerun that changes
+    # any field or scene builds new ones
     train_paths = _scene_paths(args.train_scenes)
-    sim_inputs = [subset, normalize, i_size, j_size, args.delta, args.knn, args.augment,
-                  args.seed, [(str(p.resolve()), _scene_sha256(p)) for p in train_paths]]
-    data_key = hashlib.sha256(json.dumps(sim_inputs).encode()).hexdigest()[:16]
-    train_inputs = [data_key, args.enc_widths, args.dec_widths, args.lr, args.batch,
-                    args.epochs]
-    model_key = hashlib.sha256(json.dumps(train_inputs).encode()).hexdigest()[:16]
-    prefix = f"{subset}_{'norm' if normalize else 'raw'}_i{i_size}_j{j_size}"
+    scenes = [(str(p.resolve()), _scene_sha256(p)) for p in train_paths]
+    data_key = hashlib.sha256(json.dumps([asdict(sim), scenes]).encode()).hexdigest()[:16]
+    model_key = hashlib.sha256(json.dumps([data_key, asdict(net)]).encode()).hexdigest()[:16]
+    prefix = f"{subset}_{'norm' if normalize else 'raw'}_i{sim.i_size}_j{sim.j_size}"
     dataset = workdir / "datasets" / f"{prefix}_{data_key}.bin"
     model = workdir / "models" / f"{prefix}_{model_key}.ckpt"
-    cols = _feature_columns(subset)
 
     if not dataset.exists():
-        cfg = SimConfig(i_size=i_size, j_size=j_size, delta=args.delta, knn=args.knn,
-                        augment_copies=args.augment, feature_columns=cols,
-                        normalize=normalize, seed=args.seed)
-        count = generate_dataset(train_paths, cfg, dataset)
+        count = generate_dataset(train_paths, sim, dataset)
         print(f"[{args.knob}] dataset: {count} samples")
     if not model.exists():
-        cfg = TrainConfig(enc_widths=tuple(args.enc_widths),
-                          dec_widths=tuple(args.dec_widths),
-                          lr=args.lr, batch_size=args.batch, epochs=args.epochs,
-                          seed=args.seed, checkpoint=str(model),
-                          feature_columns=cols, normalize=normalize)
-        _params, losses = train(dataset, cfg)
+        _params, losses = train(dataset, replace(net, checkpoint=str(model)))
         print(f"[{args.knob}] trained, final loss {losses[-1]:.4f}")
 
     grow = GrowConfig(**grow_overrides)
@@ -511,12 +512,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
-        # parsed twice, so that argparse finds --config in every spelling it
-        # accepts, and the file's values then sit under the flags
-        args = build_parser().parse_args(argv)
-        if args.config:
-            args = build_parser(_load_config_file(args.config)).parse_args(argv)
+        args = parser.parse_args(_with_config_file(parser, argv))
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -136,15 +136,14 @@ def ari(c: Contingency) -> float:
     return (same_both - expected) / (maximum - expected)
 
 
-def match_and_score(gt, pred, iou_threshold: float = 0.5) -> dict:
-    """Greedy IOU matching of predicted to ground-truth segments.
+def match_and_score(c: Contingency, iou_threshold: float = 0.5) -> dict:
+    """Greedy IOU matching of predicted to ground-truth segments in `c`.
 
     Candidate (gt, pred) pairs are sorted by IOU descending and matched
     one-to-one; matches above the threshold count as true positives.
     Returns precision, recall and mean IOU over ground-truth segments
     (unmatched segments contribute 0).
     """
-    c = build_contingency(gt, pred)
     inter = c.counts.astype(np.float64)
     union = c.row_sums[:, None] + c.col_sums[None, :] - c.counts
     iou = inter / union
@@ -172,7 +171,7 @@ def score_scene(gt, pred, iou_threshold: float = 0.5) -> dict:
     """All six metrics for one scene."""
     c = build_contingency(gt, pred)
     out = {"nmi": nmi(c), "ami": ami(c), "ari": ari(c)}
-    out.update(match_and_score(gt, pred, iou_threshold))
+    out.update(match_and_score(c, iou_threshold))
     return out
 
 

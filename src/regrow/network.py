@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .features import N_FEATURES
 from .simulate import load_dataset
 
 PROB_EPS = 1e-7
@@ -108,7 +109,7 @@ def _architecture(enc_widths, dec_widths, skip_layer: int, n_features: int,
 
 
 def init_params(enc_widths=FULL_ENC_WIDTHS, dec_widths=FULL_DEC_WIDTHS,
-                skip_layer: int = 2, n_features: int = 13, i_size: int = 512,
+                skip_layer: int = 2, n_features: int = N_FEATURES, i_size: int = 512,
                 j_size: int = 512, feature_columns=None, normalize: bool = True,
                 seed: int = 0, dtype=np.float32) -> NetworkParams:
     """Seeded uniform (Glorot-range) weights, zero biases."""

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .features import FrontierTracker, SceneContext, build_context, region_inputs
+from .features import (DEFAULT_DELTA, DEFAULT_KNN, N_FEATURES, FrontierTracker, SceneContext,
+                       build_context, region_inputs)
 from .pointcloud import PointCloud
 
 SIM_STEP_CAP = 500
@@ -63,8 +64,8 @@ class TrainingSample:
 class SimConfig:
     i_size: int = 512
     j_size: int = 512
-    delta: float = 0.1
-    knn: int = 16
+    delta: float = DEFAULT_DELTA
+    knn: int = DEFAULT_KNN
     alpha_range: tuple[float, float] = (0.2, 0.4)
     decay: float = 0.01
     augment_copies: int = 1
@@ -194,7 +195,7 @@ def generate_dataset(scenes, cfg: SimConfig, out_path) -> int:
     """
     from .pointcloud import load_scene
 
-    n_cols = len(cfg.feature_columns) if cfg.feature_columns is not None else 13
+    n_cols = len(cfg.feature_columns) if cfg.feature_columns is not None else N_FEATURES
     written = 0
     with DatasetWriter(out_path, cfg.i_size, cfg.j_size, n_cols) as writer:
         for scene_id, scene in enumerate(scenes):

@@ -192,23 +192,16 @@ def generate_split(cfg: RoomConfig, n_train: int, n_test: int, out_dir,
                    base_seed: int = 0) -> tuple[list[Path], list[Path]]:
     """Write train/ and test/ scene files with disjoint seed ranges plus a manifest."""
     out_dir = Path(out_dir)
-    train_dir = out_dir / "train"
-    test_dir = out_dir / "test"
-    train_dir.mkdir(parents=True, exist_ok=True)
-    test_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"config": asdict(cfg), "base_seed": base_seed, "train": [], "test": []}
-    train_paths, test_paths = [], []
-    for i in range(n_train):
-        seed = base_seed + i
-        path = train_dir / f"scene_{i:04d}.txt"
-        save_scene(generate_room(cfg, seed), path)
-        manifest["train"].append({"file": str(path.relative_to(out_dir)), "seed": seed})
-        train_paths.append(path)
-    for i in range(n_test):
-        seed = base_seed + 1_000_000 + i
-        path = test_dir / f"scene_{i:04d}.txt"
-        save_scene(generate_room(cfg, seed), path)
-        manifest["test"].append({"file": str(path.relative_to(out_dir)), "seed": seed})
-        test_paths.append(path)
+    paths = {"train": [], "test": []}
+    for split, count, first_seed in (("train", n_train, base_seed),
+                                     ("test", n_test, base_seed + 1_000_000)):
+        (out_dir / split).mkdir(parents=True, exist_ok=True)
+        for i in range(count):
+            path = out_dir / split / f"scene_{i:04d}.txt"
+            save_scene(generate_room(cfg, first_seed + i), path)
+            manifest[split].append({"file": str(path.relative_to(out_dir)),
+                                    "seed": first_seed + i})
+            paths[split].append(path)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    return train_paths, test_paths
+    return paths["train"], paths["test"]

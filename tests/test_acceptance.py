@@ -8,6 +8,7 @@ I = J = 128 trained for 10 epochs.
 
 import hashlib
 import itertools
+import os
 import subprocess
 import sys
 import time
@@ -465,8 +466,11 @@ class TestC7AblationHarness:
 # ---------------------------------------------------------------------------
 
 def _cli(*args):
+    # the child does not see pytest's pythonpath, so src goes on PYTHONPATH
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     proc = subprocess.run([sys.executable, "-m", "regrow.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc
 

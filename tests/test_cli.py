@@ -2,18 +2,24 @@ import hashlib
 import json
 import re
 import shutil
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from regrow import cli, features
+from regrow import cli, features, synth
+from regrow.baselines import SmoothnessConfig, ThresholdConfig
 from regrow.cli import main
 from regrow.features import compute_features, radius_adjacency
 from regrow.grow import GrowConfig, segment_scene
+from regrow.network import TrainConfig
 from regrow.pointcloud import load_scene, read_labels, write_labels
 from regrow.search import SearchConfig
+from regrow.simulate import SimConfig
 
+ABLATE_REQUIRED = ["ablate", "--train-scenes", "a", "--test-scenes", "b", "--workdir", "w",
+                   "--knob", "full"]
 SMALL_SYNTH = ["--extent", "1.4", "1.4", "0.9", "--spacing", "0.06",
                "--objects-min", "1", "--objects-max", "3"]
 
@@ -85,14 +91,51 @@ class TestUsage:
         assert "512" in out and "0.1" in out  # I/J and delta defaults
 
     def test_segment_defaults_match_configs(self):
-        args = cli.build_parser().parse_args(
-            ["segment", "--scenes", "s", "--model", "m", "--out", "o"])
+        """Segment's flags, and every other command's flags that a config
+        owns, default to that config's value."""
+        def parse(*argv):
+            return cli.build_parser().parse_args(list(argv))
+
+        room, sim, net = synth.RoomConfig(), SimConfig(), TrainConfig()
         search, grow = SearchConfig(), GrowConfig()
+        threshold, smooth = ThresholdConfig(), SmoothnessConfig()
+        args = parse("segment", "--scenes", "s", "--model", "m", "--out", "o")
         assert (args.strategy, args.restarts, args.beam, args.expansions) == \
             (search.strategy, search.restarts, search.beam_width, search.expansions)
         assert (args.max_steps, args.min_segment) == (grow.max_steps, grow.min_segment)
         assert args.no_remove_mask is not grow.use_remove_mask
         assert args.random_seeding is (grow.seed_selection == "random")
+
+        args = parse("synth", "--out", "o")
+        assert (tuple(args.extent), args.spacing, (args.objects_min, args.objects_max),
+                args.color_noise) == (room.extent, room.spacing, room.n_objects,
+                                      room.color_noise)
+        for argv in (["features", "--scenes", "s", "--out", "o"],
+                     ["segment", "--scenes", "s", "--model", "m", "--out", "o"],
+                     ["baseline", "--scenes", "s", "--method", "threshold", "--out", "o"]):
+            args = parse(*argv)
+            assert (args.delta, args.knn) == (sim.delta, sim.knn)
+        args = parse("baseline", "--scenes", "s", "--method", "threshold", "--out", "o")
+        assert (args.normal_angle_max, args.color_dist_max, args.theta_th, args.curvature_th,
+                args.min_segment, args.min_segment) == \
+            (threshold.normal_angle_max, threshold.color_dist_max, smooth.theta_th,
+             smooth.curvature_th, threshold.min_segment, smooth.min_segment)
+
+        args = parse("simulate", "--scenes", "s", "--out", "o")
+        assert ((args.alpha_min, args.alpha_max), args.decay, args.no_normalize) == \
+            (sim.alpha_range, sim.decay, not sim.normalize)
+        args = parse("train", "--dataset", "d", "--out", "o")
+        assert (args.skip_layer, args.seed, args.no_normalize) == \
+            (net.skip_layer, net.seed, not net.normalize)
+        for argv in (["simulate", "--scenes", "s", "--out", "o"], ABLATE_REQUIRED):
+            args = parse(*argv)
+            assert (args.i_size, args.j_size, args.delta, args.knn, args.augment, args.seed) == \
+                (sim.i_size, sim.j_size, sim.delta, sim.knn, sim.augment_copies, sim.seed)
+        for argv in (["train", "--dataset", "d", "--out", "o"], ABLATE_REQUIRED):
+            args = parse(*argv)
+            assert (args.lr, args.batch, args.epochs, tuple(args.enc_widths),
+                    tuple(args.dec_widths), args.seed) == \
+                (net.lr, net.batch_size, net.epochs, net.enc_widths, net.dec_widths, net.seed)
 
     def test_runtime_error_exits_two(self, tmp_path):
         assert run(["eval", "--scenes", str(tmp_path / "missing"),
@@ -127,13 +170,73 @@ class TestUsage:
 
     def test_unusable_config_exits_one(self, tmp_path, capsys):
         assert run(["--config"]) == 1
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("spacing = wide\n")
-        for cfg, message in ((tmp_path / "missing.cfg", "missing.cfg"),
-                             (bad, "invalid float value: 'wide'")):
-            assert run(["--config", str(cfg), "synth", "--out", str(tmp_path / "rooms")]) == 1
+        rooms = tmp_path / "rooms"
+        synth_argv = ["synth", "--out", str(rooms)]
+        simulate_argv = ["simulate", "--scenes", str(tmp_path), "--out", str(rooms)]
+        # file values are checked as the flags would be: type, arity and choices
+        for body, argv, message in (
+                (None, synth_argv, "missing.cfg"),
+                ("spacing = wide", synth_argv, "invalid float value: 'wide'"),
+                ("extent = 1 2", synth_argv, "argument --extent: expected 3 arguments"),
+                ("features = bogus", simulate_argv,
+                 "argument --features: invalid choice: 'bogus'")):
+            cfg = tmp_path / ("missing.cfg" if body is None else "bad.cfg")
+            if body is not None:
+                cfg.write_text(body + "\n")
+            assert run(["--config", str(cfg)] + argv) == 1
             assert message in capsys.readouterr().err
-        assert not (tmp_path / "rooms").exists()
+        assert not rooms.exists()
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    @pytest.mark.parametrize("form", [["--config", "{}"], ["--config={}"], ["--conf", "{}"]],
+                             ids=["separate", "equals", "abbreviated"])
+    def test_file_values_parse_as_flags(self, tmp_path, monkeypatch, command, form):
+        """A file setting every optional key of a command gives the namespace
+        that the same values give as flags."""
+        required, dests, file_lines, flags = [], [], [], []
+        for action in cli.build_parser().commands[command]._actions:
+            if action.required:
+                value = action.choices[-1] if action.choices else "x"
+                required += [action.option_strings[0], value]
+            elif action.dest != "help":
+                values = _other_value(action)
+                dests.append(action.dest)
+                file_lines.append(f"{action.dest} = {' '.join(values) or 'yes'}\n")
+                flags += [action.option_strings[0], *values]
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(file_lines))
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(vars(args)) or 0)
+        assert run([arg.format(cfg) for arg in form] + [command] + required) == 0
+        assert run([command] + required + flags) == 0
+        seen.append(vars(cli.build_parser().parse_args([command] + required)))
+        from_file, from_flags, defaults = seen
+        assert (from_file.pop("config"), from_flags.pop("config"), defaults.pop("config")) == \
+            (str(cfg), None, None)
+        assert from_file == from_flags
+        assert [k for k in from_file if from_file[k] != defaults[k]] == dests
+
+    def test_required_flag_may_come_from_the_file(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("out = from-file\nextent = 1 2 3\n")
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "synth", lambda args: seen.append(args) or 0)
+        assert run(["--config", str(cfg), "synth"]) == 0
+        assert run(["--config", str(cfg), "synth", "--out", "given",
+                    "--extent", "4", "5", "6"]) == 0
+        assert [(a.out, a.extent) for a in seen] == [("from-file", [1.0, 2.0, 3.0]),
+                                                     ("given", [4.0, 5.0, 6.0])]
+
+
+def _other_value(action) -> list[str]:
+    """Flag values other than the action's default: none for a switch, one
+    per argument otherwise."""
+    if action.nargs == 0:
+        return []
+    if action.choices:
+        return [next(c for c in reversed(action.choices) if c != action.default)]
+    value = {int: "7", float: "0.625", None: "somewhere"}[action.type]
+    return [value] * {None: 1, "+": 2}.get(action.nargs, action.nargs)
 
 
 class TestConfigChecks:
@@ -565,6 +668,24 @@ class TestAblate:
         ablate("2")
         assert trained == [1, 2, 2]
         assert len(list((tmp_path / "work" / "datasets").glob("*.bin"))) == 2
+
+    def test_every_config_field_names_the_cache(self, workspace, tmp_path, monkeypatch):
+        """A field that no ablate flag sets still keys the cached artifacts."""
+        def cached():
+            assert run(["ablate", "--train-scenes", str(workspace / "data" / "train"),
+                        "--test-scenes", str(workspace / "data" / "test"),
+                        "--workdir", str(tmp_path / "work"), "--knob", "full",
+                        "--i", "32", "--j", "32", "--epochs", "1",
+                        "--enc-widths", "8", "8", "8", "8", "16",
+                        "--dec-widths", "16", "8", "1", "--seed", "0"]) == 0
+            return [len(list((tmp_path / "work" / kind).iterdir()))
+                    for kind in ("datasets", "models")]
+
+        assert cached() == [1, 1]
+        monkeypatch.setattr(cli, "TrainConfig", partial(TrainConfig, skip_layer=1))
+        assert cached() == [1, 2]
+        monkeypatch.setattr(cli, "SimConfig", partial(SimConfig, decay=0.02))
+        assert cached() == [2, 3]
 
     def test_knobs_reach_the_grow_config(self, workspace, tmp_path, monkeypatch):
         seen = []

@@ -114,7 +114,7 @@ class TestClusteringIndices:
 class TestDetectionScores:
     def test_perfect_prediction(self):
         gt = np.array([1] * 30 + [2] * 30)
-        out = match_and_score(gt, gt)
+        out = match_and_score(build_contingency(gt, gt))
         assert out == {"precision": 1.0, "recall": 1.0, "miou": 1.0}
 
     def test_partial_overlap_below_threshold(self):
@@ -124,7 +124,7 @@ class TestDetectionScores:
         pred[:25] = 4
         # prediction 3 covers gt-1 points 25..74 plus all of gt-2:
         # IOU(gt1, pred3) = 50/100, not > 0.5, so no true positive for gt 1
-        out = match_and_score(gt, pred)
+        out = match_and_score(build_contingency(gt, pred))
         assert out["recall"] == pytest.approx(0.0)
 
     def test_hand_iou_one_third(self):
@@ -137,14 +137,14 @@ class TestDetectionScores:
         inter = 25
         union = 50 + 50 - 25
         assert inter / union == pytest.approx(1 / 3)
-        out = match_and_score(gt, pred)
+        out = match_and_score(c)
         assert out["recall"] < 1.0
 
     def test_counts_with_unmatched(self):
         gt = np.array([1] * 20 + [2] * 20 + [3] * 20)
         pred = np.array([1] * 20 + [2] * 40)
         # pred 1 matches gt 1 exactly; pred 2 has IOU 0.5 with gt 2+3 (not > 0.5)
-        out = match_and_score(gt, pred)
+        out = match_and_score(build_contingency(gt, pred))
         assert out["precision"] == pytest.approx(1 / 2)
         assert out["recall"] == pytest.approx(1 / 3)
 
@@ -154,7 +154,7 @@ class TestDetectionScores:
             n = int(rng.integers(4, 60))
             gt = rng.integers(1, 4, n)
             pred = rng.integers(1, 4, n)
-            out = match_and_score(gt, pred)
+            out = match_and_score(build_contingency(gt, pred))
             assert 0.0 <= out["miou"] <= 1.0
             assert out["miou"] >= 0.5 * out["recall"] - 1e-12
 
