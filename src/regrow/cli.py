@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 import zipfile
 
@@ -248,11 +249,14 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_flags(command_parser, path) -> list[str]:
+def _config_flags(parser: _Parser, command: str, path) -> list[str]:
     """The config file's `key = value` lines as the command's own flag tokens:
     the bare flag for a switch whose value is true, the flag and then its
     values for a list, `--flag=value` otherwise. A key names a flag by its
-    dest; keys that name none of the command's flags are ignored."""
+    dest. Keys that name none of the command's flags are skipped, so one file
+    can serve several commands; a key that no command knows is warned about
+    on stderr, as it is most likely misspelt."""
+    known = {action.dest for sub in parser.commands.values() for action in sub._actions}
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -261,9 +265,13 @@ def _config_flags(command_parser, path) -> list[str]:
         if "=" not in line:
             raise UsageError(f"{path}: line {lineno}: expected 'key = value'")
         key, val = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = val
+        dest = key.replace("-", "_")
+        if dest not in known:
+            print(f"warning: {path}: line {lineno}: no command has a setting {key!r}; "
+                  "it is ignored", file=sys.stderr)
+        values[dest] = val
     tokens = []
-    for action in command_parser._actions:
+    for action in parser.commands[command]._actions:
         raw = values.get(action.dest)
         if raw is None or action.dest == "help":
             continue
@@ -288,7 +296,7 @@ def _with_config_file(parser: _Parser, argv: list[str]) -> list[str]:
     if not known.config or not rest or rest[0] not in parser.commands:
         return argv
     at = len(argv) - len(rest) + 1
-    return argv[:at] + _config_flags(parser.commands[rest[0]], known.config) + argv[at:]
+    return argv[:at] + _config_flags(parser, rest[0], known.config) + argv[at:]
 
 
 def _cmd_synth(args) -> int:
@@ -348,7 +356,10 @@ def _cmd_train(args) -> int:
 
     def report(epoch, loss, seconds, samples):
         print(f"epoch {epoch}: loss {loss:.6f}")
-        print(f"epoch {epoch} time: {seconds:.3f} s, {samples / seconds:.1f} samples/s")
+        # ru_maxrss is in KiB on Linux
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"epoch {epoch} time: {seconds:.3f} s, {samples / seconds:.1f} samples/s, "
+              f"peak RSS {peak_mb:.1f} MB")
 
     train(args.dataset, cfg, report)
     print(f"checkpoint written to {args.out}")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import N_FEATURES
-from .simulate import load_dataset
+from .simulate import DatasetReader
 
 PROB_EPS = 1e-7
 
@@ -432,44 +432,43 @@ class TrainConfig:
 
 
 def train(dataset_path, cfg: TrainConfig, report=None):
-    """Train on a simulated dataset; returns (params, per-epoch mean losses).
+    """Train on a simulated dataset, read a batch at a time; returns (params,
+    per-epoch mean losses).
 
     After each epoch, `report(epoch, loss, seconds, samples)` is called if
     given, with the epoch's 1-based number, mean loss, wall time of its
     batches and sample count."""
-    ds = load_dataset(dataset_path)
-    cols = cfg.feature_columns if cfg.feature_columns is not None else tuple(range(ds.n_features))
-    if len(cols) != ds.n_features:
-        raise ValueError(
-            f"feature columns ({len(cols)}) do not match dataset features ({ds.n_features})")
-    params = init_params(cfg.enc_widths, cfg.dec_widths, cfg.skip_layer,
-                         n_features=ds.n_features, i_size=ds.i_size, j_size=ds.j_size,
-                         feature_columns=cols, normalize=cfg.normalize, seed=cfg.seed)
-    adam = AdamState.init(params, lr=cfg.lr)
-    rng = np.random.default_rng(cfg.seed)
-    n = len(ds)
-    losses = []
-    for epoch in range(1, cfg.epochs + 1):
-        started = time.perf_counter()
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, cfg.batch_size):
-            sel = order[start:start + cfg.batch_size]
-            xi = ds.inlier_features[sel]
-            xn = ds.neighbor_features[sel]
-            rt = ds.remove_target[sel]
-            at = ds.add_target[sel]
-            p_remove, p_add, cache = forward_batch(params, xi, xn, want_cache=True)
-            loss = batch_loss(p_remove, p_add, rt, at)
-            grads = backward(params, cache, rt, at)
-            adam_step(adam, params, grads)
-            total += loss * len(sel)
-        seconds = time.perf_counter() - started
-        losses.append(total / n)
-        if cfg.checkpoint:
-            save_params(params, cfg.checkpoint)
-        if report is not None:
-            report(epoch, losses[-1], seconds, n)
+    with DatasetReader(dataset_path) as ds:
+        cols = cfg.feature_columns if cfg.feature_columns is not None \
+            else tuple(range(ds.n_features))
+        if len(cols) != ds.n_features:
+            raise ValueError(
+                f"feature columns ({len(cols)}) do not match dataset features ({ds.n_features})")
+        params = init_params(cfg.enc_widths, cfg.dec_widths, cfg.skip_layer,
+                             n_features=ds.n_features, i_size=ds.i_size, j_size=ds.j_size,
+                             feature_columns=cols, normalize=cfg.normalize, seed=cfg.seed)
+        adam = AdamState.init(params, lr=cfg.lr)
+        rng = np.random.default_rng(cfg.seed)
+        n = len(ds)
+        losses = []
+        for epoch in range(1, cfg.epochs + 1):
+            started = time.perf_counter()
+            order = rng.permutation(n)
+            total = 0.0
+            for start in range(0, n, cfg.batch_size):
+                sel = order[start:start + cfg.batch_size]
+                xi, xn, rt, at, _meta = ds.read(sel)
+                p_remove, p_add, cache = forward_batch(params, xi, xn, want_cache=True)
+                loss = batch_loss(p_remove, p_add, rt, at)
+                grads = backward(params, cache, rt, at)
+                adam_step(adam, params, grads)
+                total += loss * len(sel)
+            seconds = time.perf_counter() - started
+            losses.append(total / n)
+            if cfg.checkpoint:
+                save_params(params, cfg.checkpoint)
+            if report is not None:
+                report(epoch, losses[-1], seconds, n)
     return params, losses
 
 

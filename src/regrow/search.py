@@ -25,7 +25,6 @@ class SearchConfig:
     expansions: int = 3
 
     def __post_init__(self):
-        self.strategy = self.strategy.replace("_", "-")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; pick from {STRATEGIES}")
         if self.restarts < 1 or self.beam_width < 1 or self.expansions < 1:

@@ -8,7 +8,9 @@ noisy intermediate regions. Targets are always computed against ground truth.
 
 A dataset file is the magic b"RGDS", a little-endian uint32 header of
 version, I, J and F, then whole records of `record_dtype(I, J, F)`, the one
-definition of the record layout.
+definition of the record layout. `DatasetWriter` streams samples into it and
+`DatasetReader` reads it back a batch of records at a time, so neither holds
+the whole file in memory.
 """
 
 from __future__ import annotations
@@ -218,11 +220,12 @@ def generate_dataset(scenes, cfg: SimConfig, out_path) -> int:
 DATASET_MAGIC = b"RGDS"
 DATASET_VERSION = 1
 DATASET_HEADER_BYTES = 20  # magic and four uint32 words
+DATASET_CHECK_BYTES = 4 << 20  # read at a time by the open-time record check
 
 
 def record_dtype(i_size: int, j_size: int, n_features: int) -> np.dtype:
     """One packed dataset record: `length`, the byte size of the fields after
-    it, then the fields of `TrainingSample` and `Dataset`, in their order."""
+    it, then the fields of `TrainingSample`, in their order."""
     return np.dtype([
         ("length", "<u4"),
         ("inlier_features", "<f4", (i_size, n_features)),
@@ -267,43 +270,100 @@ class DatasetWriter:
         return False
 
 
-@dataclass
-class Dataset:
-    """Fields are views into the records read from the file."""
+class DatasetReader:
+    """An open dataset file whose records are read one batch at a time, so
+    the memory it holds does not grow with the file.
 
-    inlier_features: np.ndarray    # (S, I, F) float32
-    neighbor_features: np.ndarray  # (S, J, F) float32
-    remove_target: np.ndarray      # (S, I) uint8
-    add_target: np.ndarray         # (S, J) uint8
-    meta: np.ndarray               # (S, 3) int32
-    i_size: int
-    j_size: int
-    n_features: int
+    Opening checks the header, the size and every record's `length`, reading
+    the records a chunk at a time. `read` makes one positioned read per run
+    of adjacent records into one reusable buffer. The file is not
+    memory-mapped, as a file rewritten while mapped faults on access; instead
+    each read refuses a file whose size or mtime changed since it was opened,
+    or that comes back short, so that no batch mixes two files.
+    """
 
-    def __len__(self) -> int:
-        return self.inlier_features.shape[0]
+    def __init__(self, path):
+        self.path = path
+        self._fh = open(path, "rb", buffering=0)
+        try:
+            self._check()
+        except BaseException:
+            self._fh.close()
+            raise
 
-
-def load_dataset(path) -> Dataset:
-    """Read every record in one call (not memory-mapped: that peaks no lower,
-    and a file rewritten while mapped faults on access)."""
-    with open(path, "rb") as fh:
-        head = fh.read(DATASET_HEADER_BYTES)
+    def _check(self) -> None:
+        path = self.path
+        head = self._fh.read(DATASET_HEADER_BYTES)
         if len(head) < DATASET_HEADER_BYTES or head[:4] != DATASET_MAGIC:
             raise DatasetError(f"{path}: not a training dataset file")
-        version, i_size, j_size, n_feat = np.frombuffer(head, "<u4", offset=4).tolist()
+        version, self.i_size, self.j_size, self.n_features = \
+            np.frombuffer(head, "<u4", offset=4).tolist()
         if version != DATASET_VERSION:
             raise DatasetError(f"{path}: unsupported dataset version {version}")
         try:
-            rec = record_dtype(i_size, j_size, n_feat)
+            self._rec = record_dtype(self.i_size, self.j_size, self.n_features)
         except ValueError as exc:
-            raise DatasetError(f"{path}: sizes {i_size}/{j_size}/{n_feat} out of range") from exc
-        body = os.fstat(fh.fileno()).st_size - DATASET_HEADER_BYTES
+            raise DatasetError(f"{path}: sizes {self.i_size}/{self.j_size}/{self.n_features} "
+                               "out of range") from exc
+        stat = os.fstat(self._fh.fileno())
+        self._stamp = (stat.st_size, stat.st_mtime_ns)
+        body = stat.st_size - DATASET_HEADER_BYTES
         if body == 0:
             raise DatasetError(f"{path}: dataset contains no samples")
-        if body % rec.itemsize:
+        if body % self._rec.itemsize:
             raise DatasetError(f"{path}: truncated record")
-        records = np.fromfile(fh, rec)
-    if (records["length"] != rec.itemsize - 4).any():
-        raise DatasetError(f"{path}: inconsistent record length")
-    return Dataset(*(records[name] for name in rec.names[1:]), i_size, j_size, n_feat)
+        self._len = body // self._rec.itemsize
+        self._buf = np.empty(0, np.uint8)
+        chunk = max(1, DATASET_CHECK_BYTES // self._rec.itemsize)
+        for first in range(0, self._len, chunk):
+            records = self._read_runs([first], [min(chunk, self._len - first)])
+            if (records["length"] != self._rec.itemsize - 4).any():
+                raise DatasetError(f"{path}: inconsistent record length")
+        self._buf = np.empty(0, np.uint8)  # let the chunk go; reads size their own
+
+    def __len__(self) -> int:
+        return self._len
+
+    def read(self, sel) -> tuple[np.ndarray, ...]:
+        """The records at indices `sel`, in `sel` order, as one contiguous
+        array per field after `length`: inlier_features (B, I, F),
+        neighbor_features (B, J, F), remove_target (B, I), add_target (B, J)
+        and meta (B, 3)."""
+        uniq, where = np.unique(sel, return_inverse=True)
+        if uniq.size and (uniq[0] < 0 or uniq[-1] >= self._len):
+            raise IndexError(f"record index out of range for {self._len} records")
+        starts = np.flatnonzero(np.diff(uniq, prepend=-2) != 1)
+        records = self._read_runs(uniq[starts].tolist(),
+                                  np.diff(np.append(starts, uniq.size)).tolist())
+        return tuple(records[name][where] for name in self._rec.names[1:])
+
+    def _read_runs(self, firsts, counts) -> np.ndarray:
+        """Records `first .. first + count - 1` of each run, back to back, from
+        the file as it was opened."""
+        size = self._rec.itemsize
+        total = sum(counts) * size
+        if self._buf.size < total:
+            self._buf = np.empty(total, np.uint8)
+        at = 0
+        for first, count in zip(firsts, counts):
+            want = count * size
+            got = os.preadv(self._fh.fileno(), [self._buf[at:at + want]],
+                            DATASET_HEADER_BYTES + first * size)
+            if got != want:
+                raise DatasetError(f"{self.path}: short read; the file changed since it "
+                                   "was opened")
+            at += want
+        stat = os.fstat(self._fh.fileno())
+        if (stat.st_size, stat.st_mtime_ns) != self._stamp:
+            raise DatasetError(f"{self.path}: the file changed since it was opened")
+        return self._buf[:total].view(self._rec)
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False

@@ -149,6 +149,18 @@ class TestUsage:
         assert run(["--config", str(cfg), "synth", "--out", str(out), "--seed", "2"]) == 0
         assert len(list((out / "train").glob("*.txt"))) == 1
 
+    def test_key_no_command_knows_is_warned_about(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "exp.cfg"
+        # `knn` is not a synth flag but another command's, so it is silent
+        cfg.write_text("spacng = 0.05\nknn = 8\nspacing = 0.07\n")
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "synth", lambda args: seen.append(args.spacing) or 0)
+        assert run(["--config", str(cfg), "synth", "--out", str(tmp_path / "rooms")]) == 0
+        assert seen == [0.07]
+        err = capsys.readouterr().err
+        assert err.count("warning") == 1
+        assert f"warning: {cfg}: line 1:" in err and "'spacng'" in err
+
     def test_flags_beat_config_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("train = 5\n")
@@ -323,8 +335,10 @@ class TestTrainCommand:
         for epoch in (1, 2):
             loss_line, time_line = lines[2 * epoch - 2:2 * epoch]
             assert re.fullmatch(rf"epoch {epoch}: loss \d+\.\d{{6}}", loss_line)
-            match = re.fullmatch(rf"epoch {epoch} time: (\S+) s, (\S+) samples/s", time_line)
+            match = re.fullmatch(
+                rf"epoch {epoch} time: (\S+) s, (\S+) samples/s, peak RSS (\S+) MB", time_line)
             assert match and float(match[1]) > 0 and float(match[2]) > 0
+            assert float(match[3]) > 0
         assert lines[4:] == [f"checkpoint written to {tmp_path / 'm.ckpt'}"]
 
     @pytest.mark.parametrize("flag,value,message", [

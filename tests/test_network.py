@@ -1,7 +1,12 @@
 import copy
 import math
 import multiprocessing
+import os
+import re
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +36,8 @@ from regrow.network import (
     save_params,
     train,
 )
-from regrow.simulate import SimConfig, generate_dataset
+from regrow.simulate import (DatasetError, DatasetWriter, SimConfig, TrainingSample,
+                             generate_dataset)
 from regrow.pointcloud import PointCloud
 
 TINY_ENC = (8, 8, 8, 8, 16)
@@ -261,6 +267,68 @@ class TestTrain:
         _, losses = train(path, cfg)
         violations = sum(1 for a, b in zip(losses, losses[1:]) if b > a * 1.01)
         assert violations <= len(losses) // 10
+
+    @pytest.mark.parametrize("change", ["truncated", "same-size rewrite"])
+    def test_dataset_changed_while_training_is_refused(self, tmp_path, change):
+        path = build_tiny_dataset(tmp_path)
+        raw = path.read_bytes()
+        cfg = TrainConfig(TINY_ENC, TINY_DEC, epochs=3, batch_size=16, seed=5)
+        reported = []
+
+        def report(epoch, *_):
+            reported.append(epoch)
+            if change == "truncated":
+                path.write_bytes(raw[:-7])
+            else:
+                stat = os.stat(path)
+                path.write_bytes(raw[:20] + bytes(len(raw) - 20))
+                # a later mtime, whatever the file system's timestamp granularity
+                os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+
+        with pytest.raises(DatasetError, match=re.escape(str(path))):
+            train(path, cfg, report)
+        assert reported == [1]
+
+
+def write_random_dataset(path, count, i_size=64, j_size=64, n_features=13):
+    rng = np.random.default_rng(count)
+    with DatasetWriter(path, i_size, j_size, n_features) as writer:
+        for k in range(count):
+            writer.write(TrainingSample(
+                rng.normal(size=(i_size, n_features)).astype(np.float32),
+                rng.normal(size=(j_size, n_features)).astype(np.float32),
+                rng.integers(0, 2, i_size).astype(np.uint8),
+                rng.integers(0, 2, j_size).astype(np.uint8), (0, 0, k)))
+
+
+TRAIN_PEAK_RSS = """
+import resource, sys
+from regrow.network import TrainConfig, train
+train(sys.argv[1], TrainConfig((8, 8, 8, 8, 16), (8, 8, 1), epochs=1))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+class TestTrainMemory:
+    # the large dataset is 36.7 MB larger than the small one; read whole into
+    # one array, it raised the child's peak by about 28 MB
+    MARGIN_KB = 8 * 1024
+
+    def test_peak_rss_does_not_grow_with_the_dataset(self, tmp_path):
+        # the child does not see pytest's pythonpath, so src goes on PYTHONPATH
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+               "OPENBLAS_NUM_THREADS": "1"}
+        peak_kb = {}
+        for name, count in (("small", 600), ("large", 6000)):
+            path = tmp_path / f"{name}.bin"
+            write_random_dataset(path, count)
+            proc = subprocess.run([sys.executable, "-c", TRAIN_PEAK_RSS, str(path)], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            peak_kb[name] = int(proc.stdout.split()[-1])
+            path.unlink()
+        assert peak_kb["large"] - peak_kb["small"] < self.MARGIN_KB, peak_kb
 
 
 class TestCheckpoint:

@@ -22,7 +22,8 @@ class TestSearchConfig:
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(strategy="simulated-annealing")
-        assert SearchConfig(strategy="rr_np").strategy == "rr-np"
+        with pytest.raises(ValueError):
+            SearchConfig(strategy="rr_np")
 
     def test_positive_counts_required(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +10,13 @@ from hypothesis import strategies as st
 
 from oracles import (dataset_oracle, delta_components_oracle, instance_closure_oracle,
                      oracle_next_region)
+from regrow import network, simulate
 from regrow.features import build_context
+from regrow.network import TrainConfig, train
 from regrow.pointcloud import PointCloud
 from regrow.simulate import (
     DatasetError,
+    DatasetReader,
     DatasetWriter,
     NoiseSchedule,
     RegionState,
@@ -21,7 +26,6 @@ from regrow.simulate import (
     corrupt_region,
     generate_dataset,
     instance_closure,
-    load_dataset,
     make_training_sample,
     simulate_instance,
 )
@@ -283,12 +287,13 @@ class TestGenerateDataset:
         cfg = SimConfig(i_size=6, j_size=5, alpha_range=(0.2, 0.4), seed=3)
         path = tmp_path / "d.bin"
         n = generate_dataset([cloud], cfg, path)
-        ds = load_dataset(path)
+        with DatasetReader(path) as ds:
+            xi, xn, remove, _add, meta = ds.read(np.arange(len(ds)))
         assert len(ds) == n > 0
-        assert ds.inlier_features.shape[1:] == (6, 13)
-        assert ds.neighbor_features.shape[1:] == (5, 13)
-        assert set(np.unique(ds.remove_target)) <= {0, 1}
-        assert ds.meta[:, 1].min() >= 1
+        assert xi.shape[1:] == (6, 13)
+        assert xn.shape[1:] == (5, 13)
+        assert set(np.unique(remove)) <= {0, 1}
+        assert meta[:, 1].min() >= 1
 
     def test_truncated_dataset_rejected(self, tmp_path):
         cloud = two_blob_scene()
@@ -298,10 +303,10 @@ class TestGenerateDataset:
         raw = path.read_bytes()
         path.write_bytes(raw[:-7])
         with pytest.raises(DatasetError):
-            load_dataset(path)
+            DatasetReader(path)
 
     @pytest.mark.parametrize("damage", ["header-only", "version", "length", "partial"])
-    def test_corrupt_dataset_rejected(self, tmp_path, damage):
+    def test_corrupt_dataset_rejected(self, tmp_path, monkeypatch, damage):
         path = tmp_path / "d.bin"
         generate_dataset([two_blob_scene()], SimConfig(i_size=6, j_size=5, seed=3), path)
         raw = bytearray(path.read_bytes())
@@ -318,7 +323,26 @@ class TestGenerateDataset:
             raw = raw[:20 + record + 4]
         path.write_bytes(bytes(raw))
         with pytest.raises(DatasetError):
-            load_dataset(path)
+            DatasetReader(path)
+        # refused when train opens the file, before any training step
+        steps = []
+        monkeypatch.setattr(network, "forward_batch", lambda *a, **k: steps.append(a))
+        with pytest.raises(DatasetError):
+            train(path, TrainConfig((4, 4, 4, 4, 8), (4, 4, 1), epochs=1))
+        assert steps == []
+
+    def test_length_checked_in_every_chunk(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.bin"
+        n = generate_dataset([two_blob_scene()], SimConfig(i_size=6, j_size=5, seed=3), path)
+        record = simulate.record_dtype(6, 5, 13).itemsize
+        raw = bytearray(path.read_bytes())
+        last = 20 + (n - 1) * record
+        raw[last:last + 4] = np.array([record - 3], "<u4").tobytes()
+        path.write_bytes(bytes(raw))
+        # one record per chunk, so the damaged record is in the last chunk read
+        monkeypatch.setattr(simulate, "DATASET_CHECK_BYTES", record)
+        with pytest.raises(DatasetError, match="inconsistent record length"):
+            DatasetReader(path)
 
     def test_steps_per_instance_same_order_as_reference_ratio(self, tmp_path):
         # large-scale runs average on the order of twenty-odd samples per
@@ -359,9 +383,9 @@ class TestGenerateDataset:
 
 
 @st.composite
-def sample_batches(draw):
+def sample_batches(draw, max_count=5):
     i, j, f = (draw(st.integers(1, 8)) for _ in range(3))
-    count = draw(st.integers(1, 5))
+    count = draw(st.integers(1, max_count))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     samples = [TrainingSample(rng.normal(size=(i, f)).astype(np.float32),
                               rng.normal(size=(j, f)).astype(np.float32),
@@ -382,15 +406,72 @@ class TestDatasetFile:
             with DatasetWriter(path, i, j, f) as writer:
                 for sample in samples:
                     writer.write(sample)
-            ds = load_dataset(path)
+            with DatasetReader(path) as ds:
+                got = ds.read(np.arange(len(ds)))
             expected = dataset_oracle(path)
-        got = (ds.inlier_features, ds.neighbor_features, ds.remove_target, ds.add_target,
-               ds.meta)
         assert (len(ds), ds.i_size, ds.j_size, ds.n_features) == (len(samples), i, j, f)
+        assert len(got) == len(expected)
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
-        np.testing.assert_array_equal(ds.meta, [s.meta for s in samples])
+        np.testing.assert_array_equal(got[4], [s.meta for s in samples])
+
+    @given(sample_batches(max_count=12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reader_matches_oracle_for_any_indices(self, batch, data):
+        i, j, f, samples = batch
+        count = len(samples)
+        lo = data.draw(st.integers(0, count - 1))
+        hi = data.draw(st.integers(lo + 1, count))
+        perm = np.array(data.draw(st.permutations(range(count))))
+        selections = {
+            "permutation slice": perm[lo:hi],
+            "adjacent run": np.arange(lo, hi),
+            "single index": np.array([data.draw(st.integers(0, count - 1))]),
+            "whole file": np.arange(count),
+            "repeats": np.array(data.draw(st.lists(st.integers(0, count - 1), min_size=1,
+                                                   max_size=2 * count))),
+        }
+        order = data.draw(st.permutations(list(selections)))
+        record = simulate.record_dtype(i, j, f).itemsize
+        chunk = data.draw(st.integers(1, count + 1)) * record
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.bin"
+            with DatasetWriter(path, i, j, f) as writer:
+                for sample in samples:
+                    writer.write(sample)
+            with mock.patch.object(simulate, "DATASET_CHECK_BYTES", chunk), \
+                    DatasetReader(path) as ds:
+                # all read from one open reader, and compared only afterwards,
+                # so that a batch reusing the buffer cannot alter an earlier one
+                got = {name: ds.read(selections[name]) for name in order}
+            expected = dataset_oracle(path)
+        for name, sel in selections.items():
+            for a, rows in zip(got[name], expected):
+                assert a.flags.c_contiguous, name
+                assert a.dtype == rows.dtype and a.shape == (len(sel), *rows.shape[1:]), name
+                assert a.tobytes() == rows[sel].tobytes(), name
+
+    def test_read_after_truncation_is_refused(self, tmp_path):
+        path = tmp_path / "d.bin"
+        n = generate_dataset([two_blob_scene()], SimConfig(i_size=6, j_size=5, seed=3), path)
+        raw = path.read_bytes()
+        with DatasetReader(path) as ds:
+            path.write_bytes(raw[:-7])
+            # the last record comes back short; the others read whole, but
+            # from a file that changed since it was opened
+            with pytest.raises(DatasetError, match=f"{re.escape(str(path))}: short read"):
+                ds.read([0, n - 1])
+            with pytest.raises(DatasetError, match=f"{re.escape(str(path))}: the file changed"):
+                ds.read([0])
+
+    def test_index_out_of_range_rejected(self, tmp_path):
+        path = tmp_path / "d.bin"
+        n = generate_dataset([two_blob_scene()], SimConfig(i_size=6, j_size=5, seed=3), path)
+        with DatasetReader(path) as ds:
+            for sel in ([n], [-1], [0, n]):
+                with pytest.raises(IndexError):
+                    ds.read(sel)
 
     def test_wrong_sample_shape_rejected(self, tmp_path):
         sample = TrainingSample(np.zeros((4, 3), np.float32), np.zeros((5, 3), np.float32),
