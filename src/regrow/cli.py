@@ -15,6 +15,7 @@ import json
 import os
 import resource
 import sys
+import time
 import zipfile
 
 from dataclasses import asdict, replace
@@ -23,11 +24,9 @@ from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import baselines, metrics, synth
-from .features import (DEFAULT_DELTA, DEFAULT_KNN, FEATURE_SUBSETS, build_context,
-                       compute_features, radius_adjacency)
+from .features import DEFAULT_DELTA, DEFAULT_KNN, FEATURE_SUBSETS, build_context
 from .grow import GrowConfig, segment_scene
 from .network import Predictor, TrainConfig, load_params, train
 from .pointcloud import PointCloud, export_colored_ply, load_scene, read_labels, write_labels
@@ -310,11 +309,12 @@ def _cmd_synth(args) -> int:
 
 
 def _features_worker(scene_path, out_dir, delta, knn) -> str:
-    """Cache a scene's cloud, features, adjacency and the keys that validate them."""
+    """Cache a scene's cloud, features, adjacency and the keys that validate
+    them; the line names the scene, its size and the build time."""
     cloud = load_scene(scene_path)
-    tree = cKDTree(cloud.positions)
-    feats = compute_features(cloud, k=min(knn, cloud.n_points), tree=tree)
-    indptr, indices = radius_adjacency(cloud.positions, delta, tree=tree)
+    start = time.perf_counter()
+    ctx = build_context(cloud, delta, knn)
+    seconds = time.perf_counter() - start
     labels = {} if cloud.gt_instance is None else {"gt_instance": cloud.gt_instance}
     out = Path(out_dir) / (Path(scene_path).stem + ".features.npz")
     # written whole beside the entry, then renamed over it, so that an
@@ -323,13 +323,15 @@ def _features_worker(scene_path, out_dir, delta, knn) -> str:
     try:
         with open(tmp, "wb") as f:
             np.savez(f, positions=cloud.positions, colors=cloud.colors, **labels,
-                     features=feats, adj_indptr=indptr, adj_indices=indices,
-                     delta=delta, knn=knn, scene_sha256=_scene_sha256(scene_path))
+                     features=ctx.features, adj_indptr=ctx.adj_indptr,
+                     adj_indices=ctx.adj_indices, delta=delta, knn=knn,
+                     scene_sha256=_scene_sha256(scene_path))
         os.replace(tmp, out)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return str(out)
+    return (f"{Path(scene_path).stem}: {cloud.n_points} points, "
+            f"{len(ctx.adj_indices)} adjacency entries, built in {seconds:.3f} s")
 
 
 def _cmd_features(args) -> int:

@@ -10,15 +10,23 @@ Each point gets 13 feature columns:
     12     curvature lam0 / (lam0 + lam1 + lam2), in [0, 1/3]
 
 One k-d tree per scene serves both the PCA neighborhoods and the radius
-adjacency, a CSR pair of int64 row pointers and int32 column ids.
+adjacency, a CSR pair of int64 row pointers and int32 column ids. The PCA
+runs in blocks of `PCA_BLOCK` points: `build_context` builds the adjacency on
+the calling thread while the process's worker thread (`worker.worker`) takes
+blocks in order, and the calling thread then takes back the blocks not yet
+started. Every value is per point, so the bytes do not depend on the split.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from .worker import worker
 
 N_FEATURES = 13
 COL_ROOM = (3, 4, 5)
@@ -28,6 +36,7 @@ COL_CURVATURE = 12
 
 DEFAULT_DELTA = 0.1   # neighbor radius in meters
 DEFAULT_KNN = 16      # PCA neighborhood size
+PCA_BLOCK = 4096      # points per block of the PCA normals
 
 # Named feature subsets used by the ablation harness.
 FEATURE_SUBSETS = {
@@ -37,7 +46,59 @@ FEATURE_SUBSETS = {
 }
 
 
-def compute_normals_curvature(cloud, k: int = DEFAULT_KNN, tree: cKDTree | None = None):
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of the rows of a (k, B) array, added in row order. NumPy's
+    `sum(axis=0)` does the same for B > 1, but for B = 1 it sums pairwise and
+    rounds differently."""
+    out = a[0].copy()
+    for row in a[1:]:
+        out += row
+    return out
+
+
+def _pca_block(tree, pts, k: int, lo: int, hi: int, evals, evecs) -> None:
+    """Eigenvalues (ascending) and eigenvectors of the neighborhood covariances
+    of points lo..hi-1, written into rows lo..hi-1 of `evals` and `evecs`. It
+    may run on the worker thread, so it calls no public function of regrow."""
+    _, idx = tree.query(pts[lo:hi], k=k)
+    # (k, B) gathers: each sum adds a point's neighbors in neighbor order
+    idx = np.ascontiguousarray(idx.T)
+    centered = []
+    for c in range(3):
+        g = pts[:, c][idx]
+        g -= _row_sum(g) / k
+        centered.append(g)
+    cov = np.empty((hi - lo, 3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            cov[:, i, j] = cov[:, j, i] = _row_sum(centered[i] * centered[j]) / k
+    evals[lo:hi], evecs[lo:hi] = np.linalg.eigh(cov)
+
+
+def _run_blocks(blocks, meanwhile=None) -> None:
+    """Run every block. The worker thread takes them in order while this
+    thread runs `meanwhile` and then takes back, from the last, each block the
+    worker has not started. Returns once every block has finished; an error
+    raised in a block or in `meanwhile` reaches the caller."""
+    futures = [worker().submit(block) for block in blocks]
+    try:
+        if meanwhile is not None:
+            meanwhile()
+        for block, future in zip(blocks[::-1], futures[::-1]):
+            if not future.cancel():
+                break  # the worker has started this block, and so every earlier one
+            block()
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)  # no block outlives the call
+    for future in futures:
+        if not future.cancelled():
+            future.result()
+
+
+def compute_normals_curvature(cloud, k: int = DEFAULT_KNN, tree: cKDTree | None = None,
+                              meanwhile=None):
     """PCA normals and curvature over each point's k-nearest neighborhood.
 
     The neighborhood of a point includes the point itself. The normal is the
@@ -46,6 +107,11 @@ def compute_normals_curvature(cloud, k: int = DEFAULT_KNN, tree: cKDTree | None 
     fall back to normal (0, 0, 1) with curvature 0. `tree`, a k-d tree over
     the positions, is queried when given. The covariances sum over each
     neighborhood in neighbor order, as `tests/oracles.py::normals_oracle` does.
+
+    The points are split into blocks of `PCA_BLOCK` (see `_run_blocks`):
+    `meanwhile`, a callable, runs on the calling thread while the worker
+    thread computes blocks. Every value is per point, so the split changes
+    no byte of the result.
 
     Returns:
         (normals (N, 3), curvature (N,)) float64 arrays.
@@ -56,20 +122,11 @@ def compute_normals_curvature(cloud, k: int = DEFAULT_KNN, tree: cKDTree | None 
         raise ValueError(f"k must be >= 3, got {k}")
     if k > n:
         raise ValueError(f"k={k} exceeds point count {n}")
-    _, idx = (cKDTree(pts) if tree is None else tree).query(pts, k=k)
-    # (k, N) gathers in C order: summing over axis 0 then adds rows in turn;
-    # in F order it would sum along k in blocks and round differently
-    idx = np.ascontiguousarray(idx.T)
-    centered = []
-    for c in range(3):
-        g = pts[:, c][idx]
-        g -= g.sum(axis=0) / k
-        centered.append(g)
-    cov = np.empty((n, 3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            cov[:, i, j] = cov[:, j, i] = (centered[i] * centered[j]).sum(axis=0) / k
-    evals, evecs = np.linalg.eigh(cov)  # ascending eigenvalues
+    tree = cKDTree(pts) if tree is None else tree
+    evals = np.empty((n, 3))  # ascending eigenvalues
+    evecs = np.empty((n, 3, 3))
+    _run_blocks([partial(_pca_block, tree, pts, k, lo, min(lo + PCA_BLOCK, n), evals, evecs)
+                 for lo in range(0, n, PCA_BLOCK)], meanwhile)
     lam = np.clip(evals, 0.0, None)
     total = lam.sum(axis=1)
     normals = evecs[:, :, 0].copy()
@@ -89,8 +146,10 @@ def compute_normals_curvature(cloud, k: int = DEFAULT_KNN, tree: cKDTree | None 
     return normals, np.clip(curvature, 0.0, None)
 
 
-def compute_features(cloud, k: int = DEFAULT_KNN, tree: cKDTree | None = None) -> np.ndarray:
-    """Full (N, 13) feature matrix for a scene (`tree`: see the normals)."""
+def compute_features(cloud, k: int = DEFAULT_KNN, tree: cKDTree | None = None,
+                     meanwhile=None) -> np.ndarray:
+    """Full (N, 13) feature matrix for a scene (`tree`, `meanwhile`: see the
+    normals; `meanwhile` runs also when the scene is too small for PCA)."""
     lo, hi = cloud.bounds
     local = cloud.positions - lo
     extent = hi - lo
@@ -100,8 +159,11 @@ def compute_features(cloud, k: int = DEFAULT_KNN, tree: cKDTree | None = None) -
         # PCA needs at least 3 points; use the degenerate fallback
         normals = np.tile([0.0, 0.0, 1.0], (cloud.n_points, 1))
         curvature = np.zeros(cloud.n_points)
+        if meanwhile is not None:
+            meanwhile()
     else:
-        normals, curvature = compute_normals_curvature(cloud, min(k, cloud.n_points), tree)
+        normals, curvature = compute_normals_curvature(cloud, min(k, cloud.n_points), tree,
+                                                       meanwhile)
     feats = np.empty((cloud.n_points, N_FEATURES), dtype=np.float64)
     feats[:, 0:3] = local
     feats[:, 3:6] = room
@@ -294,11 +356,19 @@ def build_context(cloud, delta: float = DEFAULT_DELTA, knn: int = DEFAULT_KNN,
                   features: np.ndarray | None = None,
                   adjacency: tuple[np.ndarray, np.ndarray] | None = None) -> SceneContext:
     """A scene's context; the features and the CSR radius adjacency
-    (indptr, indices) are computed unless given, from one shared k-d tree."""
+    (indptr, indices) are computed unless given, from one shared k-d tree.
+    When both are computed, this thread builds the adjacency while the worker
+    thread computes the PCA blocks."""
     tree = None if features is not None and adjacency is not None else cKDTree(cloud.positions)
-    if features is None:
-        features = compute_features(cloud, k=min(knn, cloud.n_points), tree=tree)
-    if adjacency is None:
+
+    def build_adjacency():
+        nonlocal adjacency
         adjacency = radius_adjacency(cloud.positions, delta, tree=tree)
+
+    if features is None:
+        features = compute_features(cloud, k=min(knn, cloud.n_points), tree=tree,
+                                    meanwhile=build_adjacency if adjacency is None else None)
+    if adjacency is None:
+        build_adjacency()
     indptr, indices = adjacency
     return SceneContext(cloud, features, indptr, indices, float(delta), knn)

@@ -85,22 +85,24 @@ def nmi(c: Contingency) -> float:
 
 def expected_mutual_information(c: Contingency) -> float:
     """Exact E[MI] under the hypergeometric (fixed-margins) model: one sum
-    over every (a_i, b_j, k) with max(1, a_i + b_j - n) <= k <= min(a_i, b_j)."""
+    over every (a_i, b_j, k) with max(1, a_i + b_j - n) <= k <= min(a_i, b_j).
+    Every log-factorial is looked up in one table of log m!, m = 0..n."""
     n = c.n
-    a = np.repeat(c.row_sums, len(c.col_sums)).astype(np.float64)
-    b = np.tile(c.col_sums, len(c.row_sums)).astype(np.float64)
-    lo = np.maximum(1.0, a + b - n)
-    count = (np.minimum(a, b) - lo + 1).astype(np.int64)  # >= 1, as a_i, b_j <= n
+    log_fact = gammaln(np.arange(n + 1) + 1.0)
+    a = np.repeat(c.row_sums, len(c.col_sums))
+    b = np.tile(c.col_sums, len(c.row_sums))
+    lo = np.maximum(1, a + b - n)
+    count = np.minimum(a, b) - lo + 1  # >= 1, as a_i, b_j <= n
     # per (a_i, b_j) pair, repeated for each of its k: log a_i!, log (n - a_i)!,
     # log C(n, b_j) and log(a_i b_j)
-    pair = (gammaln(a + 1), gammaln(n - a + 1),
-            gammaln(n + 1) - gammaln(b + 1) - gammaln(n - b + 1), np.log(a * b), a, b)
+    pair = (log_fact[a], log_fact[n - a], log_fact[n] - log_fact[b] - log_fact[n - b],
+            np.log(a * b), a, b)
     g_a, g_na, log_comb_b, log_ab, ai, bj = (np.repeat(x, count) for x in pair)
     ends = np.cumsum(count)
     k = np.arange(ends[-1]) - np.repeat(ends - count - lo, count)
     log_pmf = (
-        g_a - gammaln(k + 1) - gammaln(ai - k + 1)
-        + g_na - gammaln(bj - k + 1) - gammaln(n - ai - bj + k + 1)
+        g_a - log_fact[k] - log_fact[ai - k]
+        + g_na - log_fact[bj - k] - log_fact[n - ai - bj + k]
         - log_comb_b
     )
     terms = (k / n) * (np.log(n * k) - log_ab) * np.exp(log_pmf)

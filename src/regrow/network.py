@@ -9,9 +9,8 @@ derived by hand for this fixed graph; there is no autodiff involved.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import wait
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from .features import N_FEATURES
 from .simulate import DatasetReader
+from .worker import worker
 
 PROB_EPS = 1e-7
 
@@ -215,25 +215,18 @@ def _split(params: NetworkParams, batch: int, n_points: int) -> bool:
     return batch * n_points * per_point >= SPLIT_MIN_MACS
 
 
-_branch_thread: tuple[int, ThreadPoolExecutor] | None = None
-
-
 def _both(split: bool, half, inlier_args: tuple, neighbor_args: tuple):
     """(half(*inlier_args), half(*neighbor_args)). With `split`, the neighbor
-    half runs on this process's branch thread while the calling thread runs
-    the inlier half. The halves share only read-only inputs, and NumPy and
-    BLAS release the GIL for their arrays, so the results are the bytes of the
-    sequential calls. The halves call no public function of this module, whose
-    tracing wrappers (perfbench) keep one span stack for all threads. The
-    thread is made per process: a forked child inherits the executor but not
-    its thread.
+    half runs on this process's worker thread (`worker.worker`) while the
+    calling thread runs the inlier half. The halves share only read-only
+    inputs, and NumPy and BLAS release the GIL for their arrays, so the
+    results are the bytes of the sequential calls. The halves call no public
+    function of this module, whose tracing wrappers (perfbench) keep one span
+    stack for all threads.
     """
     if not split:
         return half(*inlier_args), half(*neighbor_args)
-    global _branch_thread
-    if _branch_thread is None or _branch_thread[0] != os.getpid():
-        _branch_thread = (os.getpid(), ThreadPoolExecutor(1, "regrow-branch"))
-    future = _branch_thread[1].submit(half, *neighbor_args)
+    future = worker().submit(half, *neighbor_args)
     try:
         first = half(*inlier_args)
     finally:

@@ -298,6 +298,19 @@ class TestFeaturesCommand:
                     assert cached.tobytes() == fresh.tobytes()
         assert not list(out.glob("*.tmp"))
 
+    def test_one_line_per_scene_names_its_size(self, workspace, tmp_path, capsys):
+        scenes = workspace / "data" / "train"
+        out = tmp_path / "feat"
+        assert run(["features", "--scenes", str(scenes), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        paths = sorted(scenes.glob("*.txt"))
+        assert len(lines) == len(paths)
+        for line, scene_path in zip(lines, paths):
+            with np.load(out / f"{scene_path.stem}.features.npz") as data:
+                points, entries = len(data["features"]), len(data["adj_indices"])
+            assert re.fullmatch(rf"{scene_path.stem}: {points} points, {entries} adjacency "
+                                r"entries, built in \d+\.\d{3} s", line)
+
     def test_interrupted_write_keeps_the_old_entry(self, workspace, tmp_path, monkeypatch):
         scenes = workspace / "data" / "test"
         out = tmp_path / "feat"
@@ -525,6 +538,7 @@ class TestParallelAndCache:
         scenes = workspace / "data" / "test"
         cache = tmp_path / "cache"
         assert run(["features", "--scenes", str(scenes), "--out", str(cache)]) == 0
+        builds.update(features=0, adjacency=0)  # the cache's own builds
         cached = ["--features-dir", str(cache)]
         assert run(["baseline", "--scenes", str(scenes), "--method", "smoothness",
                     "--out", str(tmp_path / "bl")] + cached) == 0
@@ -537,6 +551,7 @@ class TestParallelAndCache:
         cache = tmp_path / "cache"
         assert run(["features", "--scenes", str(scenes), "--out", str(cache),
                     "--delta", "0.08"]) == 0
+        builds.update(features=0, adjacency=0)  # the cache's own builds
         for out, extra in (("fresh", []), ("cached", ["--features-dir", str(cache)])):
             assert run(["baseline", "--scenes", str(scenes), "--method", "threshold",
                         "--out", str(tmp_path / out)] + extra) == 0
@@ -550,6 +565,7 @@ class TestParallelAndCache:
         scenes = workspace / "data" / "test"
         cache = tmp_path / "cache"
         assert run(["features", "--scenes", str(scenes), "--out", str(cache)]) == 0
+        builds.update(features=0, adjacency=0)  # the cache's own builds
         # rewrite the entry in the earlier format: features and keys, no adjacency
         entry = next(cache.glob("*.features.npz"))
         with np.load(entry) as data:
@@ -602,6 +618,7 @@ class TestParallelAndCache:
         scenes = workspace / "data" / "test"
         cache = tmp_path / "cache"
         assert run(["features", "--scenes", str(scenes), "--out", str(cache)]) == 0
+        builds.update(features=0, adjacency=0)  # the cache's own builds
         # rewrite the entry in the earlier format: features, adjacency and keys
         entry = next(cache.glob("*.features.npz"))
         with np.load(entry) as data:

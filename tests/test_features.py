@@ -1,3 +1,8 @@
+import inspect
+import multiprocessing
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +10,10 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from oracles import frontier_oracle, normals_oracle, radius_adjacency_oracle
+from regrow import features
 from regrow.features import (
     FrontierTracker,
+    build_context,
     compute_features,
     compute_normals_curvature,
     normalize_inputs,
@@ -304,6 +311,189 @@ class TestFrontierTracker:
                                           frontier_oracle(pts, members, 0.125, eligible))
         np.testing.assert_array_equal(snapshot.member, frozen[0])
         np.testing.assert_array_equal(snapshot.support, frozen[1])
+
+
+def context_bytes(ctx):
+    return ctx.features.tobytes() + ctx.adj_indptr.tobytes() + ctx.adj_indices.tobytes()
+
+
+def random_cloud(n, seed):
+    return cloud_from(np.random.default_rng(seed).uniform(0, 0.5, (n, 3)))
+
+
+@pytest.fixture
+def worker_block(monkeypatch):
+    """Makes the adjacency wait (up to 10 s) until the worker thread has run a
+    PCA block, so that the worker takes part in every build; the returned
+    event is set once it has."""
+    ran = threading.Event()
+    block, adjacency = features._pca_block, features.radius_adjacency
+
+    def spied_block(*args):
+        if threading.current_thread() is not threading.main_thread():
+            ran.set()
+        return block(*args)
+
+    def waiting_adjacency(*args, **kwargs):
+        ran.wait(10)
+        return adjacency(*args, **kwargs)
+
+    monkeypatch.setattr(features, "_pca_block", spied_block)
+    monkeypatch.setattr(features, "radius_adjacency", waiting_adjacency)
+    return ran
+
+
+class TestPcaBlocks:
+    """The PCA normals in blocks, shared by the worker and calling threads."""
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 10**6])
+    @given(pca_clouds())
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_match_the_oracle_to_the_byte(self, block, cloud_k):
+        pts, k = cloud_k
+        expected = normals_oracle(pts, k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(features, "PCA_BLOCK", block)
+            got = compute_normals_curvature(cloud_from(pts), k=k)
+            ctx = build_context(cloud_from(pts), delta=0.1, knn=k)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+        assert ctx.features[:, 9:12].tobytes() == expected[0].tobytes()
+        assert ctx.features[:, 12].tobytes() == expected[1].tobytes()
+
+    def test_threads_switching_often_change_no_byte(self, monkeypatch):
+        # many small blocks and a short switch interval, so that the two
+        # threads interleave while writing rows of the same arrays
+        monkeypatch.setattr(features, "PCA_BLOCK", 3)
+        cloud = random_cloud(300, 13)
+        expected = normals_oracle(cloud.positions, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                got = compute_normals_curvature(cloud, k=8)
+                assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, 2, 4096])
+    def test_small_scene_gets_features_and_adjacency(self, monkeypatch, n, block):
+        # below 3 points the normals skip PCA; the adjacency must still be built
+        monkeypatch.setattr(features, "PCA_BLOCK", block)
+        pts = np.column_stack([np.arange(n) * 0.0625, np.zeros(n), np.zeros(n)])
+        ctx = build_context(cloud_from(pts), delta=0.1, knn=16)
+        assert ctx.features.tobytes() == compute_features(cloud_from(pts), k=n).tobytes()
+        assert_rows_match(ctx.adj_indptr, ctx.adj_indices, radius_adjacency_oracle(pts, 0.1))
+        assert ctx.adj_indices.size == 2 * (n - 1)
+
+    def test_zero_points_build_nothing(self):
+        # a cloud needs a point, so no context has zero points; zero blocks
+        # still run the adjacency that waits on them
+        with pytest.raises(ValueError, match="at least one point"):
+            cloud_from(np.zeros((0, 3)))
+        ran = []
+        features._run_blocks([], lambda: ran.append(True))
+        assert ran == [True]
+
+    def test_given_parts_change_no_byte(self, monkeypatch):
+        monkeypatch.setattr(features, "PCA_BLOCK", 7)
+        cloud = random_cloud(150, 9)
+        feats = compute_features(cloud, k=8)
+        adjacency = radius_adjacency(cloud.positions, 0.1)
+        expected = feats.tobytes() + b"".join(a.tobytes() for a in adjacency)
+        for given_parts in ({}, {"features": feats}, {"adjacency": adjacency},
+                            {"features": feats, "adjacency": adjacency}):
+            ctx = build_context(cloud, delta=0.1, knn=8, **given_parts)
+            assert context_bytes(ctx) == expected
+
+    @pytest.mark.parametrize("failing", ["first block", "last block", "adjacency"])
+    def test_error_reaches_the_caller_and_the_next_build_runs(self, monkeypatch, failing):
+        monkeypatch.setattr(features, "PCA_BLOCK", 16)
+        cloud = random_cloud(200, 10)
+        expected = context_bytes(build_context(cloud, delta=0.1, knn=8))
+        block, adjacency = features._pca_block, features.radius_adjacency
+        fail_at = {"first block": 0, "last block": 192}.get(failing)
+
+        def failing_block(tree, pts, k, lo, *rest):
+            if lo == fail_at:
+                raise FloatingPointError("build failed")
+            return block(tree, pts, k, lo, *rest)
+
+        def failing_adjacency(*args, **kwargs):
+            raise FloatingPointError("build failed")
+
+        monkeypatch.setattr(features, "_pca_block", failing_block)
+        if failing == "adjacency":
+            monkeypatch.setattr(features, "radius_adjacency", failing_adjacency)
+        with pytest.raises(FloatingPointError, match="build failed"):
+            build_context(cloud, delta=0.1, knn=8)
+        monkeypatch.setattr(features, "_pca_block", block)
+        monkeypatch.setattr(features, "radius_adjacency", adjacency)
+        assert context_bytes(build_context(cloud, delta=0.1, knn=8)) == expected
+
+    def test_worker_runs_no_public_function(self, monkeypatch, worker_block):
+        """The tracer (perfbench) keeps one span stack for all threads, so
+        only the calling thread may run a public function or method of regrow."""
+        monkeypatch.setattr(features, "PCA_BLOCK", 8)
+        calls = []
+
+        def spy(name, fn):
+            def traced(*args, **kwargs):
+                calls.append((name, threading.current_thread() is threading.main_thread()))
+                return fn(*args, **kwargs)
+            return traced
+
+        modules = [m for name, m in sys.modules.items()
+                   if m is not None and (name == "regrow" or name.startswith("regrow."))]
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if attr.startswith("_") or getattr(value, "__module__", None) != mod.__name__:
+                    continue
+                if inspect.isfunction(value):
+                    wrapped = spy(f"{mod.__name__}.{attr}", value)
+                    for other in modules:
+                        for key, held in list(vars(other).items()):
+                            if held is value:
+                                monkeypatch.setattr(other, key, wrapped)
+                elif inspect.isclass(value):
+                    for name, method in list(vars(value).items()):
+                        if inspect.isfunction(method) and (not name.startswith("_")
+                                                           or name == "__call__"):
+                            monkeypatch.setattr(value, name,
+                                                spy(f"{attr}.{name}", method))
+        cloud = random_cloud(300, 11)
+        features.build_context(cloud, delta=0.1, knn=8)  # the spied names
+        features.compute_features(cloud, k=8)
+        assert worker_block.is_set()
+        names = {name for name, _ in calls}
+        assert {"regrow.features.build_context", "regrow.features.compute_features",
+                "regrow.features.compute_normals_curvature"} <= names
+        assert [name for name, on_main in calls if not on_main] == []
+
+    def test_forked_child_builds_its_own_context(self, monkeypatch, worker_block):
+        """A forked child (as under `features --jobs`) inherits the executor
+        but not its thread; the child's blocks must run on a thread of its own."""
+        monkeypatch.setattr(features, "PCA_BLOCK", 16)
+        cloud = random_cloud(200, 12)
+        expected = context_bytes(build_context(cloud, delta=0.1, knn=8))  # starts the thread
+        assert worker_block.is_set()
+        receive, send = multiprocessing.Pipe(duplex=False)
+
+        def child():
+            worker_block.clear()
+            got = context_bytes(build_context(cloud, delta=0.1, knn=8))
+            send.send_bytes(bytes([worker_block.is_set()]) + got)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        try:
+            assert receive.poll(60), "the child's build did not finish"
+            assert receive.recv_bytes() == b"\x01" + expected
+        finally:
+            proc.kill()
+            proc.join(10)
+        assert not proc.is_alive()
 
 
 class TestSampleFixed:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ami_oracle, ari_oracle, emi_oracle, nmi_oracle
+from oracles import ami_oracle, ari_oracle, emi_gammaln_oracle, emi_oracle, nmi_oracle
 from regrow.metrics import (
     ami,
     ari,
@@ -85,6 +85,18 @@ class TestClusteringIndices:
         gt, pred = zip(*pairs)
         emi = expected_mutual_information(build_contingency(gt, pred))
         assert emi == pytest.approx(emi_oracle(gt, pred), rel=1e-12, abs=1e-15)
+
+    @given(st.integers(2, 3000), st.integers(1, 20), st.integers(1, 20),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_log_factorial_table_returns_the_gammaln_float(self, n, r, k, seed):
+        """Random margins, skewed by Dirichlet cluster weights: the table
+        lookups give the float of the five `gammaln` calls, not just a close one."""
+        rng = np.random.default_rng(seed)
+        gt = rng.choice(r, size=n, p=rng.dirichlet(np.full(r, 0.5)))
+        pred = rng.choice(k, size=n, p=rng.dirichlet(np.full(k, 0.5)))
+        c = build_contingency(gt, pred)
+        assert expected_mutual_information(c) == emi_gammaln_oracle(c)
 
     def test_random_labelings_near_zero_ari(self):
         rng = np.random.default_rng(2)
