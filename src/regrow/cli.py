@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import resource
 import sys
 import time
@@ -29,7 +28,8 @@ from . import baselines, metrics, synth
 from .features import DEFAULT_DELTA, DEFAULT_KNN, FEATURE_SUBSETS, build_context
 from .grow import GrowConfig, segment_scene
 from .network import Predictor, TrainConfig, load_params, train
-from .pointcloud import PointCloud, export_colored_ply, load_scene, read_labels, write_labels
+from .pointcloud import (PointCloud, atomic_open, export_colored_ply, load_scene, read_labels,
+                         write_labels)
 from .search import STRATEGIES, SearchConfig
 from .simulate import SimConfig, generate_dataset
 
@@ -302,9 +302,14 @@ def _cmd_synth(args) -> int:
     cfg = synth.RoomConfig(extent=tuple(args.extent), spacing=args.spacing,
                            n_objects=(args.objects_min, args.objects_max),
                            color_noise=args.color_noise)
+    rooms = []  # (points, generate_s, write_s) of each room
     train_paths, test_paths = synth.generate_split(
-        cfg, args.train, args.test, args.out, base_seed=args.seed)
+        cfg, args.train, args.test, args.out, base_seed=args.seed,
+        report=lambda *room: rooms.append(room))
+    points, generate_s, write_s = (sum(col) for col in zip((0, 0.0, 0.0), *rooms))
     print(f"wrote {len(train_paths)} train + {len(test_paths)} test scenes to {args.out}")
+    print(f"synth: {len(rooms)} rooms, {points} points, generated in {generate_s:.3f} s, "
+          f"written in {write_s:.3f} s")
     return 0
 
 
@@ -317,19 +322,11 @@ def _features_worker(scene_path, out_dir, delta, knn) -> str:
     seconds = time.perf_counter() - start
     labels = {} if cloud.gt_instance is None else {"gt_instance": cloud.gt_instance}
     out = Path(out_dir) / (Path(scene_path).stem + ".features.npz")
-    # written whole beside the entry, then renamed over it, so that an
-    # interrupted run leaves no partial entry
-    tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            np.savez(f, positions=cloud.positions, colors=cloud.colors, **labels,
-                     features=ctx.features, adj_indptr=ctx.adj_indptr,
-                     adj_indices=ctx.adj_indices, delta=delta, knn=knn,
-                     scene_sha256=_scene_sha256(scene_path))
-        os.replace(tmp, out)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(out, "wb") as f:
+        np.savez(f, positions=cloud.positions, colors=cloud.colors, **labels,
+                 features=ctx.features, adj_indptr=ctx.adj_indptr,
+                 adj_indices=ctx.adj_indices, delta=delta, knn=knn,
+                 scene_sha256=_scene_sha256(scene_path))
     return (f"{Path(scene_path).stem}: {cloud.n_points} points, "
             f"{len(ctx.adj_indices)} adjacency entries, built in {seconds:.3f} s")
 

@@ -12,7 +12,9 @@ integer >= 1. Instance id 0 is reserved everywhere for "unassigned".
 from __future__ import annotations
 
 import colorsys
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -159,29 +161,101 @@ def _load_lines(path: Path) -> PointCloud:
     return PointCloud(np.array(positions), np.array(colors, dtype=np.uint8), gt)
 
 
+# rows formatted per `%` call and write: bounds a writer's memory by the
+# block, not the scene
+WRITE_BLOCK = 16384
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a temporary file beside `path` that replaces it only when the
+    block finishes; on any error the temporary file is removed and `path` is
+    left as it was, so a reader never sees a partly written file."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_rows(fh, row_format: str, columns) -> None:
+    """Write `row_format % (columns[0][i], columns[1][i], ...)` for every row
+    i, WRITE_BLOCK rows to one format call; `%.6f` and `%d` give the bytes
+    that `f"{x:.6f}"` and `f"{v:d}"` give."""
+    n, width = len(columns[0]), len(columns)
+    for lo in range(0, n, WRITE_BLOCK):
+        hi = min(lo + WRITE_BLOCK, n)
+        flat = [None] * ((hi - lo) * width)
+        for c, col in enumerate(columns):
+            flat[c::width] = col[lo:hi].tolist()
+        fh.write(row_format * (hi - lo) % tuple(flat))
+
+
 def save_scene(cloud: PointCloud, path) -> None:
     """Write a cloud in the canonical text format (positions to 6 decimals)."""
-    path = Path(path)
-    lines = []
-    pos, col = cloud.positions, cloud.colors
-    gt = cloud.gt_instance
-    for i in range(cloud.n_points):
-        row = f"{pos[i, 0]:.6f} {pos[i, 1]:.6f} {pos[i, 2]:.6f} {col[i, 0]:d} {col[i, 1]:d} {col[i, 2]:d}"
-        if gt is not None:
-            row += f" {gt[i]:d}"
-        lines.append(row)
-    path.write_text("\n".join(lines) + "\n")
+    pos, col, gt = cloud.positions, cloud.colors, cloud.gt_instance
+    columns = [pos[:, 0], pos[:, 1], pos[:, 2], col[:, 0], col[:, 1], col[:, 2]]
+    row_format = "%.6f %.6f %.6f %d %d %d"
+    if gt is not None:
+        columns.append(gt)
+        row_format += " %d"
+    with atomic_open(path) as fh:
+        _write_rows(fh, row_format + "\n", columns)
+
+
+_LINE_DIGITS = 10  # longest label line the vectorized reader takes
 
 
 def read_labels(path) -> np.ndarray:
-    """Read a labels file: one integer per line, aligned with the scene file."""
-    values = [int(line) for line in Path(path).read_text().split()]
-    return np.array(values, dtype=np.int32)
+    """Read a labels file: one integer per line, aligned with the scene file.
+
+    A file of newline-terminated lines of 1-10 ASCII digits each, with every
+    value in int32, is parsed with array operations; any other file is read
+    with `int()` per whitespace-separated token, which takes signs, ``_``
+    and blank lines and raises on a value outside int32."""
+    values = _digit_lines(Path(path).read_bytes())
+    if values is not None and values.max() <= _ID_MAX:
+        return values.astype(np.int32)
+    return _read_label_tokens(path)
+
+
+def _read_label_tokens(path) -> np.ndarray:
+    return np.array([int(tok) for tok in Path(path).read_text().split()], dtype=np.int32)
+
+
+def _digit_lines(data: bytes) -> np.ndarray | None:
+    """The int64 values of a file of newline-terminated 1-10 digit lines, or
+    None when the file has any other shape."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if raw.size == 0 or raw[-1] != ord("\n"):
+        return None
+    newline = raw == ord("\n")
+    digit = raw - np.uint8(ord("0"))  # wraps every non-digit byte above 9
+    if not ((digit <= 9) | newline).all():
+        return None
+    ends = np.flatnonzero(newline)
+    lengths = np.diff(ends, prepend=-1) - 1
+    if lengths.min() < 1 or lengths.max() > _LINE_DIGITS:
+        return None
+    # add the k-th digit from the right of every line that has one
+    values = digit[ends - 1].astype(np.int64)
+    for k in range(2, lengths.max() + 1):
+        longer = np.flatnonzero(lengths >= k)
+        values[longer] += digit[ends[longer] - k] * np.int64(10) ** (k - 1)
+    return values
 
 
 def write_labels(labels: np.ndarray, path) -> None:
-    values = np.asarray(labels, dtype=np.int64).tolist()
-    Path(path).write_text("\n".join(map(str, values)) + "\n")
+    """Write one integer label per line; an empty labeling is one blank line."""
+    values = np.asarray(labels, dtype=np.int64)
+    with atomic_open(path) as fh:
+        _write_rows(fh, "%d\n", [values])
+        if len(values) == 0:
+            fh.write("\n")
 
 
 def _build_palette(n: int = 64) -> np.ndarray:
@@ -225,8 +299,7 @@ def export_colored_ply(cloud: PointCloud, labels: np.ndarray, path) -> None:
         "end_header",
     ]
     pos = cloud.positions
-    body = [
-        f"{pos[i, 0]:.6f} {pos[i, 1]:.6f} {pos[i, 2]:.6f} {rgb[i, 0]:d} {rgb[i, 1]:d} {rgb[i, 2]:d}"
-        for i in range(cloud.n_points)
-    ]
-    Path(path).write_text("\n".join(header + body) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(header) + "\n")
+        _write_rows(fh, "%.6f %.6f %.6f %d %d %d\n",
+                    [pos[:, 0], pos[:, 1], pos[:, 2], rgb[:, 0], rgb[:, 1], rgb[:, 2]])

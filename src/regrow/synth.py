@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -189,8 +190,11 @@ def generate_room(cfg: RoomConfig, seed: int) -> PointCloud:
 
 
 def generate_split(cfg: RoomConfig, n_train: int, n_test: int, out_dir,
-                   base_seed: int = 0) -> tuple[list[Path], list[Path]]:
-    """Write train/ and test/ scene files with disjoint seed ranges plus a manifest."""
+                   base_seed: int = 0, report=None) -> tuple[list[Path], list[Path]]:
+    """Write train/ and test/ scene files with disjoint seed ranges plus a manifest.
+
+    After each room, `report(points, generate_s, write_s)` is called if given,
+    with the room's point count and the seconds spent generating and writing it."""
     out_dir = Path(out_dir)
     manifest = {"config": asdict(cfg), "base_seed": base_seed, "train": [], "test": []}
     paths = {"train": [], "test": []}
@@ -199,7 +203,12 @@ def generate_split(cfg: RoomConfig, n_train: int, n_test: int, out_dir,
         (out_dir / split).mkdir(parents=True, exist_ok=True)
         for i in range(count):
             path = out_dir / split / f"scene_{i:04d}.txt"
-            save_scene(generate_room(cfg, first_seed + i), path)
+            started = time.perf_counter()
+            cloud = generate_room(cfg, first_seed + i)
+            generated = time.perf_counter()
+            save_scene(cloud, path)
+            if report is not None:
+                report(cloud.n_points, generated - started, time.perf_counter() - generated)
             manifest[split].append({"file": str(path.relative_to(out_dir)),
                                     "seed": first_seed + i})
             paths[split].append(path)

@@ -5,8 +5,9 @@ of contingency algebra, probability dictionaries instead of vectorized sums,
 scipy's hypergeometric pmf for the expected mutual information, a
 record-by-record `struct` reader for the dataset file, per-edge seeded flood
 fills for the classical baselines, the (N, k, 3) einsum PCA that the
-column-wise covariance kernel replaced, a line-by-line scene parser, a
-per-element labels writer, the training step that keeps every
+column-wise covariance kernel replaced, a line-by-line scene parser,
+one-f-string-per-row scene and PLY writers, a per-element labels writer and
+an `int()`-per-token labels reader, the training step that keeps every
 pre-activation, accumulates gradients into zeroed arrays and runs Adam
 through temporaries, and the noiseless growth step that the simulator's
 noisy one corrupts.
@@ -28,7 +29,7 @@ from scipy.special import gammaln
 from regrow.baselines import SmoothnessConfig, ThresholdConfig
 from regrow.grow import reassign_small_segments, select_seed
 from regrow.network import BranchParams, param_tensors
-from regrow.pointcloud import PointCloud, SceneFormatError
+from regrow.pointcloud import PALETTE, PointCloud, SceneFormatError
 
 
 def ari_oracle(gt, pred):
@@ -618,3 +619,45 @@ def scene_oracle(path):
 def write_labels_oracle(labels, path):
     """Write labels one `int()` at a time, a line each."""
     Path(path).write_text("\n".join(str(int(v)) for v in labels) + "\n")
+
+
+def read_labels_oracle(path):
+    """Read labels with one `int()` per whitespace-separated token."""
+    values = [int(line) for line in Path(path).read_text().split()]
+    return np.array(values, dtype=np.int32)
+
+
+def save_scene_oracle(cloud, path):
+    """Write a scene one f-string row at a time."""
+    lines = []
+    pos, col = cloud.positions, cloud.colors
+    gt = cloud.gt_instance
+    for i in range(cloud.n_points):
+        row = f"{pos[i, 0]:.6f} {pos[i, 1]:.6f} {pos[i, 2]:.6f} {col[i, 0]:d} {col[i, 1]:d} {col[i, 2]:d}"
+        if gt is not None:
+            row += f" {gt[i]:d}"
+        lines.append(row)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def ply_oracle(cloud, labels, path):
+    """Write the palette-colored ASCII PLY one f-string row at a time."""
+    rgb = PALETTE[(np.asarray(labels, dtype=np.int64) - 1) % len(PALETTE)]
+    header = [
+        "ply",
+        "format ascii 1.0",
+        f"element vertex {cloud.n_points}",
+        "property float x",
+        "property float y",
+        "property float z",
+        "property uchar red",
+        "property uchar green",
+        "property uchar blue",
+        "end_header",
+    ]
+    pos = cloud.positions
+    body = [
+        f"{pos[i, 0]:.6f} {pos[i, 1]:.6f} {pos[i, 2]:.6f} {rgb[i, 0]:d} {rgb[i, 1]:d} {rgb[i, 2]:d}"
+        for i in range(cloud.n_points)
+    ]
+    Path(path).write_text("\n".join(header + body) + "\n")

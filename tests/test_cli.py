@@ -61,6 +61,17 @@ class TestSynth:
         seeds = {e["seed"] for e in manifest["train"]} | {e["seed"] for e in manifest["test"]}
         assert len(seeds) == 5  # disjoint seed ranges
 
+    def test_closing_line_counts_rooms_and_points(self, tmp_path, capsys):
+        assert run(["synth", "--out", str(tmp_path), "--train", "2", "--test", "1",
+                    "--seed", "4"] + SMALL_SYNTH) == 0
+        wrote, closing = capsys.readouterr().out.splitlines()
+        assert wrote == f"wrote 2 train + 1 test scenes to {tmp_path}"
+        match = re.fullmatch(r"synth: 3 rooms, (\d+) points, generated in \d+\.\d{3} s, "
+                             r"written in \d+\.\d{3} s", closing)
+        assert match, closing
+        assert int(match.group(1)) == sum(load_scene(p).n_points
+                                          for p in tmp_path.glob("*/*.txt"))
+
     def test_scenes_load_back(self, tmp_path):
         run(["synth", "--out", str(tmp_path), "--train", "1", "--test", "0",
              "--seed", "1"] + SMALL_SYNTH)

@@ -1,14 +1,17 @@
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scene_oracle, write_labels_oracle
+from oracles import (ply_oracle, read_labels_oracle, save_scene_oracle, scene_oracle,
+                     write_labels_oracle)
 from regrow import pointcloud
 from regrow.pointcloud import (
     PALETTE,
@@ -281,14 +284,142 @@ def _line_of(message):
     return int(re.search(r": line (\d+): ", message).group(1))
 
 
+# rows per write block: one row, a few, not dividing n, and more than any n
+BLOCKS = st.sampled_from([1, 2, 7, 10**6])
+COORD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-7, -1e-7, 5e-7, -5e-7, 4.9999999e-7, 1e9, -1e9, 0.5, -2.25]),
+    st.floats(-1e9, 1e9),
+    st.floats(allow_nan=False, allow_infinity=False))
+COLOR_VALUES = st.one_of(st.sampled_from([0, 255]), st.integers(0, 255))
+ID_VALUES = st.one_of(st.sampled_from([1, 2**31 - 1]), st.integers(1, 2**31 - 1))
+
+
+@st.composite
+def clouds(draw):
+    n = draw(st.integers(1, 30))
+    pos = np.array(draw(st.lists(COORD_VALUES, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+    col = np.array(draw(st.lists(COLOR_VALUES, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+    gt = draw(st.none() | st.lists(ID_VALUES, min_size=n, max_size=n))
+    return PointCloud(pos, col, gt)
+
+
+def _same_bytes(write, oracle, *args):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, expected = Path(tmp) / "got", Path(tmp) / "expected"
+        write(*args, got)
+        oracle(*args, expected)
+        assert got.read_bytes() == expected.read_bytes()
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["expected", "got"]
+
+
 class TestAgainstLabelsOracle:
     @given(st.sampled_from([np.int32, np.int64]),
-           st.lists(st.integers(1, 2**31 - 1), max_size=200))
+           st.lists(st.integers(1, 2**31 - 1), max_size=200), BLOCKS)
     @settings(max_examples=200, deadline=None)
-    def test_write_labels_matches_oracle(self, dtype, values):
-        labels = np.array(values, dtype=dtype)
+    def test_write_labels_matches_oracle(self, dtype, values, block):
+        with mock.patch.object(pointcloud, "WRITE_BLOCK", block):
+            _same_bytes(write_labels, write_labels_oracle, np.array(values, dtype=dtype))
+
+    @given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=20), BLOCKS)
+    @settings(max_examples=100, deadline=None)
+    def test_write_labels_of_any_int64_matches_oracle(self, values, block):
+        with mock.patch.object(pointcloud, "WRITE_BLOCK", block):
+            _same_bytes(write_labels, write_labels_oracle, np.array(values, dtype=np.int64))
+
+    @given(st.lists(st.one_of(
+        st.sampled_from(["0", "7", "007", "0000000001", "2147483647", "2147483648", "4294967296",
+                         "9999999999", "12345678901", "+7", "-7", "1_0", "", " ", "7 ", " 7",
+                         "7\t", "1 2", "x", "1.0", "\u0663", "7\x00"]),
+        st.integers(0, 2**31 + 9).map(str)), max_size=30),
+        st.sampled_from(["\n", "\r\n"]), st.sampled_from(["\n", "\r\n", ""]))
+    @settings(max_examples=300, deadline=None)
+    def test_read_labels_matches_oracle(self, lines, eol, last):
         with tempfile.TemporaryDirectory() as tmp:
-            got, expected = Path(tmp) / "got.labels", Path(tmp) / "expected.labels"
-            write_labels(labels, got)
-            write_labels_oracle(labels, expected)
-            assert got.read_bytes() == expected.read_bytes()
+            path = Path(tmp) / "x.labels"
+            path.write_bytes((eol.join(lines) + (last if lines else "")).encode())
+            got, expected = _labels_outcome(read_labels, path), _labels_outcome(
+                read_labels_oracle, path)
+        assert got == expected
+
+    def test_written_labels_take_the_vectorized_read(self, tmp_path, monkeypatch):
+        labels = np.array([1, 10, 2147483647, 3, 0, 42], dtype=np.int32)
+        path = tmp_path / "x.labels"
+        write_labels(labels, path)
+
+        def no_token_read(path):
+            raise AssertionError("a written labels file fell back to int() per token")
+
+        monkeypatch.setattr(pointcloud, "_read_label_tokens", no_token_read)
+        got = read_labels(path)
+        assert got.dtype == np.int32 and got.tobytes() == labels.tobytes()
+
+
+def _labels_outcome(read, path):
+    try:
+        values = read(path)
+    except Exception as exc:  # the comparison covers the exception type
+        return ("raised", type(exc))
+    return ("read", values.dtype, values.shape, values.tobytes())
+
+
+class TestAgainstWriterOracles:
+    @given(clouds(), BLOCKS)
+    @settings(max_examples=200, deadline=None)
+    def test_save_scene_matches_oracle(self, cloud, block):
+        with mock.patch.object(pointcloud, "WRITE_BLOCK", block):
+            _same_bytes(save_scene, save_scene_oracle, cloud)
+
+    @given(clouds(), BLOCKS, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ply_matches_oracle(self, cloud, block, data):
+        labels = np.array(data.draw(st.lists(ID_VALUES, min_size=cloud.n_points,
+                                             max_size=cloud.n_points)))
+        with mock.patch.object(pointcloud, "WRITE_BLOCK", block):
+            _same_bytes(export_colored_ply, ply_oracle, cloud, labels)
+
+    def test_saving_a_large_cloud_holds_one_block(self, tmp_path):
+        # the text of 200k rows is about 9 MB; one block of rows is far less
+        cloud = make_cloud(200_000, seed=11)
+        tracemalloc.start()
+        try:
+            save_scene(cloud, tmp_path / "big.txt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+WRITERS = {
+    "scene": lambda cloud, path: save_scene(cloud, path),
+    "labels": lambda cloud, path: write_labels(cloud.gt_instance, path),
+    "ply": lambda cloud, path: export_colored_ply(cloud, cloud.gt_instance, path),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    @pytest.mark.parametrize("error", [OSError("No space left on device"), KeyboardInterrupt()])
+    def test_failure_after_the_first_block_keeps_the_old_file(self, tmp_path, monkeypatch,
+                                                               writer, error):
+        path = tmp_path / "out"
+        WRITERS[writer](make_cloud(5, seed=1), path)
+        before = path.read_bytes()
+        real_write_rows = pointcloud._write_rows
+        blocks = []
+
+        def fails_after_one_block(fh, row_format, columns):
+            class OneBlock:
+                def write(self, text):
+                    if blocks:
+                        raise error
+                    blocks.append(text)
+                    fh.write(text)
+            real_write_rows(OneBlock(), row_format, columns)
+
+        monkeypatch.setattr(pointcloud, "WRITE_BLOCK", 2)
+        monkeypatch.setattr(pointcloud, "_write_rows", fails_after_one_block)
+        with pytest.raises(type(error)):
+            WRITERS[writer](make_cloud(5, seed=2), path)
+        assert len(blocks) == 1 and blocks[0].count("\n") == 2
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
