@@ -382,7 +382,8 @@ def _segment_worker(scene_path, model, out_dir, delta, knn, features_dir,
                        "beam": search.beam_width, "expansions": search.expansions,
                        "seed": seed, "min_segment": grow.min_segment,
                        "max_steps": grow.max_steps}
-    (out_dir / f"{stem}.stats.json").write_text(json.dumps(stats, indent=2) + "\n")
+    with atomic_open(out_dir / f"{stem}.stats.json") as fh:
+        fh.write(json.dumps(stats, indent=2) + "\n")
     if ply:
         export_colored_ply(ctx.cloud, labels, out_dir / f"{stem}.ply")
     return f"{stem}: {stats['instances']} instances, {stats['inferences']} inferences"

@@ -1,5 +1,6 @@
 """Per-point features, the cKDTree radius adjacency, the region engine
-(`FrontierTracker`) and network input prep (`region_inputs`).
+(`FrontierTracker`), the one record of a growing region (`RegionState`) and
+network input prep (`region_inputs`).
 
 Each point gets 13 feature columns:
 
@@ -20,7 +21,7 @@ started. Every value is per point, so the bytes do not depend on the split.
 from __future__ import annotations
 
 from concurrent.futures import wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -274,6 +275,35 @@ class FrontierTracker:
         dup.member = self.member.copy()
         dup.size = self.size
         return dup
+
+
+@dataclass
+class RegionState:
+    """The one record of a region grown from a seed, used by simulation,
+    growth and search: the tracked members, the bookkeeping of its steps and
+    the statistics of its predicted steps.
+
+    The seed is always a member. Growth functions update the state in place.
+    """
+
+    tracker: FrontierTracker
+    seed: int
+    step: int = 0
+    stagnant_steps: int = 0
+    loglik: float = 0.0
+    inferences: int = 0
+    capped: bool = False
+    add_fractions: list[float] = field(default_factory=list)
+    remove_fractions: list[float] = field(default_factory=list)
+
+    @property
+    def members(self) -> np.ndarray:
+        """Bool mask over the scene's points."""
+        return self.tracker.member
+
+    def copy(self) -> "RegionState":
+        return replace(self, tracker=self.tracker.copy(), add_fractions=list(self.add_fractions),
+                       remove_fractions=list(self.remove_fractions))
 
 
 def sample_fixed(indices, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,21 +1,21 @@
 """Inference-time segmentation by repeated learned region growing.
 
-A region starts at the unlabeled point of minimum curvature and is grown by
-alternating removal of predicted outliers and admission of predicted neighbor
-points until no candidates remain, no additions are predicted, or the region
-stops expanding for two consecutive steps. Grown regions claim fresh instance
-ids; undersized ones are merged into their nearest surviving instance.
+A region, one `features.RegionState`, starts at the unlabeled point of minimum
+curvature and is grown by alternating removal of predicted outliers and
+admission of predicted neighbor points until no candidates remain, no
+additions are predicted, or the region stops expanding for two consecutive
+steps. Grown regions claim fresh instance ids; undersized ones are merged
+into their nearest surviving instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .features import COL_CURVATURE, SceneContext, region_inputs
-from .simulate import RegionState
+from .features import COL_CURVATURE, RegionState, SceneContext, region_inputs
 
 MASK_THRESHOLD = 0.5
 DEFAULT_STEP_CAP = 500
@@ -38,24 +38,6 @@ class GrowConfig:
         for name in ("i_size", "j_size", "max_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-
-@dataclass
-class GrowStep:
-    added: np.ndarray
-    removed: np.ndarray
-    step_loglik: float
-
-
-@dataclass
-class GrowResult:
-    members: np.ndarray  # bool mask over the scene's points
-    loglik: float
-    steps: int
-    inferences: int
-    capped: bool = False
-    add_fraction: float = 0.0
-    remove_fraction: float = 0.0
 
 
 def select_seed(curvature: np.ndarray, labels: np.ndarray) -> int:
@@ -81,8 +63,9 @@ def _vote(ids: np.ndarray, bits: np.ndarray, majority: bool) -> np.ndarray:
 
 
 def grow_step(ctx: SceneContext, predictor, state: RegionState, frontier: np.ndarray,
-              cfg: GrowConfig, rng: np.random.Generator) -> GrowStep:
-    """One prediction-driven update of the region from its nonempty frontier.
+              cfg: GrowConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
+    """One prediction-driven update of the region from its nonempty frontier;
+    returns (added, removed, loglik) of the step.
 
     The state is updated in place. An empty predicted add set leaves it
     untouched (the caller treats that as a termination signal).
@@ -113,7 +96,7 @@ def grow_step(ctx: SceneContext, predictor, state: RegionState, frontier: np.nda
 
     added = _vote(nbr, add_bits, majority=False)
     if added.size == 0:
-        return GrowStep(added, np.empty(0, dtype=np.int64), loglik)
+        return added, np.empty(0, dtype=np.int64), loglik
     removed = _vote(inl, remove_bits, majority=True)
     removed = removed[removed != state.seed]  # the seed is never removed
 
@@ -123,63 +106,37 @@ def grow_step(ctx: SceneContext, predictor, state: RegionState, frontier: np.nda
     state.step += 1
     state.stagnant_steps = 0 if tracker.size > size else min(state.stagnant_steps + 1, 2)
     state.loglik += loglik
-    return GrowStep(added, removed, loglik)
+    return added, removed, loglik
 
 
-@dataclass
-class Rollout:
-    """A region grown from one seed plus the statistics of its steps."""
-
-    state: RegionState
-    inferences: int = 0
-    capped: bool = False
-    add_fractions: list[float] = field(default_factory=list)
-    remove_fractions: list[float] = field(default_factory=list)
-
-    @classmethod
-    def start(cls, ctx: SceneContext, seed: int) -> "Rollout":
-        return cls(RegionState(ctx.new_tracker([int(seed)]), int(seed)))
-
-    def copy(self) -> "Rollout":
-        return Rollout(replace(self.state, tracker=self.state.tracker.copy()),
-                       self.inferences, self.capped, list(self.add_fractions),
-                       list(self.remove_fractions))
-
-    def advance(self, ctx: SceneContext, predictor, eligible: np.ndarray,
-                cfg: GrowConfig, rng: np.random.Generator) -> bool:
-        """One growth step; False once a termination condition has fired."""
-        state = self.state
-        if state.step >= cfg.max_steps:
-            self.capped = True
-            return False
-        frontier = state.tracker.frontier(eligible)
-        if frontier.size == 0:
-            return False
-        size = state.tracker.size
-        step = grow_step(ctx, predictor, state, frontier, cfg, rng)
-        self.inferences += 1
-        if step.added.size == 0:
-            return False  # predicted add set is empty
-        self.add_fractions.append(step.added.size / min(cfg.j_size, frontier.size))
-        self.remove_fractions.append(step.removed.size / min(cfg.i_size, size))
-        return state.stagnant_steps < 2  # no expansion for two consecutive steps
-
-    def result(self) -> GrowResult:
-        return GrowResult(
-            self.state.tracker.member, self.state.loglik, self.state.step,
-            self.inferences, self.capped,
-            float(np.mean(self.add_fractions)) if self.add_fractions else 0.0,
-            float(np.mean(self.remove_fractions)) if self.remove_fractions else 0.0)
+def advance(ctx: SceneContext, predictor, state: RegionState, eligible: np.ndarray,
+            cfg: GrowConfig, rng: np.random.Generator) -> bool:
+    """One growth step of the region and its step statistics; False once a
+    termination condition has fired."""
+    if state.step >= cfg.max_steps:
+        state.capped = True
+        return False
+    frontier = state.tracker.frontier(eligible)
+    if frontier.size == 0:
+        return False
+    size = state.tracker.size
+    added, removed, _ = grow_step(ctx, predictor, state, frontier, cfg, rng)
+    state.inferences += 1
+    if added.size == 0:
+        return False  # predicted add set is empty
+    state.add_fractions.append(added.size / min(cfg.j_size, frontier.size))
+    state.remove_fractions.append(removed.size / min(cfg.i_size, size))
+    return state.stagnant_steps < 2  # no expansion for two consecutive steps
 
 
 def grow_region(ctx: SceneContext, predictor, seed: int, labels,
-                cfg: GrowConfig, rng: np.random.Generator) -> GrowResult:
+                cfg: GrowConfig, rng: np.random.Generator) -> RegionState:
     """Grow from one seed until a termination condition fires."""
     eligible = np.asarray(labels) == 0
-    rollout = Rollout.start(ctx, seed)
-    while rollout.advance(ctx, predictor, eligible, cfg, rng):
+    state = RegionState(ctx.new_tracker([seed]), seed)
+    while advance(ctx, predictor, state, eligible, cfg, rng):
         pass
-    return rollout.result()
+    return state
 
 
 def reassign_small_segments(cloud, labels: np.ndarray,
@@ -232,7 +189,6 @@ def segment_scene(ctx: SceneContext, predictor, grow_cfg: GrowConfig,
         search_cfg = SearchConfig(strategy="greedy")
     curvature = ctx.features[:, COL_CURVATURE]
     labels = np.zeros(ctx.n_points, dtype=np.int32)
-    next_id = 1
     total_inferences = 0
     regions = 0
     capped_regions = 0
@@ -246,14 +202,14 @@ def segment_scene(ctx: SceneContext, predictor, grow_cfg: GrowConfig,
             seed = int(rng.choice(unlabeled))
         else:
             seed = select_seed(curvature, labels)
-        result = run_search(ctx, predictor, seed, labels, grow_cfg, search_cfg, rng)
-        labels[result.members] = next_id
-        next_id += 1
+        region = run_search(ctx, predictor, seed, labels, grow_cfg, search_cfg, rng)
         regions += 1
-        total_inferences += result.inferences
-        capped_regions += int(result.capped)
-        add_fracs.append(result.add_fraction)
-        remove_fracs.append(result.remove_fraction)
+        labels[region.members] = regions
+        total_inferences += region.inferences
+        capped_regions += int(region.capped)
+        add_fracs.append(float(np.mean(region.add_fractions)) if region.add_fractions else 0.0)
+        remove_fracs.append(float(np.mean(region.remove_fractions))
+                            if region.remove_fractions else 0.0)
     final = reassign_small_segments(ctx.cloud, labels, grow_cfg.min_segment)
     stats = {
         "regions_grown": regions,

@@ -12,10 +12,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaln
+
+from .pointcloud import atomic_open
 
 
 @dataclass(frozen=True)
@@ -195,9 +196,9 @@ METRIC_COLUMNS = ("nmi", "ami", "ari", "precision", "recall", "miou", "steps")
 
 
 def write_metrics_csv(path, names: list[str], records: list[dict]) -> None:
-    """One row per scene plus aggregate mean and std rows."""
+    """One row per scene plus aggregate mean and std rows, written atomically."""
     means, stds = per_room_average(records)
-    with open(Path(path), "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("scene",) + METRIC_COLUMNS)
         for name, rec in zip(names, records):

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import N_FEATURES
+from .pointcloud import atomic_open
 from .simulate import DatasetReader
 from .worker import worker
 
@@ -24,8 +25,6 @@ PROB_EPS = 1e-7
 
 FULL_ENC_WIDTHS = (64, 64, 64, 128, 512)
 FULL_DEC_WIDTHS = (256, 128, 1)
-DESK_ENC_WIDTHS = (32, 32, 32, 64, 128)
-DESK_DEC_WIDTHS = (64, 32, 1)
 
 # Per-branch forward multiply-adds from which a call runs its two branches on
 # two threads (see `_both`). Set from the measured crossover on 2 cores with
@@ -482,14 +481,15 @@ CHECKPOINT_VERSION = 1
 
 
 def save_params(params: NetworkParams, path) -> None:
-    """Self-describing checkpoint: magic, uint32 header, float32 tensors in declaration order."""
+    """Self-describing checkpoint: magic, uint32 header, float32 tensors in
+    declaration order. It replaces `path` only once complete (`atomic_open`)."""
     header = [CHECKPOINT_VERSION, params.n_features, params.i_size, params.j_size,
               len(params.enc_widths), *params.enc_widths,
               len(params.dec_widths), *params.dec_widths,
               params.skip_layer,
               len(params.feature_columns), *params.feature_columns,
               1 if params.normalize else 0]
-    with open(Path(path), "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(np.array(header, dtype="<u4").tobytes())
         for _, tensor in param_tensors(params):

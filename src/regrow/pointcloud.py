@@ -167,14 +167,15 @@ WRITE_BLOCK = 16384
 
 
 @contextmanager
-def atomic_open(path, mode: str = "w"):
+def atomic_open(path, mode: str = "w", newline: str | None = None):
     """Open a temporary file beside `path` that replaces it only when the
     block finishes; on any error the temporary file is removed and `path` is
-    left as it was, so a reader never sees a partly written file."""
+    left as it was, so a reader never sees a partly written file. `mode` and
+    `newline` are those of `open`."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

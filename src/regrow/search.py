@@ -1,8 +1,9 @@
 """Local-search strategies over region-growing rollouts.
 
-Five ways to turn one seed into a final region: a single greedy rollout,
-random restarts with the winner picked by summed log-likelihood (ML) or by
-final region size (NP), and beam search under the same two criteria.
+Five ways to turn one seed into a final region, a `features.RegionState`: a
+single greedy rollout, random restarts with the winner picked by summed
+log-likelihood (ML) or by final region size (NP), and beam search under the
+same two criteria. Every rollout and beam entry is a `RegionState` too.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .features import SceneContext
-from .grow import GrowConfig, GrowResult, Rollout, grow_region
+from .features import RegionState, SceneContext
+from .grow import GrowConfig, advance, grow_region
 
 STRATEGIES = ("greedy", "rr-ml", "rr-np", "bs-ml", "bs-np")
 
@@ -31,57 +32,51 @@ class SearchConfig:
             raise ValueError("restarts, beam_width and expansions must all be >= 1")
 
 
-def _criterion(size: int, loglik: float, kind: str) -> float:
-    return loglik if kind == "ml" else float(size)
+def _criterion(region: RegionState, kind: str) -> float:
+    return region.loglik if kind == "ml" else float(region.tracker.size)
 
 
 def run_search(ctx: SceneContext, predictor, seed: int, labels,
                grow_cfg: GrowConfig, search_cfg: SearchConfig,
-               rng: np.random.Generator) -> GrowResult:
+               rng: np.random.Generator) -> RegionState:
     """Find the best final region for one seed under the configured strategy;
     its `inferences` count every rollout the search ran."""
     if search_cfg.strategy == "greedy":
         return grow_region(ctx, predictor, seed, labels,
                            replace(grow_cfg, policy="greedy"), rng)
     kind = search_cfg.strategy[-2:]  # "ml" or "np"
-    stochastic = replace(grow_cfg, policy="stochastic")
-    if search_cfg.strategy.startswith("rr"):
-        return _random_restart(ctx, predictor, seed, labels, stochastic,
-                               search_cfg, kind, rng)
-    return _beam_search(ctx, predictor, seed, labels, stochastic,
-                        search_cfg, kind, rng)
+    search = _random_restart if search_cfg.strategy.startswith("rr") else _beam_search
+    return search(ctx, predictor, seed, labels, replace(grow_cfg, policy="stochastic"),
+                  search_cfg, kind, rng)
 
 
 def _random_restart(ctx, predictor, seed, labels, grow_cfg, search_cfg, kind, rng):
-    results = [grow_region(ctx, predictor, seed, labels, grow_cfg, child)
+    regions = [grow_region(ctx, predictor, seed, labels, grow_cfg, child)
                for child in rng.spawn(search_cfg.restarts)]
-    # max keeps the first of equal results
-    best = max(results, key=lambda r: _criterion(np.count_nonzero(r.members), r.loglik, kind))
-    return replace(best, inferences=sum(r.inferences for r in results))
+    best = max(regions, key=lambda r: _criterion(r, kind))  # max keeps the first of equals
+    best.inferences = sum(r.inferences for r in regions)
+    return best
 
 
 def _beam_search(ctx, predictor, seed, labels, grow_cfg, search_cfg, kind, rng):
     """Track up to K live regions, expanding each a few times per round."""
     eligible = np.asarray(labels) == 0
-    live = [Rollout.start(ctx, seed)]
-    finished: list[Rollout] = []
+    live = [RegionState(ctx.new_tracker([seed]), seed)]
+    finished: list[RegionState] = []
     inferences = 0
-
-    def criterion(r: Rollout) -> float:
-        return _criterion(r.state.tracker.size, r.state.loglik, kind)
-
     while live:
-        children: list[Rollout] = []
+        children: list[RegionState] = []
         for parent in live:
             for child_rng in rng.spawn(search_cfg.expansions):
                 child = parent.copy()
-                alive = child.advance(ctx, predictor, eligible, grow_cfg, child_rng)
+                alive = advance(ctx, predictor, child, eligible, grow_cfg, child_rng)
                 inferences += child.inferences - parent.inferences
                 (children if alive else finished).append(child)
         # deduplicate identical regions (exact bitmask), then prune to the K best
-        unique: dict[bytes, Rollout] = {}
+        unique: dict[bytes, RegionState] = {}
         for child in children:
-            unique.setdefault(child.state.tracker.member.tobytes(), child)
-        live = sorted(unique.values(), key=lambda r: -criterion(r))[:search_cfg.beam_width]
-    best = max(finished, key=criterion)
-    return replace(best.result(), inferences=inferences)
+            unique.setdefault(child.members.tobytes(), child)
+        live = sorted(unique.values(), key=lambda r: -_criterion(r, kind))[:search_cfg.beam_width]
+    best = max(finished, key=lambda r: _criterion(r, kind))
+    best.inferences = inferences
+    return best

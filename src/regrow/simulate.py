@@ -1,10 +1,12 @@
 """Region-growing simulation on labeled scenes to produce training samples.
 
-For every object instance a region is grown from a random seed point. The
-intended next region adds every in-radius point of the same instance and
-removes wrong-instance members; each of those decisions is independently
-flipped with a mistake probability that decays per step, so the network sees
-noisy intermediate regions. Targets are always computed against ground truth.
+For every object instance a region (a `features.RegionState`, the record
+that inference-time growth and search also use) is grown from a random seed
+point. The intended next region adds every in-radius point of the same
+instance and removes wrong-instance members; each of those decisions is
+independently flipped with a mistake probability that decays per step, so the
+network sees noisy intermediate regions. Targets are always computed against
+ground truth.
 
 A dataset file is the magic b"RGDS", a little-endian uint32 header of
 version, I, J and F, then whole records of `record_dtype(I, J, F)`, the one
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .features import (DEFAULT_DELTA, DEFAULT_KNN, N_FEATURES, FrontierTracker, SceneContext,
+from .features import (DEFAULT_DELTA, DEFAULT_KNN, N_FEATURES, RegionState, SceneContext,
                        build_context, region_inputs)
 from .pointcloud import PointCloud
 
@@ -37,20 +39,6 @@ class NoiseSchedule:
 
     def alpha(self, step: int) -> float:
         return max(0.0, self.alpha0 - self.decay * step)
-
-
-@dataclass
-class RegionState:
-    """Evolving region: the tracked member mask plus step bookkeeping.
-
-    The seed is always a member. Growth functions update the state in place.
-    """
-
-    tracker: FrontierTracker
-    seed: int
-    step: int = 0
-    stagnant_steps: int = 0
-    loglik: float = 0.0
 
 
 @dataclass
@@ -100,7 +88,7 @@ def corrupt_region(ctx: SceneContext, state: RegionState, schedule: NoiseSchedul
     right = gt[frontier] == inst
     correct = frontier[right]
     wrong = frontier[~right]
-    members = np.flatnonzero(state.tracker.member)
+    members = np.flatnonzero(state.members)
     wrong_members = members[gt[members] != inst]
 
     added = correct[rng.random(correct.size) >= alpha]
@@ -123,7 +111,7 @@ def make_training_sample(ctx: SceneContext, state: RegionState, i_size: int,
     frontier = state.tracker.frontier()
     if frontier.size == 0:
         return None
-    inl, nbr, xi, xn = region_inputs(ctx, np.flatnonzero(state.tracker.member), frontier,
+    inl, nbr, xi, xn = region_inputs(ctx, np.flatnonzero(state.members), frontier,
                                      i_size, j_size, rng, feature_columns, normalize)
     remove = (gt[inl] != inst).astype(np.uint8)
     add = (gt[nbr] == inst).astype(np.uint8)
@@ -181,7 +169,7 @@ def simulate_instance(ctx: SceneContext, instance_id: int, cfg: SimConfig,
             meta=(scene_key, int(instance_id), state.step))
         if sample is not None:
             yield sample
-        if (schedule.alpha(state.step) == 0.0 and np.array_equal(state.tracker.member, closure)) \
+        if (schedule.alpha(state.step) == 0.0 and np.array_equal(state.members, closure)) \
                 or state.step >= SIM_STEP_CAP:
             return
         corrupt_region(ctx, state, schedule, rng)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pointcloud import PointCloud, save_scene
+from .pointcloud import PointCloud, atomic_open, save_scene
 
 
 @dataclass
@@ -212,5 +212,6 @@ def generate_split(cfg: RoomConfig, n_train: int, n_test: int, out_dir,
             manifest[split].append({"file": str(path.relative_to(out_dir)),
                                     "seed": first_seed + i})
             paths[split].append(path)
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    with atomic_open(out_dir / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2) + "\n")
     return paths["train"], paths["test"]

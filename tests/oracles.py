@@ -9,15 +9,16 @@ column-wise covariance kernel replaced, a line-by-line scene parser,
 one-f-string-per-row scene and PLY writers, a per-element labels writer and
 an `int()`-per-token labels reader, the training step that keeps every
 pre-activation, accumulates gradients into zeroed arrays and runs Adam
-through temporaries, and the noiseless growth step that the simulator's
-noisy one corrupts.
+through temporaries, the noiseless growth step that the simulator's noisy
+one corrupts, and the segmentation loop that kept each rollout, step and
+search result in records of their own.
 """
 
 import itertools
 import math
 import struct
 from collections import deque
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from scipy.spatial import cKDTree
 from scipy.special import gammaln
 
 from regrow.baselines import SmoothnessConfig, ThresholdConfig
+from regrow.features import region_inputs
 from regrow.grow import reassign_small_segments, select_seed
 from regrow.network import BranchParams, param_tensors
 from regrow.pointcloud import PALETTE, PointCloud, SceneFormatError
@@ -468,6 +470,213 @@ def oracle_next_region(ctx, state):
     frontier = state.tracker.frontier()
     state.tracker.add(frontier[gt[frontier] == gt[state.seed]])
     state.step += 1
+
+
+# -- the growth loop that kept each rollout in records of its own -------------
+# Inference-time growth and search as they were before one `RegionState`
+# became the record of every growing region: a per-seed `_OracleState`, a
+# `_Rollout` holding it with the step statistics, a `_GrowStep` per step and a
+# `_GrowResult` per search. It shares only the region engine, the network
+# input prep, seed selection and the small-segment merge with the library.
+
+
+@dataclass
+class _OracleState:
+    tracker: object
+    seed: int
+    step: int = 0
+    stagnant_steps: int = 0
+    loglik: float = 0.0
+
+
+@dataclass
+class _GrowStep:
+    added: np.ndarray
+    removed: np.ndarray
+    step_loglik: float
+
+
+@dataclass
+class _GrowResult:
+    members: np.ndarray
+    loglik: float
+    steps: int
+    inferences: int
+    capped: bool = False
+    add_fraction: float = 0.0
+    remove_fraction: float = 0.0
+
+
+def _vote_oracle(ids, bits, majority):
+    uniq, inverse = np.unique(ids, return_inverse=True)
+    yes = np.bincount(inverse, weights=bits.astype(np.float64))
+    if majority:
+        total = np.bincount(inverse)
+        return uniq[2 * yes >= total]
+    return uniq[yes >= 1]
+
+
+def _grow_step_oracle(ctx, predictor, state, frontier, cfg, rng):
+    tracker = state.tracker
+    inl, nbr, xi, xn = region_inputs(ctx, np.flatnonzero(tracker.member), frontier,
+                                     cfg.i_size, cfg.j_size, rng, cfg.feature_columns,
+                                     cfg.normalize)
+    p_remove, p_add = predictor(xi, xn)
+    if cfg.policy == "greedy":
+        remove_bits = p_remove > 0.5
+        add_bits = p_add > 0.5
+        loglik = 0.0
+    else:
+        remove_bits = rng.random(p_remove.size) < p_remove
+        add_bits = rng.random(p_add.size) < p_add
+        chosen = np.concatenate([
+            np.where(remove_bits, p_remove, 1.0 - p_remove),
+            np.where(add_bits, p_add, 1.0 - p_add),
+        ])
+        loglik = float(np.log(chosen).sum())
+    if not cfg.use_remove_mask:
+        remove_bits = np.zeros_like(remove_bits)
+    added = _vote_oracle(nbr, add_bits, majority=False)
+    if added.size == 0:
+        return _GrowStep(added, np.empty(0, dtype=np.int64), loglik)
+    removed = _vote_oracle(inl, remove_bits, majority=True)
+    removed = removed[removed != state.seed]
+    size = tracker.size
+    tracker.remove(removed)
+    tracker.add(added)
+    state.step += 1
+    state.stagnant_steps = 0 if tracker.size > size else min(state.stagnant_steps + 1, 2)
+    state.loglik += loglik
+    return _GrowStep(added, removed, loglik)
+
+
+@dataclass
+class _Rollout:
+    state: _OracleState
+    inferences: int = 0
+    capped: bool = False
+    add_fractions: list = field(default_factory=list)
+    remove_fractions: list = field(default_factory=list)
+
+    @classmethod
+    def start(cls, ctx, seed):
+        return cls(_OracleState(ctx.new_tracker([int(seed)]), int(seed)))
+
+    def copy(self):
+        return _Rollout(replace(self.state, tracker=self.state.tracker.copy()),
+                        self.inferences, self.capped, list(self.add_fractions),
+                        list(self.remove_fractions))
+
+    def advance(self, ctx, predictor, eligible, cfg, rng):
+        state = self.state
+        if state.step >= cfg.max_steps:
+            self.capped = True
+            return False
+        frontier = state.tracker.frontier(eligible)
+        if frontier.size == 0:
+            return False
+        size = state.tracker.size
+        step = _grow_step_oracle(ctx, predictor, state, frontier, cfg, rng)
+        self.inferences += 1
+        if step.added.size == 0:
+            return False
+        self.add_fractions.append(step.added.size / min(cfg.j_size, frontier.size))
+        self.remove_fractions.append(step.removed.size / min(cfg.i_size, size))
+        return state.stagnant_steps < 2
+
+    def result(self):
+        return _GrowResult(
+            self.state.tracker.member, self.state.loglik, self.state.step,
+            self.inferences, self.capped,
+            float(np.mean(self.add_fractions)) if self.add_fractions else 0.0,
+            float(np.mean(self.remove_fractions)) if self.remove_fractions else 0.0)
+
+
+def _grow_region_oracle(ctx, predictor, seed, labels, cfg, rng):
+    eligible = np.asarray(labels) == 0
+    rollout = _Rollout.start(ctx, seed)
+    while rollout.advance(ctx, predictor, eligible, cfg, rng):
+        pass
+    return rollout.result()
+
+
+def _criterion_oracle(size, loglik, kind):
+    return loglik if kind == "ml" else float(size)
+
+
+def _run_search_oracle(ctx, predictor, seed, labels, grow_cfg, search_cfg, rng):
+    if search_cfg.strategy == "greedy":
+        return _grow_region_oracle(ctx, predictor, seed, labels,
+                                   replace(grow_cfg, policy="greedy"), rng)
+    kind = search_cfg.strategy[-2:]
+    cfg = replace(grow_cfg, policy="stochastic")
+    if search_cfg.strategy.startswith("rr"):
+        results = [_grow_region_oracle(ctx, predictor, seed, labels, cfg, child)
+                   for child in rng.spawn(search_cfg.restarts)]
+        best = max(results, key=lambda r: _criterion_oracle(np.count_nonzero(r.members),
+                                                            r.loglik, kind))
+        return replace(best, inferences=sum(r.inferences for r in results))
+    eligible = np.asarray(labels) == 0
+    live = [_Rollout.start(ctx, seed)]
+    finished = []
+    inferences = 0
+
+    def criterion(r):
+        return _criterion_oracle(r.state.tracker.size, r.state.loglik, kind)
+
+    while live:
+        children = []
+        for parent in live:
+            for child_rng in rng.spawn(search_cfg.expansions):
+                child = parent.copy()
+                alive = child.advance(ctx, predictor, eligible, cfg, child_rng)
+                inferences += child.inferences - parent.inferences
+                (children if alive else finished).append(child)
+        unique = {}
+        for child in children:
+            unique.setdefault(child.state.tracker.member.tobytes(), child)
+        live = sorted(unique.values(), key=lambda r: -criterion(r))[:search_cfg.beam_width]
+    best = max(finished, key=criterion)
+    return replace(best.result(), inferences=inferences)
+
+
+def segment_oracle(ctx, predictor, grow_cfg, search_cfg, rng):
+    """(labels, stats) of `grow.segment_scene` from the growth loop above."""
+    curvature = ctx.features[:, 12]
+    labels = np.zeros(ctx.n_points, dtype=np.int32)
+    next_id = 1
+    total_inferences = 0
+    regions = 0
+    capped_regions = 0
+    add_fracs = []
+    remove_fracs = []
+    while True:
+        unlabeled = np.flatnonzero(labels == 0)
+        if unlabeled.size == 0:
+            break
+        if grow_cfg.seed_selection == "random":
+            seed = int(rng.choice(unlabeled))
+        else:
+            seed = select_seed(curvature, labels)
+        result = _run_search_oracle(ctx, predictor, seed, labels, grow_cfg, search_cfg, rng)
+        labels[result.members] = next_id
+        next_id += 1
+        regions += 1
+        total_inferences += result.inferences
+        capped_regions += int(result.capped)
+        add_fracs.append(result.add_fraction)
+        remove_fracs.append(result.remove_fraction)
+    final = reassign_small_segments(ctx.cloud, labels, grow_cfg.min_segment)
+    stats = {
+        "regions_grown": regions,
+        "instances": int(final.max()),
+        "inferences": total_inferences,
+        "steps_per_region": total_inferences / max(regions, 1),
+        "capped_regions": capped_regions,
+        "mean_add_fraction": float(np.mean(add_fracs)) if add_fracs else 0.0,
+        "mean_remove_fraction": float(np.mean(remove_fracs)) if remove_fracs else 0.0,
+    }
+    return final, stats
 
 
 def dataset_oracle(path):

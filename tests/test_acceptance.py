@@ -19,7 +19,7 @@ import pytest
 
 from oracles import (ami_oracle, ari_oracle, delta_components_oracle, nmi_oracle,
                      oracle_next_region)
-from regrow import baselines, metrics, network, search, synth
+from regrow import baselines, metrics, search, synth
 from regrow.features import FEATURE_SUBSETS, build_context
 from regrow.grow import GrowConfig, segment_scene
 from regrow.metrics import ami, ari, build_contingency, nmi
@@ -265,8 +265,11 @@ class TestC3SimulatorConvergence:
 # ---------------------------------------------------------------------------
 
 ROOMS = synth.RoomConfig(extent=(2.4, 2.4, 1.4), spacing=0.045, n_objects=(6, 10))
-DESK_TRAIN = dict(enc_widths=network.DESK_ENC_WIDTHS,
-                  dec_widths=network.DESK_DEC_WIDTHS,
+# the desk-scale network's encoder and decoder widths
+DESK_ENC_WIDTHS = (32, 32, 32, 64, 128)
+DESK_DEC_WIDTHS = (64, 32, 1)
+DESK_TRAIN = dict(enc_widths=DESK_ENC_WIDTHS,
+                  dec_widths=DESK_DEC_WIDTHS,
                   epochs=10, batch_size=100, lr=0.001, seed=0)
 
 

@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import re
 import shutil
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -749,3 +751,25 @@ class TestAblate:
         assert seen == [(GrowConfig(**checkpoint), SearchConfig()),
                         (GrowConfig(**checkpoint, use_remove_mask=False), SearchConfig()),
                         (GrowConfig(**checkpoint, seed_selection="random"), SearchConfig())]
+
+
+class TestTracerCoverage:
+    # the two targets the tracer still names although they were deleted
+    KNOWN_MISSING = {"regrow.features.SpatialIndex.neighbor_lists",
+                     "regrow.simulate.load_dataset"}
+
+    def test_every_other_traced_stage_exists(self, monkeypatch):
+        """A refactor that renames or deletes a traced function or method
+        silently zeroes its benchmark metrics; the tracer lists such a
+        target in `missing`."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            assert set(tracer.missing) <= self.KNOWN_MISSING
+        finally:
+            tracer.uninstall()

@@ -1,8 +1,10 @@
 """Golden SHA-256 digests of simulator, segmentation, baseline and training outputs.
 
-The simulator and segmentation digests were recorded from the implementation
-that predates the shared region engine (tracked member bitmask plus cKDTree
-radius adjacency), the baseline digests from the per-edge flood fills that
+The simulator digest and the greedy and bs-np label digests were recorded
+from the implementation that predates the shared region engine (tracked
+member bitmask plus cKDTree radius adjacency), the other strategies' label
+digests and every stats digest from the growth loop that kept each rollout
+in a record of its own, the baseline digests from the per-edge flood fills that
 predate the connected-component baselines, and the checkpoint digest from the
 training step that kept pre-activations and accumulated gradients into zeroed
 arrays; any refactor of simulation, growing, search, the baselines or the
@@ -14,6 +16,7 @@ depend on it, and on the BLAS kernels: it was recorded with OpenBLAS 0.3.31
 """
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -24,16 +27,25 @@ from regrow.baselines import SmoothnessConfig, ThresholdConfig, grow_smoothness,
 from regrow.features import build_context
 from regrow.grow import GrowConfig, segment_scene
 from regrow.network import TrainConfig, train
-from regrow.search import SearchConfig
+from regrow.search import STRATEGIES, SearchConfig
 from regrow.simulate import SimConfig, generate_dataset
 
 ROOM = synth.RoomConfig(extent=(1.2, 1.2, 0.8), spacing=0.06, n_objects=(2, 3))
 
 DATASET_SHA256 = "bb81a0f7a0d19c0a6752210b082a1176ec8fc74e7fc1753c710bc5c192d15cdc"
 CHECKPOINT_SHA256 = "2d472dc05fe9d422939cd09cf8949d9d0acf42f57461e0d2d35cd7bd10f4f109"
-LABELS_SHA256 = {
-    "greedy": "78d971328505ce45a1861e09d5699294e8a124eb9764bf44f67164a731ce9ff7",
-    "bs-np": "ad3deb565d8ac1fd074a3678effdbfc287a0d70aac8376d4a2d7a68260ed8617",
+# per strategy: (labels as little-endian int32, json.dumps(stats, sort_keys=True))
+SEGMENT_SHA256 = {
+    "greedy": ("78d971328505ce45a1861e09d5699294e8a124eb9764bf44f67164a731ce9ff7",
+               "c1a56c9d1a96e3057635c49e0434009f9171f9de2269d74682b64bf4702cdb7e"),
+    "rr-ml": ("d6d3147aaf8a0077683b0d29c38aa8b850fda089df90dd549801695486cee53b",
+              "6ad144b9068875bc00a137fcdba4e67e619f9565adfb0baa91ca4157137bdadb"),
+    "rr-np": ("d4fa0f6f441b5de4dd04f3d4079ffa62e7e11304327edec7ad80c24ba38dca78",
+              "8de0fd46b61903e1919b9a97fa58c3cdb322a351e84fffde951cbf0d9cec0703"),
+    "bs-ml": ("9800f339f52ee3d63dbf5f2ee23d1963b8f7353cf6efdc4b257c15f0e7c2f4e7",
+              "4d7dcc847f692b8e98eecc3977a3326ba6144761a1728364165d97db5460701a"),
+    "bs-np": ("ad3deb565d8ac1fd074a3678effdbfc287a0d70aac8376d4a2d7a68260ed8617",
+              "a29fb9364daeeaf84d03d8570f4afe699a81f14229e5fc0d8516e6327c3334b0"),
 }
 
 BASELINE_SHA256 = {
@@ -91,7 +103,7 @@ def test_trained_checkpoint_matches_golden_on_either_branch_schedule(
     test_trained_checkpoint_matches_golden(tmp_path)
 
 
-@pytest.mark.parametrize("strategy", ["greedy", "bs-np"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_segment_labels_match_golden(strategy):
     ctx = build_context(synth.generate_room(ROOM, seed=4), delta=0.1, knn=8)
     labels, stats = segment_scene(
@@ -99,7 +111,8 @@ def test_segment_labels_match_golden(strategy):
         SearchConfig(strategy, beam_width=2, expansions=2),
         rng=np.random.default_rng(11))
     assert stats["instances"] > 1
-    assert _sha256(labels.astype("<i4").tobytes()) == LABELS_SHA256[strategy]
+    assert (_sha256(labels.astype("<i4").tobytes()),
+            _sha256(json.dumps(stats, sort_keys=True).encode())) == SEGMENT_SHA256[strategy]
 
 
 @pytest.mark.parametrize("method,min_segment", sorted(BASELINE_SHA256))

@@ -91,24 +91,24 @@ class TestGrowStep:
         cloud = two_plane_scene()
         ctx = build_context(cloud, delta=0.1, knn=8)
         state = region(ctx, [0, 1])
-        step = step_region(ctx, StubPredictor(remove=0.2, add=0.2), state,
-                           np.zeros(cloud.n_points, dtype=int),
-                           GrowConfig(i_size=8, j_size=8),
-                           np.random.default_rng(0))
+        added, _, _ = step_region(ctx, StubPredictor(remove=0.2, add=0.2), state,
+                                  np.zeros(cloud.n_points, dtype=int),
+                                  GrowConfig(i_size=8, j_size=8),
+                                  np.random.default_rng(0))
         assert member_set(state.tracker.member) == {0, 1}
         assert state.step == 0 and state.tracker.size == 2
-        assert step.added.size == 0
+        assert added.size == 0
 
     def test_add_all_joins_every_candidate(self):
         cloud = two_plane_scene()
         ctx = build_context(cloud, delta=0.1, knn=8)
         labels = np.zeros(cloud.n_points, dtype=int)
         state = region(ctx, [0])
-        step = step_region(ctx, StubPredictor(add=0.9), state, labels,
-                           GrowConfig(i_size=8, j_size=16),
-                           np.random.default_rng(0))
+        added, _, _ = step_region(ctx, StubPredictor(add=0.9), state, labels,
+                                  GrowConfig(i_size=8, j_size=16),
+                                  np.random.default_rng(0))
         cand = frontier_oracle(cloud.positions, [0], 0.1, labels == 0)
-        assert set(step.added) == set(cand)  # all candidates fit within J slots
+        assert set(added) == set(cand)  # all candidates fit within J slots
         assert member_set(state.tracker.member) == {0} | set(cand.tolist())
 
     def test_no_frontier_signals_terminal(self):
@@ -138,10 +138,10 @@ class TestGrowStep:
         cfg = GrowConfig(i_size=8, j_size=8, policy="stochastic")
         # probabilities at the clamp bounds: sampled bits agree almost surely
         stub = StubPredictor(remove=1e-7, add=1 - 1e-7)
-        step = step_region(ctx, stub, state, np.zeros(cloud.n_points, dtype=int),
-                           cfg, np.random.default_rng(0))
-        assert step.step_loglik == pytest.approx(0.0, abs=1e-4)
-        assert step.step_loglik <= 0
+        _, _, loglik = step_region(ctx, stub, state, np.zeros(cloud.n_points, dtype=int),
+                                   cfg, np.random.default_rng(0))
+        assert loglik == pytest.approx(0.0, abs=1e-4)
+        assert loglik <= 0
 
 
 class TestGrowRegion:
@@ -152,7 +152,7 @@ class TestGrowRegion:
         res = grow_region(ctx, StubPredictor(), 0, np.zeros(3, dtype=int),
                           GrowConfig(i_size=4, j_size=4), np.random.default_rng(0))
         assert member_set(res.members) == {0}
-        assert res.steps <= 1
+        assert res.step <= 1
 
     def test_oscillator_terminates_by_stagnation(self):
         cloud = two_plane_scene()
@@ -161,7 +161,7 @@ class TestGrowRegion:
                           np.zeros(cloud.n_points, dtype=int),
                           GrowConfig(i_size=16, j_size=16),
                           np.random.default_rng(0))
-        assert res.steps < 500 and not res.capped
+        assert res.step < 500 and not res.capped
 
     def test_add_all_covers_connected_component(self):
         cloud = two_plane_scene()
@@ -179,7 +179,7 @@ class TestGrowRegion:
                           np.zeros(cloud.n_points, dtype=int),
                           GrowConfig(i_size=4, j_size=4, max_steps=2),
                           np.random.default_rng(0))
-        assert res.capped and res.steps == 2
+        assert res.capped and res.step == 2
 
     @pytest.mark.parametrize("field", ["i_size", "j_size", "max_steps"])
     def test_size_below_one_is_rejected(self, field):

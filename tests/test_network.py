@@ -399,6 +399,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_params(path)
 
+    def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.ckpt"
+        save_params(tiny_params(seed=1), path)
+        before = path.read_bytes()
+
+        def first_tensor_then_fail(params):
+            yield next(iter(param_tensors(params)))
+            raise KeyboardInterrupt("interrupted after the first tensor")
+
+        monkeypatch.setattr(network, "param_tensors", first_tensor_then_fail)
+        with pytest.raises(KeyboardInterrupt):
+            save_params(tiny_params(seed=2), path)
+        assert path.read_bytes() == before
+        load_params(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.ckpt"]
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "p.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 50)

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import segment_oracle
 from regrow.features import build_context
 from regrow.grow import GrowConfig, grow_region, segment_scene
-from regrow.search import SearchConfig, run_search
+from regrow.pointcloud import PointCloud
+from regrow.search import STRATEGIES, SearchConfig, run_search
+from test_acceptance import _ConstPredictor, _RandomPredictor
+from test_golden import feature_predictor
 from test_grow import StubPredictor, member_set, two_plane_scene
 
 
@@ -164,3 +170,81 @@ class TestSizeTrend:
                             np.random.default_rng(seed))
             wins += rr.members.sum() >= greedy.members.sum()
         assert wins >= 5
+
+
+# the stubs of acceptance C6, each made fresh per run from a trial number
+C6_STUBS = {
+    "add": lambda t: _ConstPredictor(0.0, 0.99),
+    "remove": lambda t: _ConstPredictor(0.99, 0.0),
+    "oscillate": lambda t: _ConstPredictor(0.95, 0.95),
+    "random": _RandomPredictor,
+}
+
+
+def random_scene(rng, n):
+    pts = rng.uniform(0, rng.uniform(0.2, 0.5), (n, 3))
+    return PointCloud(pts, rng.integers(0, 256, (n, 3)).astype(np.uint8), None)
+
+
+class TestStochasticSegmentation:
+    """C6 asks for stochastic growth, but `segment_scene`'s default greedy
+    search resets the policy to greedy; the sampling strategies grow
+    stochastically whatever the policy asked for."""
+
+    @pytest.mark.parametrize("stub", sorted(C6_STUBS))
+    @pytest.mark.parametrize("strategy", ["rr-ml", "rr-np", "bs-ml", "bs-np"])
+    def test_terminates_and_labels_every_point(self, strategy, stub):
+        for trial in range(3):
+            rng = np.random.default_rng(7000 + trial)
+            cloud = random_scene(rng, int(rng.integers(20, 80)))
+            ctx = build_context(cloud, delta=0.1, knn=8)
+            cfg = GrowConfig(i_size=int(rng.integers(4, 17)), j_size=int(rng.integers(4, 17)))
+            labels, stats = segment_scene(
+                ctx, C6_STUBS[stub](trial), cfg,
+                SearchConfig(strategy, restarts=3, beam_width=2, expansions=2),
+                rng=np.random.default_rng(trial))
+            assert (labels > 0).all()
+            assert np.unique(labels).tolist() == list(range(1, stats["instances"] + 1))
+
+
+@st.composite
+def segmentation_cases(draw):
+    """A small scene, possibly of 1-3 points, with duplicates and points
+    farther than delta from all others, and one configuration of every knob
+    that the growth loop reads."""
+    n = draw(st.one_of(st.integers(1, 3), st.integers(4, 40)))
+    coord = st.integers(0, draw(st.integers(1, 6))).map(lambda k: k * 0.05)
+    pts = draw(st.lists(st.tuples(coord, coord, coord), min_size=n, max_size=n))
+    pts += [(5.0 + 3.0 * i, 5.0, 5.0) for i in range(draw(st.integers(0, 2)))]  # isolated
+    colors = draw(st.lists(st.integers(0, 255), min_size=3 * len(pts), max_size=3 * len(pts)))
+    cloud = PointCloud(np.array(pts, dtype=float),
+                       np.array(colors, dtype=np.uint8).reshape(-1, 3), None)
+    grow_cfg = GrowConfig(i_size=draw(st.integers(1, 16)), j_size=draw(st.integers(1, 16)),
+                          max_steps=draw(st.sampled_from([2, 500])),
+                          min_segment=draw(st.integers(1, 4)),
+                          use_remove_mask=draw(st.booleans()),
+                          seed_selection=draw(st.sampled_from(["curvature", "random"])))
+    search_cfg = SearchConfig(draw(st.sampled_from(STRATEGIES)),
+                              restarts=draw(st.integers(1, 3)),
+                              beam_width=draw(st.integers(1, 3)),
+                              expansions=draw(st.integers(1, 3)))
+    predictor = draw(st.sampled_from(["add", "remove", "oscillate", "random", "features"]))
+    return cloud, grow_cfg, search_cfg, predictor, draw(st.integers(0, 2**32 - 1))
+
+
+class TestSegmentationOracle:
+    @given(segmentation_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_labels_and_stats_match_rollout_loop(self, case):
+        cloud, grow_cfg, search_cfg, name, seed = case
+        ctx = build_context(cloud, delta=0.1, knn=min(8, cloud.n_points))
+
+        def predictor():
+            return feature_predictor if name == "features" else C6_STUBS[name](seed)
+
+        labels, stats = segment_scene(ctx, predictor(), grow_cfg, search_cfg,
+                                      np.random.default_rng(seed))
+        want_labels, want_stats = segment_oracle(ctx, predictor(), grow_cfg, search_cfg,
+                                                 np.random.default_rng(seed))
+        np.testing.assert_array_equal(labels, want_labels)
+        assert stats == want_stats
