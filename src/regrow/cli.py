@@ -369,9 +369,6 @@ def _segment_worker(scene_path, model, out_dir, delta, knn, features_dir,
                     grow: GrowConfig, search: SearchConfig, seed, ply) -> str:
     params = load_params(model)
     ctx = _load_context(scene_path, delta, knn, features_dir)
-    # the checkpoint fixes the network's input sizes and features
-    grow = replace(grow, i_size=params.i_size, j_size=params.j_size,
-                   normalize=params.normalize, feature_columns=params.feature_columns)
     rng = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(_path_key(scene_path),)))
     labels, stats = segment_scene(ctx, Predictor(params), grow, search, rng)

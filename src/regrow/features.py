@@ -345,17 +345,18 @@ def passthrough_positions(columns) -> tuple[int, ...]:
     return tuple(i for i, c in enumerate(columns) if c in COL_ROOM)
 
 
-def region_inputs(ctx: SceneContext, members, frontier, i_size: int, j_size: int,
-                  rng: np.random.Generator, feature_columns=None, normalize: bool = True):
+def region_inputs(ctx: SceneContext, members, frontier, spec, rng: np.random.Generator):
     """Sampled member and frontier indices (members drawn first) and their
-    selected feature columns, median-normalized when asked: (inl, nbr, xi, xn)."""
-    inl = sample_fixed(members, i_size, rng)
-    nbr = sample_fixed(frontier, j_size, rng)
-    cols = tuple(feature_columns) if feature_columns is not None \
+    feature columns, median-normalized when asked: (inl, nbr, xi, xn). `spec`
+    (a `SimConfig` or a checkpoint's `NetworkParams`) gives `i_size`,
+    `j_size`, `feature_columns` (None for all) and `normalize`."""
+    inl = sample_fixed(members, spec.i_size, rng)
+    nbr = sample_fixed(frontier, spec.j_size, rng)
+    cols = tuple(spec.feature_columns) if spec.feature_columns is not None \
         else tuple(range(ctx.features.shape[1]))
     xi = ctx.features[inl][:, cols]
     xn = ctx.features[nbr][:, cols]
-    if normalize:
+    if spec.normalize:
         xi, xn = normalize_inputs(xi, xn, passthrough=passthrough_positions(cols))
     return inl, nbr, xi, xn
 

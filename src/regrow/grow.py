@@ -6,6 +6,10 @@ admission of predicted neighbor points until no candidates remain, no
 additions are predicted, or the region stops expanding for two consecutive
 steps. Grown regions claim fresh instance ids; undersized ones are merged
 into their nearest surviving instance.
+
+The predictor is a callable whose `params` carry the network's input spec
+(`i_size`, `j_size`, `feature_columns`, `normalize`), as `network.Predictor`
+does; the search strategy decides whether steps are greedy or sampled.
 """
 
 from __future__ import annotations
@@ -24,20 +28,14 @@ DEFAULT_MIN_SEGMENT = 10
 
 @dataclass
 class GrowConfig:
-    i_size: int = 512
-    j_size: int = 512
-    policy: str = "greedy"            # greedy | stochastic
     max_steps: int = DEFAULT_STEP_CAP
     min_segment: int = DEFAULT_MIN_SEGMENT
     use_remove_mask: bool = True
-    normalize: bool = True
-    feature_columns: tuple[int, ...] | None = None
     seed_selection: str = "curvature"  # curvature | random
 
     def __post_init__(self):
-        for name in ("i_size", "j_size", "max_steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
 def select_seed(curvature: np.ndarray, labels: np.ndarray) -> int:
@@ -63,24 +61,21 @@ def _vote(ids: np.ndarray, bits: np.ndarray, majority: bool) -> np.ndarray:
 
 
 def grow_step(ctx: SceneContext, predictor, state: RegionState, frontier: np.ndarray,
-              cfg: GrowConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
+              cfg: GrowConfig, rng: np.random.Generator,
+              sampled: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
     """One prediction-driven update of the region from its nonempty frontier;
-    returns (added, removed, loglik) of the step.
+    returns (added, removed, loglik) of the step. A greedy step takes the
+    decisions more likely than `MASK_THRESHOLD`, a `sampled` one draws them.
 
     The state is updated in place. An empty predicted add set leaves it
     untouched (the caller treats that as a termination signal).
     """
     tracker = state.tracker
     inl, nbr, xi, xn = region_inputs(ctx, np.flatnonzero(tracker.member), frontier,
-                                     cfg.i_size, cfg.j_size, rng, cfg.feature_columns,
-                                     cfg.normalize)
+                                     predictor.params, rng)
     p_remove, p_add = predictor(xi, xn)
 
-    if cfg.policy == "greedy":
-        remove_bits = p_remove > MASK_THRESHOLD
-        add_bits = p_add > MASK_THRESHOLD
-        loglik = 0.0
-    elif cfg.policy == "stochastic":
+    if sampled:
         remove_bits = rng.random(p_remove.size) < p_remove
         add_bits = rng.random(p_add.size) < p_add
         chosen = np.concatenate([
@@ -89,7 +84,9 @@ def grow_step(ctx: SceneContext, predictor, state: RegionState, frontier: np.nda
         ])
         loglik = float(np.log(chosen).sum())
     else:
-        raise ValueError(f"unknown policy {cfg.policy!r}")
+        remove_bits = p_remove > MASK_THRESHOLD
+        add_bits = p_add > MASK_THRESHOLD
+        loglik = 0.0
 
     if not cfg.use_remove_mask:
         remove_bits = np.zeros_like(remove_bits)
@@ -110,7 +107,7 @@ def grow_step(ctx: SceneContext, predictor, state: RegionState, frontier: np.nda
 
 
 def advance(ctx: SceneContext, predictor, state: RegionState, eligible: np.ndarray,
-            cfg: GrowConfig, rng: np.random.Generator) -> bool:
+            cfg: GrowConfig, rng: np.random.Generator, sampled: bool = False) -> bool:
     """One growth step of the region and its step statistics; False once a
     termination condition has fired."""
     if state.step >= cfg.max_steps:
@@ -120,21 +117,21 @@ def advance(ctx: SceneContext, predictor, state: RegionState, eligible: np.ndarr
     if frontier.size == 0:
         return False
     size = state.tracker.size
-    added, removed, _ = grow_step(ctx, predictor, state, frontier, cfg, rng)
+    added, removed, _ = grow_step(ctx, predictor, state, frontier, cfg, rng, sampled)
     state.inferences += 1
     if added.size == 0:
         return False  # predicted add set is empty
-    state.add_fractions.append(added.size / min(cfg.j_size, frontier.size))
-    state.remove_fractions.append(removed.size / min(cfg.i_size, size))
+    state.add_fractions.append(added.size / min(predictor.params.j_size, frontier.size))
+    state.remove_fractions.append(removed.size / min(predictor.params.i_size, size))
     return state.stagnant_steps < 2  # no expansion for two consecutive steps
 
 
-def grow_region(ctx: SceneContext, predictor, seed: int, labels,
-                cfg: GrowConfig, rng: np.random.Generator) -> RegionState:
+def grow_region(ctx: SceneContext, predictor, seed: int, labels, cfg: GrowConfig,
+                rng: np.random.Generator, sampled: bool = False) -> RegionState:
     """Grow from one seed until a termination condition fires."""
     eligible = np.asarray(labels) == 0
     state = RegionState(ctx.new_tracker([seed]), seed)
-    while advance(ctx, predictor, state, eligible, cfg, rng):
+    while advance(ctx, predictor, state, eligible, cfg, rng, sampled):
         pass
     return state
 

@@ -513,6 +513,8 @@ def load_params(path) -> NetworkParams:
     version, n_features, i_size, j_size, n_enc = take(5).tolist()
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    if min(i_size, j_size) < 1:
+        raise CheckpointError(f"{path}: set sizes I = {i_size}, J = {j_size} must be >= 1")
     enc_widths = take(n_enc)
     (n_dec,) = take(1).tolist()
     dec_widths = take(n_dec)

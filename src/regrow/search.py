@@ -3,12 +3,13 @@
 Five ways to turn one seed into a final region, a `features.RegionState`: a
 single greedy rollout, random restarts with the winner picked by summed
 log-likelihood (ML) or by final region size (NP), and beam search under the
-same two criteria. Every rollout and beam entry is a `RegionState` too.
+same two criteria. Every rollout and beam entry is a `RegionState` too. The
+greedy strategy grows greedily, the other four with sampled steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,16 +43,14 @@ def run_search(ctx: SceneContext, predictor, seed: int, labels,
     """Find the best final region for one seed under the configured strategy;
     its `inferences` count every rollout the search ran."""
     if search_cfg.strategy == "greedy":
-        return grow_region(ctx, predictor, seed, labels,
-                           replace(grow_cfg, policy="greedy"), rng)
+        return grow_region(ctx, predictor, seed, labels, grow_cfg, rng)
     kind = search_cfg.strategy[-2:]  # "ml" or "np"
     search = _random_restart if search_cfg.strategy.startswith("rr") else _beam_search
-    return search(ctx, predictor, seed, labels, replace(grow_cfg, policy="stochastic"),
-                  search_cfg, kind, rng)
+    return search(ctx, predictor, seed, labels, grow_cfg, search_cfg, kind, rng)
 
 
 def _random_restart(ctx, predictor, seed, labels, grow_cfg, search_cfg, kind, rng):
-    regions = [grow_region(ctx, predictor, seed, labels, grow_cfg, child)
+    regions = [grow_region(ctx, predictor, seed, labels, grow_cfg, child, sampled=True)
                for child in rng.spawn(search_cfg.restarts)]
     best = max(regions, key=lambda r: _criterion(r, kind))  # max keeps the first of equals
     best.inferences = sum(r.inferences for r in regions)
@@ -69,7 +68,8 @@ def _beam_search(ctx, predictor, seed, labels, grow_cfg, search_cfg, kind, rng):
         for parent in live:
             for child_rng in rng.spawn(search_cfg.expansions):
                 child = parent.copy()
-                alive = advance(ctx, predictor, child, eligible, grow_cfg, child_rng)
+                alive = advance(ctx, predictor, child, eligible, grow_cfg, child_rng,
+                                sampled=True)
                 inferences += child.inferences - parent.inferences
                 (children if alive else finished).append(child)
         # deduplicate identical regions (exact bitmask), then prune to the K best

@@ -10,14 +10,15 @@ ground truth.
 
 A dataset file is the magic b"RGDS", a little-endian uint32 header of
 version, I, J and F, then whole records of `record_dtype(I, J, F)`, the one
-definition of the record layout. `DatasetWriter` streams samples into it and
-`DatasetReader` reads it back a batch of records at a time, so neither holds
-the whole file in memory.
+definition of the record layout. `DatasetWriter` streams samples into it,
+replacing the file only once complete, and `DatasetReader` reads it back a
+batch of records at a time, so neither holds the whole file in memory.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from scipy.sparse import csr_matrix
 
 from .features import (DEFAULT_DELTA, DEFAULT_KNN, N_FEATURES, RegionState, SceneContext,
                        build_context, region_inputs)
-from .pointcloud import PointCloud
+from .pointcloud import PointCloud, atomic_open
 
 SIM_STEP_CAP = 500
 
@@ -98,12 +99,12 @@ def corrupt_region(ctx: SceneContext, state: RegionState, schedule: NoiseSchedul
     state.step += 1
 
 
-def make_training_sample(ctx: SceneContext, state: RegionState, i_size: int,
-                         j_size: int, rng: np.random.Generator,
-                         feature_columns=None, normalize: bool = True,
+def make_training_sample(ctx: SceneContext, state: RegionState, cfg: SimConfig,
+                         rng: np.random.Generator,
                          meta: tuple[int, int, int] = (0, 0, 0)) -> TrainingSample | None:
     """Fixed-size sample with targets from ground truth, or None when the
-    region has no neighbor candidates (skip signal)."""
+    region has no neighbor candidates (skip signal). `cfg` gives the network
+    input spec (`features.region_inputs`)."""
     gt = ctx.cloud.gt_instance
     if gt is None:
         raise ValueError("training samples require ground-truth instance labels")
@@ -111,8 +112,7 @@ def make_training_sample(ctx: SceneContext, state: RegionState, i_size: int,
     frontier = state.tracker.frontier()
     if frontier.size == 0:
         return None
-    inl, nbr, xi, xn = region_inputs(ctx, np.flatnonzero(state.members), frontier,
-                                     i_size, j_size, rng, feature_columns, normalize)
+    inl, nbr, xi, xn = region_inputs(ctx, np.flatnonzero(state.members), frontier, cfg, rng)
     remove = (gt[inl] != inst).astype(np.uint8)
     add = (gt[nbr] == inst).astype(np.uint8)
     return TrainingSample(xi.astype(np.float32), xn.astype(np.float32), remove, add, meta)
@@ -163,10 +163,8 @@ def simulate_instance(ctx: SceneContext, instance_id: int, cfg: SimConfig,
     closure = instance_closure(ctx, seed)
     state = RegionState(ctx.new_tracker([seed]), seed)
     while True:
-        sample = make_training_sample(
-            ctx, state, cfg.i_size, cfg.j_size, rng,
-            feature_columns=cfg.feature_columns, normalize=cfg.normalize,
-            meta=(scene_key, int(instance_id), state.step))
+        sample = make_training_sample(ctx, state, cfg, rng,
+                                      meta=(scene_key, int(instance_id), state.step))
         if sample is not None:
             yield sample
         if (schedule.alpha(state.step) == 0.0 and np.array_equal(state.members, closure)) \
@@ -229,12 +227,17 @@ class DatasetError(ValueError):
 
 
 class DatasetWriter:
+    """Streams records into a temporary file that replaces `path` on a clean
+    close and is removed on an exception (`pointcloud.atomic_open`)."""
+
     def __init__(self, path, i_size: int, j_size: int, n_features: int):
         self._record = np.zeros((), record_dtype(i_size, j_size, n_features))
         self._record["length"] = self._record.itemsize - 4
-        self._fh = open(path, "wb")
-        self._fh.write(DATASET_MAGIC)
-        self._fh.write(np.array([DATASET_VERSION, i_size, j_size, n_features], "<u4").tobytes())
+        with ExitStack() as stack:
+            self._fh = stack.enter_context(atomic_open(path, "wb"))
+            header = np.array([DATASET_VERSION, i_size, j_size, n_features], "<u4")
+            self._fh.write(DATASET_MAGIC + header.tobytes())
+            self._file = stack.pop_all()
 
     def write(self, sample: TrainingSample) -> None:
         rec = self._record
@@ -248,14 +251,13 @@ class DatasetWriter:
         self._fh.write(rec.tobytes())
 
     def close(self) -> None:
-        self._fh.close()
+        self._file.close()
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self.close()
-        return False
+        return self._file.__exit__(*exc)
 
 
 class DatasetReader:

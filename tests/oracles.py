@@ -21,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -478,6 +479,21 @@ def oracle_next_region(ctx, state):
 # `_Rollout` holding it with the step statistics, a `_GrowStep` per step and a
 # `_GrowResult` per search. It shares only the region engine, the network
 # input prep, seed selection and the small-segment merge with the library.
+# Like the library, it reads the network's input spec from `predictor.params`.
+
+
+class Sized:
+    """A stub predictor with the `params` that growth reads the network's
+    input spec from: I inliers and J neighbors of every feature column,
+    median-normalized, as a full-feature checkpoint would give."""
+
+    def __init__(self, predictor, i_size: int, j_size: int):
+        self.predictor = predictor
+        self.params = SimpleNamespace(i_size=i_size, j_size=j_size, feature_columns=None,
+                                      normalize=True)
+
+    def __call__(self, xi, xn):
+        return self.predictor(xi, xn)
 
 
 @dataclass
@@ -516,13 +532,12 @@ def _vote_oracle(ids, bits, majority):
     return uniq[yes >= 1]
 
 
-def _grow_step_oracle(ctx, predictor, state, frontier, cfg, rng):
+def _grow_step_oracle(ctx, predictor, state, frontier, cfg, rng, sampled):
     tracker = state.tracker
     inl, nbr, xi, xn = region_inputs(ctx, np.flatnonzero(tracker.member), frontier,
-                                     cfg.i_size, cfg.j_size, rng, cfg.feature_columns,
-                                     cfg.normalize)
+                                     predictor.params, rng)
     p_remove, p_add = predictor(xi, xn)
-    if cfg.policy == "greedy":
+    if not sampled:
         remove_bits = p_remove > 0.5
         add_bits = p_add > 0.5
         loglik = 0.0
@@ -567,7 +582,7 @@ class _Rollout:
                         self.inferences, self.capped, list(self.add_fractions),
                         list(self.remove_fractions))
 
-    def advance(self, ctx, predictor, eligible, cfg, rng):
+    def advance(self, ctx, predictor, eligible, cfg, rng, sampled):
         state = self.state
         if state.step >= cfg.max_steps:
             self.capped = True
@@ -576,12 +591,13 @@ class _Rollout:
         if frontier.size == 0:
             return False
         size = state.tracker.size
-        step = _grow_step_oracle(ctx, predictor, state, frontier, cfg, rng)
+        step = _grow_step_oracle(ctx, predictor, state, frontier, cfg, rng, sampled)
         self.inferences += 1
         if step.added.size == 0:
             return False
-        self.add_fractions.append(step.added.size / min(cfg.j_size, frontier.size))
-        self.remove_fractions.append(step.removed.size / min(cfg.i_size, size))
+        spec = predictor.params
+        self.add_fractions.append(step.added.size / min(spec.j_size, frontier.size))
+        self.remove_fractions.append(step.removed.size / min(spec.i_size, size))
         return state.stagnant_steps < 2
 
     def result(self):
@@ -592,10 +608,10 @@ class _Rollout:
             float(np.mean(self.remove_fractions)) if self.remove_fractions else 0.0)
 
 
-def _grow_region_oracle(ctx, predictor, seed, labels, cfg, rng):
+def _grow_region_oracle(ctx, predictor, seed, labels, cfg, rng, sampled):
     eligible = np.asarray(labels) == 0
     rollout = _Rollout.start(ctx, seed)
-    while rollout.advance(ctx, predictor, eligible, cfg, rng):
+    while rollout.advance(ctx, predictor, eligible, cfg, rng, sampled):
         pass
     return rollout.result()
 
@@ -606,12 +622,10 @@ def _criterion_oracle(size, loglik, kind):
 
 def _run_search_oracle(ctx, predictor, seed, labels, grow_cfg, search_cfg, rng):
     if search_cfg.strategy == "greedy":
-        return _grow_region_oracle(ctx, predictor, seed, labels,
-                                   replace(grow_cfg, policy="greedy"), rng)
+        return _grow_region_oracle(ctx, predictor, seed, labels, grow_cfg, rng, False)
     kind = search_cfg.strategy[-2:]
-    cfg = replace(grow_cfg, policy="stochastic")
     if search_cfg.strategy.startswith("rr"):
-        results = [_grow_region_oracle(ctx, predictor, seed, labels, cfg, child)
+        results = [_grow_region_oracle(ctx, predictor, seed, labels, grow_cfg, child, True)
                    for child in rng.spawn(search_cfg.restarts)]
         best = max(results, key=lambda r: _criterion_oracle(np.count_nonzero(r.members),
                                                             r.loglik, kind))
@@ -629,7 +643,7 @@ def _run_search_oracle(ctx, predictor, seed, labels, grow_cfg, search_cfg, rng):
         for parent in live:
             for child_rng in rng.spawn(search_cfg.expansions):
                 child = parent.copy()
-                alive = child.advance(ctx, predictor, eligible, cfg, child_rng)
+                alive = child.advance(ctx, predictor, eligible, grow_cfg, child_rng, True)
                 inferences += child.inferences - parent.inferences
                 (children if alive else finished).append(child)
         unique = {}

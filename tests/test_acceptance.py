@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import (ami_oracle, ari_oracle, delta_components_oracle, nmi_oracle,
+from oracles import (Sized, ami_oracle, ari_oracle, delta_components_oracle, nmi_oracle,
                      oracle_next_region)
 from regrow import baselines, metrics, search, synth
 from regrow.features import FEATURE_SUBSETS, build_context
@@ -295,7 +295,7 @@ def pipeline(tmp_path_factory):
     timings["train"] = time.time() - t0
 
     predictor = Predictor(params)
-    grow_cfg = GrowConfig(i_size=128, j_size=128)
+    grow_cfg = GrowConfig()
     rr_cfg = search.SearchConfig(strategy="rr-np", restarts=10)
 
     recs = {"greedy": [], "threshold": [], "rr_np": []}
@@ -402,11 +402,9 @@ class TestC6TerminationTotality:
             cloud = PointCloud(pts, colors, None)
             delta = float(rng.uniform(0.08, 0.15))
             ctx = build_context(cloud, delta=delta, knn=min(8, n))
-            cfg = GrowConfig(i_size=int(rng.integers(4, 33)),
-                             j_size=int(rng.integers(4, 33)),
-                             policy="stochastic" if trial % 5 == 0 else "greedy",
-                             max_steps=500)
-            labels, stats = segment_scene(ctx, stubs[trial % 4](trial), cfg,
+            i_size, j_size = int(rng.integers(4, 33)), int(rng.integers(4, 33))
+            labels, stats = segment_scene(ctx, Sized(stubs[trial % 4](trial), i_size, j_size),
+                                          GrowConfig(max_steps=500),
                                           rng=np.random.default_rng(trial))
             assert (labels > 0).all(), f"trial {trial}: incomplete labels"
             ids = np.unique(labels)
@@ -436,7 +434,7 @@ class TestC7AblationHarness:
         params, _ = train(root / "train_xyz.bin",
                           TrainConfig(feature_columns=cols, **DESK_TRAIN))
         predictor = Predictor(params)
-        cfg = GrowConfig(i_size=128, j_size=128, feature_columns=cols)
+        cfg = GrowConfig()
         recs = []
         for _path, cloud, ctx in pipeline["contexts"]:
             labels, _stats = segment_scene(ctx, predictor, cfg,

@@ -735,7 +735,8 @@ class TestAblate:
         seen = []
 
         def spy(ctx, predictor, grow_cfg, search_cfg, rng):
-            seen.append((grow_cfg, search_cfg))
+            spec = predictor.params
+            seen.append((spec.i_size, spec.j_size, spec.feature_columns, grow_cfg, search_cfg))
             return segment_scene(ctx, predictor, grow_cfg, search_cfg, rng)
 
         monkeypatch.setattr(cli, "segment_scene", spy)
@@ -746,11 +747,11 @@ class TestAblate:
                         "--i", "32", "--j", "32", "--epochs", "1",
                         "--enc-widths", "8", "8", "8", "8", "16",
                         "--dec-widths", "16", "8", "1", "--seed", "0"]) == 0
-        # the checkpoint's sizes and feature columns, the rest default
-        checkpoint = {"i_size": 32, "j_size": 32, "feature_columns": tuple(range(13))}
-        assert seen == [(GrowConfig(**checkpoint), SearchConfig()),
-                        (GrowConfig(**checkpoint, use_remove_mask=False), SearchConfig()),
-                        (GrowConfig(**checkpoint, seed_selection="random"), SearchConfig())]
+        # growth reads the checkpoint's sizes and feature columns; the rest default
+        checkpoint = (32, 32, tuple(range(13)))
+        assert seen == [(*checkpoint, GrowConfig(), SearchConfig()),
+                        (*checkpoint, GrowConfig(use_remove_mask=False), SearchConfig()),
+                        (*checkpoint, GrowConfig(seed_selection="random"), SearchConfig())]
 
 
 class TestTracerCoverage:

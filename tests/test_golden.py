@@ -13,6 +13,9 @@ Segmentation uses a deterministic NumPy predictor, so changes to the network's
 float arithmetic cannot move the label digests. The checkpoint digest does
 depend on it, and on the BLAS kernels: it was recorded with OpenBLAS 0.3.31
 (Haswell kernels) in float32, and another BLAS build may round differently.
+So does the digest of a segmentation by an untrained xyz-only network, which
+was recorded when growth took the network's sizes and feature columns from a
+`GrowConfig` that repeated them by hand.
 """
 
 import hashlib
@@ -22,11 +25,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import Sized
 from regrow import network, synth
 from regrow.baselines import SmoothnessConfig, ThresholdConfig, grow_smoothness, grow_threshold
-from regrow.features import build_context
+from regrow.features import FEATURE_SUBSETS, build_context
 from regrow.grow import GrowConfig, segment_scene
-from regrow.network import TrainConfig, train
+from regrow.network import Predictor, TrainConfig, init_params, train
 from regrow.search import STRATEGIES, SearchConfig
 from regrow.simulate import SimConfig, generate_dataset
 
@@ -47,6 +51,9 @@ SEGMENT_SHA256 = {
     "bs-np": ("ad3deb565d8ac1fd074a3678effdbfc287a0d70aac8376d4a2d7a68260ed8617",
               "a29fb9364daeeaf84d03d8570f4afe699a81f14229e5fc0d8516e6327c3334b0"),
 }
+# labels and stats of an untrained xyz-only network with I = J = 16
+XYZ_SEGMENT_SHA256 = ("9baafee255f583dda767745e1406ff029a3f2e566c72a395587e9d56242b8fa1",
+                      "c4fc10f3a5286318db88c7ea5927d1c01689f81bb91136b057208f00c87bbafb")
 
 BASELINE_SHA256 = {
     ("threshold", 10): "668efc6fd823ccbe6f877580252f4cb05991c79655db2db565653831e069eba9",
@@ -107,12 +114,23 @@ def test_trained_checkpoint_matches_golden_on_either_branch_schedule(
 def test_segment_labels_match_golden(strategy):
     ctx = build_context(synth.generate_room(ROOM, seed=4), delta=0.1, knn=8)
     labels, stats = segment_scene(
-        ctx, feature_predictor, GrowConfig(i_size=16, j_size=16),
+        ctx, Sized(feature_predictor, 16, 16), GrowConfig(),
         SearchConfig(strategy, beam_width=2, expansions=2),
         rng=np.random.default_rng(11))
     assert stats["instances"] > 1
     assert (_sha256(labels.astype("<i4").tobytes()),
             _sha256(json.dumps(stats, sort_keys=True).encode())) == SEGMENT_SHA256[strategy]
+
+
+def test_default_grow_config_reads_the_input_spec_of_the_checkpoint():
+    # a 6-feature network: growth must sample I = J = 16 and pass only its columns
+    ctx = build_context(synth.generate_room(ROOM, seed=4), delta=0.1, knn=8)
+    params = init_params((8, 8, 8, 8, 16), (8, 8, 1), n_features=6, i_size=16, j_size=16,
+                         feature_columns=FEATURE_SUBSETS["xyz"], seed=1)
+    labels, stats = segment_scene(ctx, Predictor(params), GrowConfig(),
+                                  rng=np.random.default_rng(11))
+    assert (_sha256(labels.astype("<i4").tobytes()),
+            _sha256(json.dumps(stats, sort_keys=True).encode())) == XYZ_SEGMENT_SHA256
 
 
 @pytest.mark.parametrize("method,min_segment", sorted(BASELINE_SHA256))

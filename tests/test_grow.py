@@ -12,7 +12,7 @@ from regrow.grow import (
 )
 from regrow.network import Predictor, TrainConfig, train
 from regrow.pointcloud import PointCloud
-from oracles import frontier_oracle
+from oracles import Sized, frontier_oracle
 from regrow.simulate import RegionState, SimConfig, generate_dataset
 
 
@@ -61,9 +61,9 @@ def member_set(mask):
     return set(np.flatnonzero(mask).tolist())
 
 
-def step_region(ctx, predictor, state, labels, cfg, rng):
+def step_region(ctx, predictor, state, labels, cfg, rng, sampled=False):
     frontier = state.tracker.frontier(np.asarray(labels) == 0)
-    return grow_step(ctx, predictor, state, frontier, cfg, rng)
+    return grow_step(ctx, predictor, state, frontier, cfg, rng, sampled)
 
 
 class TestSelectSeed:
@@ -91,9 +91,8 @@ class TestGrowStep:
         cloud = two_plane_scene()
         ctx = build_context(cloud, delta=0.1, knn=8)
         state = region(ctx, [0, 1])
-        added, _, _ = step_region(ctx, StubPredictor(remove=0.2, add=0.2), state,
-                                  np.zeros(cloud.n_points, dtype=int),
-                                  GrowConfig(i_size=8, j_size=8),
+        added, _, _ = step_region(ctx, Sized(StubPredictor(remove=0.2, add=0.2), 8, 8), state,
+                                  np.zeros(cloud.n_points, dtype=int), GrowConfig(),
                                   np.random.default_rng(0))
         assert member_set(state.tracker.member) == {0, 1}
         assert state.step == 0 and state.tracker.size == 2
@@ -104,9 +103,8 @@ class TestGrowStep:
         ctx = build_context(cloud, delta=0.1, knn=8)
         labels = np.zeros(cloud.n_points, dtype=int)
         state = region(ctx, [0])
-        added, _, _ = step_region(ctx, StubPredictor(add=0.9), state, labels,
-                                  GrowConfig(i_size=8, j_size=16),
-                                  np.random.default_rng(0))
+        added, _, _ = step_region(ctx, Sized(StubPredictor(add=0.9), 8, 16), state, labels,
+                                  GrowConfig(), np.random.default_rng(0))
         cand = frontier_oracle(cloud.positions, [0], 0.1, labels == 0)
         assert set(added) == set(cand)  # all candidates fit within J slots
         assert member_set(state.tracker.member) == {0} | set(cand.tolist())
@@ -117,17 +115,16 @@ class TestGrowStep:
         ctx = build_context(cloud, delta=0.1, knn=3)
         state = region(ctx, [0])
         assert state.tracker.frontier(np.ones(3, dtype=bool)).size == 0
-        res = grow_region(ctx, StubPredictor(), 0, np.zeros(3, dtype=int),
-                          GrowConfig(i_size=4, j_size=4), np.random.default_rng(0))
+        res = grow_region(ctx, Sized(StubPredictor(), 4, 4), 0, np.zeros(3, dtype=int),
+                          GrowConfig(), np.random.default_rng(0))
         assert res.inferences == 0 and member_set(res.members) == {0}
 
     def test_seed_never_removed(self):
         cloud = two_plane_scene()
         ctx = build_context(cloud, delta=0.1, knn=8)
         state = region(ctx, [0, 1, 8])
-        step_region(ctx, StubPredictor(remove=0.99, add=0.99), state,
-                    np.zeros(cloud.n_points, dtype=int),
-                    GrowConfig(i_size=8, j_size=8),
+        step_region(ctx, Sized(StubPredictor(remove=0.99, add=0.99), 8, 8), state,
+                    np.zeros(cloud.n_points, dtype=int), GrowConfig(),
                     np.random.default_rng(0))
         assert state.tracker.member[0]
 
@@ -135,11 +132,10 @@ class TestGrowStep:
         cloud = two_plane_scene()
         ctx = build_context(cloud, delta=0.1, knn=8)
         state = region(ctx, [0, 1])
-        cfg = GrowConfig(i_size=8, j_size=8, policy="stochastic")
         # probabilities at the clamp bounds: sampled bits agree almost surely
-        stub = StubPredictor(remove=1e-7, add=1 - 1e-7)
+        stub = Sized(StubPredictor(remove=1e-7, add=1 - 1e-7), 8, 8)
         _, _, loglik = step_region(ctx, stub, state, np.zeros(cloud.n_points, dtype=int),
-                                   cfg, np.random.default_rng(0))
+                                   GrowConfig(), np.random.default_rng(0), sampled=True)
         assert loglik == pytest.approx(0.0, abs=1e-4)
         assert loglik <= 0
 
@@ -149,39 +145,36 @@ class TestGrowRegion:
         pts = np.array([[0, 0, 0], [5, 5, 5], [9, 9, 9]], dtype=float)
         cloud = PointCloud(pts, np.full((3, 3), 9, np.uint8), None)
         ctx = build_context(cloud, delta=0.1, knn=3)
-        res = grow_region(ctx, StubPredictor(), 0, np.zeros(3, dtype=int),
-                          GrowConfig(i_size=4, j_size=4), np.random.default_rng(0))
+        res = grow_region(ctx, Sized(StubPredictor(), 4, 4), 0, np.zeros(3, dtype=int),
+                          GrowConfig(), np.random.default_rng(0))
         assert member_set(res.members) == {0}
         assert res.step <= 1
 
     def test_oscillator_terminates_by_stagnation(self):
         cloud = two_plane_scene()
         ctx = build_context(cloud, delta=0.1, knn=8)
-        res = grow_region(ctx, OscillatingPredictor(), 0,
-                          np.zeros(cloud.n_points, dtype=int),
-                          GrowConfig(i_size=16, j_size=16),
+        res = grow_region(ctx, Sized(OscillatingPredictor(), 16, 16), 0,
+                          np.zeros(cloud.n_points, dtype=int), GrowConfig(),
                           np.random.default_rng(0))
         assert res.step < 500 and not res.capped
 
     def test_add_all_covers_connected_component(self):
         cloud = two_plane_scene()
         ctx = build_context(cloud, delta=0.1, knn=8)
-        res = grow_region(ctx, StubPredictor(add=0.9), 0,
-                          np.zeros(cloud.n_points, dtype=int),
-                          GrowConfig(i_size=16, j_size=16),
+        res = grow_region(ctx, Sized(StubPredictor(add=0.9), 16, 16), 0,
+                          np.zeros(cloud.n_points, dtype=int), GrowConfig(),
                           np.random.default_rng(0))
         assert member_set(res.members) == set(range(64))  # exactly the first plane
 
     def test_step_cap(self):
         cloud = two_plane_scene()
         ctx = build_context(cloud, delta=0.1, knn=8)
-        res = grow_region(ctx, StubPredictor(add=0.9), 0,
-                          np.zeros(cloud.n_points, dtype=int),
-                          GrowConfig(i_size=4, j_size=4, max_steps=2),
+        res = grow_region(ctx, Sized(StubPredictor(add=0.9), 4, 4), 0,
+                          np.zeros(cloud.n_points, dtype=int), GrowConfig(max_steps=2),
                           np.random.default_rng(0))
         assert res.capped and res.step == 2
 
-    @pytest.mark.parametrize("field", ["i_size", "j_size", "max_steps"])
+    @pytest.mark.parametrize("field", ["max_steps"])
     def test_size_below_one_is_rejected(self, field):
         with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
             GrowConfig(**{field: 0})
@@ -247,15 +240,14 @@ class TestSegmentScene:
         assert losses[-1] < losses[0]
         ctx = build_context(cloud, delta=0.1, knn=8)
         res = grow_region(ctx, predictor, 0, np.zeros(cloud.n_points, dtype=int),
-                          GrowConfig(i_size=32, j_size=32), np.random.default_rng(0))
+                          GrowConfig(), np.random.default_rng(0))
         assert member_set(res.members) == set(range(64))
 
     def test_two_planes_two_instances(self, tmp_path):
         cloud = two_plane_scene()
         predictor, _ = train_competent_predictor(tmp_path, cloud)
         ctx = build_context(cloud, delta=0.1, knn=8)
-        labels, stats = segment_scene(ctx, predictor,
-                                      GrowConfig(i_size=32, j_size=32),
+        labels, stats = segment_scene(ctx, predictor, GrowConfig(),
                                       rng=np.random.default_rng(0))
         assert stats["instances"] == 2
         assert len(np.unique(labels[:64])) == 1
@@ -266,9 +258,8 @@ class TestSegmentScene:
         cloud = PointCloud(pts, col, gt)
         ctx = build_context(cloud, delta=0.1, knn=8)
         # always-remove stub: every region stays at its seed, all undersized
-        labels, stats = segment_scene(ctx, StubPredictor(remove=0.9, add=0.1),
-                                      GrowConfig(i_size=8, j_size=8),
-                                      rng=np.random.default_rng(0))
+        labels, stats = segment_scene(ctx, Sized(StubPredictor(remove=0.9, add=0.1), 8, 8),
+                                      GrowConfig(), rng=np.random.default_rng(0))
         assert (labels == 1).all()
 
     def test_labels_complete_and_contiguous(self):
@@ -276,8 +267,7 @@ class TestSegmentScene:
         pts = rng.uniform(0, 0.6, (120, 3))
         cloud = PointCloud(pts, np.full((120, 3), 50, np.uint8), None)
         ctx = build_context(cloud, delta=0.1, knn=6)
-        labels, _ = segment_scene(ctx, StubPredictor(add=0.9),
-                                  GrowConfig(i_size=8, j_size=8),
+        labels, _ = segment_scene(ctx, Sized(StubPredictor(add=0.9), 8, 8), GrowConfig(),
                                   rng=np.random.default_rng(1))
         assert (labels > 0).all()
         ids = np.unique(labels)

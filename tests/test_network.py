@@ -391,6 +391,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_params(path)
 
+    @pytest.mark.parametrize("word", [2, 3], ids=["i_size", "j_size"])
+    def test_set_size_below_one_is_refused(self, tmp_path, word):
+        # a hand-edited header whose I or J (uint32 word 2 or 3) is 0
+        path = tmp_path / "p.ckpt"
+        save_params(tiny_params(), path)
+        raw = bytearray(path.read_bytes())
+        raw[4 + 4 * word:8 + 4 * word] = bytes(4)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: set sizes I = "):
+            load_params(path)
+
     def test_oversized_header_is_truncated_not_allocated(self, tmp_path):
         # widths are checked against the file's size before any tensor exists
         header = [1, 13, 8, 8, 5, *[1 << 20] * 5, 3, 8, 8, 1, 2, 13, *range(13), 1]

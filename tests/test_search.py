@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import segment_oracle
+from oracles import Sized, segment_oracle
 from regrow.features import build_context
 from regrow.grow import GrowConfig, grow_region, segment_scene
 from regrow.pointcloud import PointCloud
@@ -40,10 +40,9 @@ class TestAccumulateLoglik:
     def test_monotone_nonincreasing_over_rollout(self):
         cloud = two_plane_scene()
         ctx = build_context(cloud, delta=0.1, knn=8)
-        res = grow_region(ctx, NoisyPredictor(), 0,
-                          np.zeros(cloud.n_points, dtype=int),
-                          GrowConfig(i_size=8, j_size=8, policy="stochastic"),
-                          np.random.default_rng(0))
+        res = grow_region(ctx, Sized(NoisyPredictor(), 8, 8), 0,
+                          np.zeros(cloud.n_points, dtype=int), GrowConfig(),
+                          np.random.default_rng(0), sampled=True)
         assert res.loglik <= 0.0
 
 
@@ -52,10 +51,10 @@ class TestRunSearch:
         self.cloud = two_plane_scene()
         self.ctx = build_context(self.cloud, delta=0.1, knn=8)
         self.labels = np.zeros(self.cloud.n_points, dtype=int)
-        self.cfg = GrowConfig(i_size=16, j_size=16)
+        self.cfg = GrowConfig()
 
     def test_greedy_deterministic(self):
-        results = [run_search(self.ctx, StubPredictor(add=0.9), 0, self.labels,
+        results = [run_search(self.ctx, Sized(StubPredictor(add=0.9), 16, 16), 0, self.labels,
                               self.cfg, SearchConfig("greedy"),
                               np.random.default_rng(s)) for s in range(3)]
         first = results[0].members
@@ -64,26 +63,24 @@ class TestRunSearch:
     def test_single_restart_equals_one_rollout(self):
         scfg = SearchConfig("rr-np", restarts=1)
         rng = np.random.default_rng(7)
-        got = run_search(self.ctx, NoisyPredictor(), 0, self.labels, self.cfg,
+        got = run_search(self.ctx, Sized(NoisyPredictor(), 16, 16), 0, self.labels, self.cfg,
                          scfg, rng)
         rng2 = np.random.default_rng(7)
         child = rng2.spawn(1)[0]
-        from dataclasses import replace
-        expect = grow_region(self.ctx, NoisyPredictor(), 0, self.labels,
-                             replace(self.cfg, policy="stochastic"), child)
+        expect = grow_region(self.ctx, Sized(NoisyPredictor(), 16, 16), 0, self.labels,
+                             self.cfg, child, sampled=True)
         np.testing.assert_array_equal(got.members, expect.members)
 
     def test_rr_np_winner_at_least_mean_size(self):
         rng = np.random.default_rng(3)
         scfg = SearchConfig("rr-np", restarts=10)
-        got = run_search(self.ctx, NoisyPredictor(add=0.6), 0, self.labels,
+        got = run_search(self.ctx, Sized(NoisyPredictor(add=0.6), 16, 16), 0, self.labels,
                          self.cfg, scfg, rng)
         sizes = []
         rng2 = np.random.default_rng(3)
-        from dataclasses import replace
         for child in rng2.spawn(10):
-            res = grow_region(self.ctx, NoisyPredictor(add=0.6), 0, self.labels,
-                              replace(self.cfg, policy="stochastic"), child)
+            res = grow_region(self.ctx, Sized(NoisyPredictor(add=0.6), 16, 16), 0, self.labels,
+                              self.cfg, child, sampled=True)
             sizes.append(int(res.members.sum()))
         assert got.members.sum() == max(sizes)
         assert got.members.sum() >= np.mean(sizes)
@@ -91,29 +88,28 @@ class TestRunSearch:
     def test_rr_ml_picks_max_loglik(self):
         rng = np.random.default_rng(4)
         scfg = SearchConfig("rr-ml", restarts=6)
-        got = run_search(self.ctx, NoisyPredictor(), 0, self.labels, self.cfg,
+        got = run_search(self.ctx, Sized(NoisyPredictor(), 16, 16), 0, self.labels, self.cfg,
                          scfg, rng)
         logliks = []
         rng2 = np.random.default_rng(4)
-        from dataclasses import replace
         for child in rng2.spawn(6):
-            res = grow_region(self.ctx, NoisyPredictor(), 0, self.labels,
-                              replace(self.cfg, policy="stochastic"), child)
+            res = grow_region(self.ctx, Sized(NoisyPredictor(), 16, 16), 0, self.labels,
+                              self.cfg, child, sampled=True)
             logliks.append(res.loglik)
         assert got.loglik == pytest.approx(max(logliks))
 
     def test_restart_inferences_accumulate(self):
-        greedy = run_search(self.ctx, NoisyPredictor(add=0.95), 0, self.labels,
+        greedy = run_search(self.ctx, Sized(NoisyPredictor(add=0.95), 16, 16), 0, self.labels,
                             self.cfg, SearchConfig("greedy"),
                             np.random.default_rng(0))
-        rr = run_search(self.ctx, NoisyPredictor(add=0.95), 0, self.labels,
+        rr = run_search(self.ctx, Sized(NoisyPredictor(add=0.95), 16, 16), 0, self.labels,
                         self.cfg, SearchConfig("rr-np", restarts=10),
                         np.random.default_rng(0))
         assert rr.inferences >= 5 * greedy.inferences
 
     def test_beam_search_returns_region(self):
         for strategy in ("bs-ml", "bs-np"):
-            got = run_search(self.ctx, NoisyPredictor(add=0.8), 0, self.labels,
+            got = run_search(self.ctx, Sized(NoisyPredictor(add=0.8), 16, 16), 0, self.labels,
                              self.cfg, SearchConfig(strategy, beam_width=3,
                                                     expansions=3),
                              np.random.default_rng(5))
@@ -122,9 +118,9 @@ class TestRunSearch:
 
     def test_beam_deterministic_given_seed(self):
         scfg = SearchConfig("bs-np", beam_width=2, expansions=2)
-        a = run_search(self.ctx, NoisyPredictor(), 0, self.labels, self.cfg,
+        a = run_search(self.ctx, Sized(NoisyPredictor(), 16, 16), 0, self.labels, self.cfg,
                        scfg, np.random.default_rng(9))
-        b = run_search(self.ctx, NoisyPredictor(), 0, self.labels, self.cfg,
+        b = run_search(self.ctx, Sized(NoisyPredictor(), 16, 16), 0, self.labels, self.cfg,
                        scfg, np.random.default_rng(9))
         assert np.array_equal(a.members, b.members) and a.loglik == b.loglik
 
@@ -134,8 +130,7 @@ class TestBeamInternals:
         # the winning rollout's add/remove fractions reach the scene stats
         cloud = two_plane_scene()
         ctx = build_context(cloud, delta=0.1, knn=8)
-        _, stats = segment_scene(ctx, NoisyPredictor(add=0.8),
-                                 GrowConfig(i_size=16, j_size=16),
+        _, stats = segment_scene(ctx, Sized(NoisyPredictor(add=0.8), 16, 16), GrowConfig(),
                                  SearchConfig("bs-np", beam_width=2, expansions=2),
                                  rng=np.random.default_rng(0))
         assert stats["mean_add_fraction"] > 0
@@ -145,9 +140,9 @@ class TestBeamInternals:
         cloud = two_plane_scene()
         ctx = build_context(cloud, delta=0.1, knn=8)
         labels = np.zeros(cloud.n_points, dtype=int)
-        cfg = GrowConfig(i_size=8, j_size=8)
+        cfg = GrowConfig()
         scfg = SearchConfig("bs-np", beam_width=2, expansions=3)
-        got = run_search(ctx, NoisyPredictor(), 0, labels, cfg, scfg,
+        got = run_search(ctx, Sized(NoisyPredictor(), 8, 8), 0, labels, cfg, scfg,
                          np.random.default_rng(1))
         # 2 live states expanded 3x each -> at most 6 inferences per round;
         # rounds are bounded by the step cap, so the total stays moderate
@@ -159,8 +154,8 @@ class TestSizeTrend:
         cloud = two_plane_scene()
         ctx = build_context(cloud, delta=0.1, knn=8)
         labels = np.zeros(cloud.n_points, dtype=int)
-        cfg = GrowConfig(i_size=16, j_size=16)
-        predictor = NoisyPredictor(add=0.7)
+        cfg = GrowConfig()
+        predictor = Sized(NoisyPredictor(add=0.7), 16, 16)
         wins = 0
         for seed in range(10):
             greedy = run_search(ctx, predictor, 0, labels, cfg,
@@ -187,9 +182,8 @@ def random_scene(rng, n):
 
 
 class TestStochasticSegmentation:
-    """C6 asks for stochastic growth, but `segment_scene`'s default greedy
-    search resets the policy to greedy; the sampling strategies grow
-    stochastically whatever the policy asked for."""
+    """C6 runs `segment_scene`'s default greedy search only; the four
+    sampling strategies grow with sampled steps on the same stubs."""
 
     @pytest.mark.parametrize("stub", sorted(C6_STUBS))
     @pytest.mark.parametrize("strategy", ["rr-ml", "rr-np", "bs-ml", "bs-np"])
@@ -198,9 +192,9 @@ class TestStochasticSegmentation:
             rng = np.random.default_rng(7000 + trial)
             cloud = random_scene(rng, int(rng.integers(20, 80)))
             ctx = build_context(cloud, delta=0.1, knn=8)
-            cfg = GrowConfig(i_size=int(rng.integers(4, 17)), j_size=int(rng.integers(4, 17)))
+            i_size, j_size = int(rng.integers(4, 17)), int(rng.integers(4, 17))
             labels, stats = segment_scene(
-                ctx, C6_STUBS[stub](trial), cfg,
+                ctx, Sized(C6_STUBS[stub](trial), i_size, j_size), GrowConfig(),
                 SearchConfig(strategy, restarts=3, beam_width=2, expansions=2),
                 rng=np.random.default_rng(trial))
             assert (labels > 0).all()
@@ -219,8 +213,8 @@ def segmentation_cases(draw):
     colors = draw(st.lists(st.integers(0, 255), min_size=3 * len(pts), max_size=3 * len(pts)))
     cloud = PointCloud(np.array(pts, dtype=float),
                        np.array(colors, dtype=np.uint8).reshape(-1, 3), None)
-    grow_cfg = GrowConfig(i_size=draw(st.integers(1, 16)), j_size=draw(st.integers(1, 16)),
-                          max_steps=draw(st.sampled_from([2, 500])),
+    sizes = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    grow_cfg = GrowConfig(max_steps=draw(st.sampled_from([2, 500])),
                           min_segment=draw(st.integers(1, 4)),
                           use_remove_mask=draw(st.booleans()),
                           seed_selection=draw(st.sampled_from(["curvature", "random"])))
@@ -229,18 +223,19 @@ def segmentation_cases(draw):
                               beam_width=draw(st.integers(1, 3)),
                               expansions=draw(st.integers(1, 3)))
     predictor = draw(st.sampled_from(["add", "remove", "oscillate", "random", "features"]))
-    return cloud, grow_cfg, search_cfg, predictor, draw(st.integers(0, 2**32 - 1))
+    return cloud, sizes, grow_cfg, search_cfg, predictor, draw(st.integers(0, 2**32 - 1))
 
 
 class TestSegmentationOracle:
     @given(segmentation_cases())
     @settings(max_examples=150, deadline=None)
     def test_labels_and_stats_match_rollout_loop(self, case):
-        cloud, grow_cfg, search_cfg, name, seed = case
+        cloud, sizes, grow_cfg, search_cfg, name, seed = case
         ctx = build_context(cloud, delta=0.1, knn=min(8, cloud.n_points))
 
         def predictor():
-            return feature_predictor if name == "features" else C6_STUBS[name](seed)
+            return Sized(feature_predictor if name == "features" else C6_STUBS[name](seed),
+                         *sizes)
 
         labels, stats = segment_scene(ctx, predictor(), grow_cfg, search_cfg,
                                       np.random.default_rng(seed))

@@ -188,7 +188,7 @@ class TestTrainingSamples:
     def test_clean_state_has_no_removals(self):
         cloud = two_blob_scene()
         ctx = build_context(cloud, delta=0.1, knn=4)
-        sample = make_training_sample(ctx, region(ctx, {0, 1}), 8, 8,
+        sample = make_training_sample(ctx, region(ctx, {0, 1}), SimConfig(i_size=8, j_size=8),
                                       np.random.default_rng(0))
         assert sample.remove_target.sum() == 0
         assert sample.inlier_features.shape == (8, 13)
@@ -196,7 +196,7 @@ class TestTrainingSamples:
     def test_wrong_member_marked_for_removal(self):
         cloud = two_blob_scene()
         ctx = build_context(cloud, delta=0.1, knn=4)
-        sample = make_training_sample(ctx, region(ctx, {0, 6}), 8, 8,
+        sample = make_training_sample(ctx, region(ctx, {0, 6}), SimConfig(i_size=8, j_size=8),
                                       np.random.default_rng(0))
         assert sample.remove_target.sum() > 0
 
@@ -207,7 +207,7 @@ class TestTrainingSamples:
         state = region(ctx, {0, 1, 2})
         frontier_gt = cloud.gt_instance
         for _ in range(5):
-            sample = make_training_sample(ctx, state, 8, 16, rng)
+            sample = make_training_sample(ctx, state, SimConfig(i_size=8, j_size=16), rng)
             assert sample is not None
             # reconstruct: every slot's target equals gt membership of its point
             assert set(np.unique(sample.add_target)) <= {0, 1}
@@ -217,7 +217,7 @@ class TestTrainingSamples:
         cloud = PointCloud(pts, np.full((2, 3), 10, np.uint8),
                            np.array([1, 2], dtype=np.int32))
         ctx = build_context(cloud, delta=0.1, knn=2)
-        out = make_training_sample(ctx, region(ctx, {0}), 4, 4,
+        out = make_training_sample(ctx, region(ctx, {0}), SimConfig(i_size=4, j_size=4),
                                    np.random.default_rng(0))
         assert out is None
 
@@ -376,7 +376,7 @@ class TestGenerateDataset:
             rng2 = np.random.default_rng(7)
             for _ in range(10):
                 members = np.flatnonzero(state.tracker.member)
-                sample = make_training_sample(ctx, state, 8, 8, rng2)
+                sample = make_training_sample(ctx, state, cfg, rng2)
                 if sample is None:
                     break
                 corrupt_region(ctx, state, schedule, rng2)
@@ -472,6 +472,22 @@ class TestDatasetFile:
             for sel in ([n], [-1], [0, n]):
                 with pytest.raises(IndexError):
                     ds.read(sel)
+
+    def test_interrupted_write_keeps_previous_dataset(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.bin"
+        generate_dataset([two_blob_scene()], SimConfig(i_size=6, j_size=5, seed=3), path)
+        before = path.read_bytes()
+        simulate_instance = simulate.simulate_instance
+
+        def first_record_then_fail(*args, **kwargs):
+            yield next(simulate_instance(*args, **kwargs))
+            raise KeyboardInterrupt("interrupted after the first record")
+
+        monkeypatch.setattr(simulate, "simulate_instance", first_record_then_fail)
+        with pytest.raises(KeyboardInterrupt):
+            generate_dataset([two_blob_scene()], SimConfig(i_size=6, j_size=5, seed=4), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.bin"]
 
     def test_wrong_sample_shape_rejected(self, tmp_path):
         sample = TrainingSample(np.zeros((4, 3), np.float32), np.zeros((5, 3), np.float32),
