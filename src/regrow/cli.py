@@ -31,7 +31,7 @@ from .network import Predictor, TrainConfig, load_params, train
 from .pointcloud import (PointCloud, atomic_open, export_colored_ply, load_scene, read_labels,
                          write_labels)
 from .search import STRATEGIES, SearchConfig
-from .simulate import SimConfig, generate_dataset
+from .simulate import DATASET_VERSION, SimConfig, generate_dataset
 
 
 class UsageError(Exception):
@@ -52,10 +52,6 @@ def _scene_paths(path) -> list[Path]:
             raise FileNotFoundError(f"no scene files (*.txt) in {path}")
         return found
     return [path]
-
-
-def _feature_columns(name: str):
-    return None if name == "full" else FEATURE_SUBSETS[name]
 
 
 def _scene_sha256(scene_path) -> str:
@@ -185,8 +181,6 @@ def build_parser() -> _Parser:
     _add_network_args(p, net)
     p.add_argument("--skip-layer", type=int, default=net.skip_layer,
                    help="encoder layer feeding the decoder skip connection")
-    p.add_argument("--features", default="full", choices=sorted(FEATURE_SUBSETS))
-    p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--seed", type=int, default=net.seed)
 
     p = add_parser("segment",
@@ -339,7 +333,7 @@ def _cmd_features(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = SimConfig(i_size=args.i_size, j_size=args.j_size, delta=args.delta, knn=args.knn,
                     alpha_range=(args.alpha_min, args.alpha_max), decay=args.decay,
-                    augment_copies=args.augment, feature_columns=_feature_columns(args.features),
+                    augment_copies=args.augment, feature_columns=FEATURE_SUBSETS[args.features],
                     normalize=not args.no_normalize, seed=args.seed)
     count = generate_dataset(_scene_paths(args.scenes), cfg, args.out)
     print(f"wrote {count} samples to {args.out}")
@@ -349,9 +343,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_train(args) -> int:
     cfg = TrainConfig(enc_widths=tuple(args.enc_widths), dec_widths=tuple(args.dec_widths),
                       skip_layer=args.skip_layer, lr=args.lr, batch_size=args.batch,
-                      epochs=args.epochs, seed=args.seed, checkpoint=args.out,
-                      feature_columns=_feature_columns(args.features),
-                      normalize=not args.no_normalize)
+                      epochs=args.epochs, seed=args.seed, checkpoint=args.out)
 
     def report(epoch, loss, seconds, samples):
         print(f"epoch {epoch}: loss {loss:.6f}")
@@ -468,27 +460,25 @@ def _cmd_eval(args) -> int:
 
 def _cmd_ablate(args) -> int:
     subset, normalize, size, grow_overrides = _ABLATION_KNOBS[args.knob]
-    cols = _feature_columns(subset)
     sim = SimConfig(i_size=size or args.i_size, j_size=size or args.j_size, delta=args.delta,
-                    knn=args.knn, augment_copies=args.augment, feature_columns=cols,
-                    normalize=normalize, seed=args.seed)
+                    knn=args.knn, augment_copies=args.augment,
+                    feature_columns=FEATURE_SUBSETS[subset], normalize=normalize, seed=args.seed)
     net = TrainConfig(enc_widths=tuple(args.enc_widths), dec_widths=tuple(args.dec_widths),
-                      lr=args.lr, batch_size=args.batch, epochs=args.epochs, seed=args.seed,
-                      feature_columns=cols, normalize=normalize)
+                      lr=args.lr, batch_size=args.batch, epochs=args.epochs, seed=args.seed)
     workdir = Path(args.workdir)
     knob_dir = workdir / args.knob
     for directory in (workdir / "datasets", workdir / "models", knob_dir / "pred"):
         directory.mkdir(parents=True, exist_ok=True)
 
     # cached artifacts are named by a hash of the configs they are built
-    # from (the dataset's with the training scenes), so a rerun that changes
-    # any field or scene builds new ones
+    # from (the dataset's with the training scenes), and datasets also by
+    # their format version, so a rerun that changes any of them builds new ones
     train_paths = _scene_paths(args.train_scenes)
     scenes = [(str(p.resolve()), _scene_sha256(p)) for p in train_paths]
     data_key = hashlib.sha256(json.dumps([asdict(sim), scenes]).encode()).hexdigest()[:16]
     model_key = hashlib.sha256(json.dumps([data_key, asdict(net)]).encode()).hexdigest()[:16]
     prefix = f"{subset}_{'norm' if normalize else 'raw'}_i{sim.i_size}_j{sim.j_size}"
-    dataset = workdir / "datasets" / f"{prefix}_{data_key}.bin"
+    dataset = workdir / "datasets" / f"{prefix}_{data_key}.v{DATASET_VERSION}.bin"
     model = workdir / "models" / f"{prefix}_{model_key}.ckpt"
 
     if not dataset.exists():

@@ -36,6 +36,9 @@ class GrowConfig:
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.seed_selection not in ("curvature", "random"):
+            raise ValueError("seed_selection must be 'curvature' or 'random', "
+                             f"got {self.seed_selection!r}")
 
 
 def select_seed(curvature: np.ndarray, labels: np.ndarray) -> int:

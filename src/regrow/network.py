@@ -101,6 +101,10 @@ def _architecture(enc_widths, dec_widths, skip_layer: int, n_features: int,
     feature_columns = tuple(int(c) for c in feature_columns)
     if len(feature_columns) != n_features:
         raise ValueError("feature_columns length must equal n_features")
+    if len(set(feature_columns)) != n_features \
+            or not set(feature_columns) <= set(range(N_FEATURES)):
+        raise ValueError(f"feature columns {feature_columns} must be distinct and within "
+                         f"0..{N_FEATURES - 1}")
     dec_in = enc_widths[skip_layer - 1] + 2 * enc_widths[-1]
     enc_layers = list(zip((n_features, *enc_widths[:-1]), enc_widths))
     dec_layers = list(zip((dec_in, *dec_widths[:-1]), dec_widths))
@@ -414,8 +418,6 @@ class TrainConfig:
     epochs: int = 40
     seed: int = 0
     checkpoint: str | None = None
-    feature_columns: tuple[int, ...] | None = None
-    normalize: bool = True
 
     def __post_init__(self):
         for name in ("epochs", "batch_size"):
@@ -424,21 +426,15 @@ class TrainConfig:
 
 
 def train(dataset_path, cfg: TrainConfig, report=None):
-    """Train on a simulated dataset, read a batch at a time; returns (params,
-    per-epoch mean losses).
+    """Train on a simulated dataset, read a batch at a time, for the input
+    spec its header records; returns (params, per-epoch mean losses).
 
     After each epoch, `report(epoch, loss, seconds, samples)` is called if
     given, with the epoch's 1-based number, mean loss, wall time of its
     batches and sample count."""
     with DatasetReader(dataset_path) as ds:
-        cols = cfg.feature_columns if cfg.feature_columns is not None \
-            else tuple(range(ds.n_features))
-        if len(cols) != ds.n_features:
-            raise ValueError(
-                f"feature columns ({len(cols)}) do not match dataset features ({ds.n_features})")
-        params = init_params(cfg.enc_widths, cfg.dec_widths, cfg.skip_layer,
-                             n_features=ds.n_features, i_size=ds.i_size, j_size=ds.j_size,
-                             feature_columns=cols, normalize=cfg.normalize, seed=cfg.seed)
+        params = init_params(cfg.enc_widths, cfg.dec_widths, cfg.skip_layer, ds.n_features,
+                             ds.i_size, ds.j_size, ds.feature_columns, ds.normalize, cfg.seed)
         adam = AdamState.init(params, lr=cfg.lr)
         rng = np.random.default_rng(cfg.seed)
         n = len(ds)

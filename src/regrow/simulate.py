@@ -9,10 +9,11 @@ network sees noisy intermediate regions. Targets are always computed against
 ground truth.
 
 A dataset file is the magic b"RGDS", a little-endian uint32 header of
-version, I, J and F, then whole records of `record_dtype(I, J, F)`, the one
-definition of the record layout. `DatasetWriter` streams samples into it,
-replacing the file only once complete, and `DatasetReader` reads it back a
-batch of records at a time, so neither holds the whole file in memory.
+version 2, I, J and the input spec (bit c set for each feature column c,
+bit 31 for median-normalized inputs), then whole records of
+`record_dtype(I, J, F)` for F columns. `DatasetWriter` streams samples into
+it and `DatasetReader` reads them back a batch at a time, so neither holds
+the whole file in memory.
 """
 
 from __future__ import annotations
@@ -70,6 +71,10 @@ class SimConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.alpha_range[0] > self.alpha_range[1]:
             raise ValueError(f"alpha_range must have min <= max, got {self.alpha_range}")
+        cols = self.feature_columns  # recorded in the dataset header as a bit set
+        if cols is not None and (not cols or list(cols) != sorted({*cols} & {*range(N_FEATURES)})):
+            raise ValueError("feature_columns must be strictly ascending within "
+                             f"0..{N_FEATURES - 1}, got {cols}")
 
 
 def corrupt_region(ctx: SceneContext, state: RegionState, schedule: NoiseSchedule,
@@ -183,9 +188,8 @@ def generate_dataset(scenes, cfg: SimConfig, out_path) -> int:
     """
     from .pointcloud import load_scene
 
-    n_cols = len(cfg.feature_columns) if cfg.feature_columns is not None else N_FEATURES
     written = 0
-    with DatasetWriter(out_path, cfg.i_size, cfg.j_size, n_cols) as writer:
+    with DatasetWriter(out_path, cfg) as writer:
         for scene_id, scene in enumerate(scenes):
             cloud = scene if isinstance(scene, PointCloud) else load_scene(scene)
             for copy in range(cfg.augment_copies):
@@ -204,8 +208,9 @@ def generate_dataset(scenes, cfg: SimConfig, out_path) -> int:
 
 
 DATASET_MAGIC = b"RGDS"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 DATASET_HEADER_BYTES = 20  # magic and four uint32 words
+DATASET_NORMALIZED = 1 << 31  # the spec word's bit for median-normalized inputs
 DATASET_CHECK_BYTES = 4 << 20  # read at a time by the open-time record check
 
 
@@ -230,12 +235,14 @@ class DatasetWriter:
     """Streams records into a temporary file that replaces `path` on a clean
     close and is removed on an exception (`pointcloud.atomic_open`)."""
 
-    def __init__(self, path, i_size: int, j_size: int, n_features: int):
-        self._record = np.zeros((), record_dtype(i_size, j_size, n_features))
+    def __init__(self, path, spec: SimConfig):
+        cols = range(N_FEATURES) if spec.feature_columns is None else spec.feature_columns
+        word = sum(1 << c for c in cols) | (DATASET_NORMALIZED if spec.normalize else 0)
+        self._record = np.zeros((), record_dtype(spec.i_size, spec.j_size, len(cols)))
         self._record["length"] = self._record.itemsize - 4
         with ExitStack() as stack:
             self._fh = stack.enter_context(atomic_open(path, "wb"))
-            header = np.array([DATASET_VERSION, i_size, j_size, n_features], "<u4")
+            header = np.array([DATASET_VERSION, spec.i_size, spec.j_size, word], "<u4")
             self._fh.write(DATASET_MAGIC + header.tobytes())
             self._file = stack.pop_all()
 
@@ -286,10 +293,16 @@ class DatasetReader:
         head = self._fh.read(DATASET_HEADER_BYTES)
         if len(head) < DATASET_HEADER_BYTES or head[:4] != DATASET_MAGIC:
             raise DatasetError(f"{path}: not a training dataset file")
-        version, self.i_size, self.j_size, self.n_features = \
-            np.frombuffer(head, "<u4", offset=4).tolist()
-        if version != DATASET_VERSION:
-            raise DatasetError(f"{path}: unsupported dataset version {version}")
+        version, self.i_size, self.j_size, word = np.frombuffer(head, "<u4", offset=4).tolist()
+        if version != DATASET_VERSION:  # version 1 did not record the input spec
+            raise DatasetError(f"{path}: unsupported dataset version {version} (this program "
+                               f"reads {DATASET_VERSION}); re-run `regrow simulate`")
+        self.feature_columns = tuple(c for c in range(N_FEATURES) if word >> c & 1)
+        self.normalize = bool(word & DATASET_NORMALIZED)
+        self.n_features = len(self.feature_columns)
+        if not self.feature_columns or (word & ~DATASET_NORMALIZED) >> N_FEATURES:
+            raise DatasetError(f"{path}: spec word {word:#010x} names no feature column or "
+                               f"a bit outside 0..{N_FEATURES - 1} and 31")
         try:
             self._rec = record_dtype(self.i_size, self.j_size, self.n_features)
         except ValueError as exc:

@@ -32,6 +32,12 @@ class RoomConfig:
     cylinder_height: tuple[float, float] = (0.1, 0.5)
     sphere_radius: tuple[float, float] = (0.08, 0.22)
 
+    def __post_init__(self):
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError(f"spacing must be finite and > 0, got {self.spacing}")
+        if not all(math.isfinite(e) and e > 0 for e in self.extent):
+            raise ValueError(f"extent must be finite and > 0, got {tuple(self.extent)}")
+
 
 def _grid1d(length: float, spacing: float) -> np.ndarray:
     """Evenly spaced samples covering [0, length], centered within it."""

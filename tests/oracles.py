@@ -704,9 +704,11 @@ def dataset_oracle(path):
         raw = fh.read()
     if len(raw) < 20 or raw[:4] != b"RGDS":
         raise ValueError("not a training dataset file")
-    version, i_size, j_size, n_feat = struct.unpack("<IIII", raw[4:20])
-    if version != 1:
+    version, i_size, j_size, spec = struct.unpack("<IIII", raw[4:20])
+    if version != 2:
         raise ValueError(f"unsupported dataset version {version}")
+    # bits 0..12 of the spec word are the feature columns, bit 31 normalization
+    n_feat = bin(spec & 0x1FFF).count("1")
     record = 4 * (i_size + j_size) * n_feat + i_size + j_size + 12
     xi_list, xn_list, rm_list, ad_list, meta_list = [], [], [], [], []
     off = 20

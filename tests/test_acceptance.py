@@ -431,8 +431,7 @@ class TestC7AblationHarness:
         cols = FEATURE_SUBSETS["xyz"]
         sim = SimConfig(i_size=128, j_size=128, seed=5, feature_columns=cols)
         generate_dataset(pipeline["train_paths"], sim, root / "train_xyz.bin")
-        params, _ = train(root / "train_xyz.bin",
-                          TrainConfig(feature_columns=cols, **DESK_TRAIN))
+        params, _ = train(root / "train_xyz.bin", TrainConfig(**DESK_TRAIN))
         predictor = Predictor(params)
         cfg = GrowConfig()
         recs = []

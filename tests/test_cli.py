@@ -15,7 +15,7 @@ from regrow.baselines import SmoothnessConfig, ThresholdConfig
 from regrow.cli import main
 from regrow.features import compute_features, radius_adjacency
 from regrow.grow import GrowConfig, segment_scene
-from regrow.network import TrainConfig
+from regrow.network import TrainConfig, load_params
 from regrow.pointcloud import load_scene, read_labels, write_labels
 from regrow.search import SearchConfig
 from regrow.simulate import SimConfig
@@ -73,6 +73,13 @@ class TestSynth:
         assert match, closing
         assert int(match.group(1)) == sum(load_scene(p).n_points
                                           for p in tmp_path.glob("*/*.txt"))
+
+    def test_zero_spacing_exits_two(self, tmp_path, capsys):
+        # RoomConfig refuses it before any room is generated
+        out = tmp_path / "rooms"
+        assert run(["synth", "--out", str(out), "--spacing", "0"]) == 2
+        assert capsys.readouterr().err == "error: spacing must be finite and > 0, got 0.0\n"
+        assert not out.exists()
 
     def test_scenes_load_back(self, tmp_path):
         run(["synth", "--out", str(tmp_path), "--train", "1", "--test", "0",
@@ -138,8 +145,7 @@ class TestUsage:
         assert ((args.alpha_min, args.alpha_max), args.decay, args.no_normalize) == \
             (sim.alpha_range, sim.decay, not sim.normalize)
         args = parse("train", "--dataset", "d", "--out", "o")
-        assert (args.skip_layer, args.seed, args.no_normalize) == \
-            (net.skip_layer, net.seed, not net.normalize)
+        assert (args.skip_layer, args.seed) == (net.skip_layer, net.seed)
         for argv in (["simulate", "--scenes", "s", "--out", "o"], ABLATE_REQUIRED):
             args = parse(*argv)
             assert (args.i_size, args.j_size, args.delta, args.knn, args.augment, args.seed) == \
@@ -382,6 +388,38 @@ class TestTrainCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and "checkpoint" not in captured.out
         assert not (tmp_path / "m.ckpt").exists()
+
+
+    @pytest.mark.parametrize("flags,spec", [
+        (["--no-normalize"], (tuple(range(13)), False)),
+        (["--features", "xyz"], ((0, 1, 2, 3, 4, 5), True)),
+    ], ids=["no-normalize", "xyz"])
+    def test_checkpoint_takes_the_input_spec_of_the_dataset(self, workspace, tmp_path, flags,
+                                                            spec):
+        dataset, model = tmp_path / "d.bin", tmp_path / "m.ckpt"
+        assert run(["simulate", "--scenes", str(workspace / "data" / "train"),
+                    "--out", str(dataset), "--i", "16", "--j", "16", "--seed", "1",
+                    *flags]) == 0
+        assert run(["train", "--dataset", str(dataset), "--out", str(model),
+                    "--enc-widths", "8", "8", "8", "8", "16", "--dec-widths", "8", "8", "1",
+                    "--epochs", "1", "--batch", "64"]) == 0
+        params = load_params(model)
+        assert (params.feature_columns, params.normalize) == spec
+        assert (params.i_size, params.j_size) == (16, 16)
+
+    def test_one_config_file_sets_the_spec_for_simulate_and_train(self, workspace, tmp_path,
+                                                                  capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("features = xyz\nno_normalize = yes\ni_size = 16\nj_size = 16\n"
+                       "epochs = 1\nenc_widths = 8 8 8 8 16\ndec_widths = 8 8 1\n")
+        dataset, model = tmp_path / "d.bin", tmp_path / "m.ckpt"
+        assert run(["--config", str(cfg), "simulate", "--scenes",
+                    str(workspace / "data" / "train"), "--out", str(dataset)]) == 0
+        assert run(["--config", str(cfg), "train", "--dataset", str(dataset),
+                    "--out", str(model)]) == 0
+        params = load_params(model)
+        assert (params.feature_columns, params.normalize) == ((0, 1, 2, 3, 4, 5), False)
+        assert "warning" not in capsys.readouterr().err
 
 
 class TestSegmentAndEval:
@@ -730,6 +768,23 @@ class TestAblate:
         assert cached() == [1, 2]
         monkeypatch.setattr(cli, "SimConfig", partial(SimConfig, decay=0.02))
         assert cached() == [2, 3]
+
+    def test_dataset_of_another_format_version_is_rebuilt(self, workspace, tmp_path,
+                                                          monkeypatch):
+        # a work directory from before a format change holds datasets that
+        # `train` refuses, so they must not be found under the same name
+        def cached():
+            assert run(["ablate", "--train-scenes", str(workspace / "data" / "train"),
+                        "--test-scenes", str(workspace / "data" / "test"),
+                        "--workdir", str(tmp_path / "work"), "--knob", "full",
+                        "--i", "16", "--j", "16", "--epochs", "1",
+                        "--enc-widths", "8", "8", "8", "8", "16",
+                        "--dec-widths", "16", "8", "1", "--seed", "0"]) == 0
+            return len(list((tmp_path / "work" / "datasets").iterdir()))
+
+        assert cached() == 1
+        monkeypatch.setattr(cli, "DATASET_VERSION", cli.DATASET_VERSION + 1)
+        assert cached() == 2
 
     def test_knobs_reach_the_grow_config(self, workspace, tmp_path, monkeypatch):
         seen = []

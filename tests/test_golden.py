@@ -8,7 +8,9 @@ in a record of its own, the baseline digests from the per-edge flood fills that
 predate the connected-component baselines, and the checkpoint digest from the
 training step that kept pre-activations and accumulated gradients into zeroed
 arrays; any refactor of simulation, growing, search, the baselines or the
-training step must reproduce them byte for byte.
+training step must reproduce them byte for byte. The simulator digest is
+kept for the version 1 header, which recorded F where version 2 records the
+input spec; the version 2 file's own digest was pinned from the same records.
 Segmentation uses a deterministic NumPy predictor, so changes to the network's
 float arithmetic cannot move the label digests. The checkpoint digest does
 depend on it, and on the BLAS kernels: it was recorded with OpenBLAS 0.3.31
@@ -36,7 +38,10 @@ from regrow.simulate import SimConfig, generate_dataset
 
 ROOM = synth.RoomConfig(extent=(1.2, 1.2, 0.8), spacing=0.06, n_objects=(2, 3))
 
-DATASET_SHA256 = "bb81a0f7a0d19c0a6752210b082a1176ec8fc74e7fc1753c710bc5c192d15cdc"
+DATASET_SHA256 = "95d620566b1d6b95b5963675c1d79cbcf1df558fc648f319a577dc28cfb7eff5"
+# the same dataset as written with the version 1 header (version 1, I, J, F),
+# which recorded no input spec: the records after the header are unchanged
+DATASET_V1_SHA256 = "bb81a0f7a0d19c0a6752210b082a1176ec8fc74e7fc1753c710bc5c192d15cdc"
 CHECKPOINT_SHA256 = "2d472dc05fe9d422939cd09cf8949d9d0acf42f57461e0d2d35cd7bd10f4f109"
 # per strategy: (labels as little-endian int32, json.dumps(stats, sort_keys=True))
 SEGMENT_SHA256 = {
@@ -91,7 +96,12 @@ def _golden_dataset(tmp_path):
 
 
 def test_dataset_bytes_match_golden(tmp_path):
-    assert _sha256(_golden_dataset(tmp_path).read_bytes()) == DATASET_SHA256
+    data = _golden_dataset(tmp_path).read_bytes()
+    # version 2, I = J = 16, and the spec word: all 13 columns, normalized
+    assert data[:20] == b"RGDS" + np.array([2, 16, 16, 0x80001FFF], "<u4").tobytes()
+    v1_header = b"RGDS" + np.array([1, 16, 16, 13], "<u4").tobytes()
+    assert _sha256(v1_header + data[20:]) == DATASET_V1_SHA256
+    assert _sha256(data) == DATASET_SHA256
 
 
 def test_trained_checkpoint_matches_golden(tmp_path):

@@ -179,6 +179,11 @@ class TestGrowRegion:
         with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
             GrowConfig(**{field: 0})
 
+    @pytest.mark.parametrize("name", ["bogus", "Random", ""])
+    def test_unknown_seed_selection_is_rejected(self, name):
+        with pytest.raises(ValueError, match="seed_selection must be 'curvature' or 'random'"):
+            GrowConfig(seed_selection=name)
+
 
 class TestReassignment:
     def test_small_fragment_absorbed(self):

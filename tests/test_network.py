@@ -292,7 +292,8 @@ class TestTrain:
 
 def write_random_dataset(path, count, i_size=64, j_size=64, n_features=13):
     rng = np.random.default_rng(count)
-    with DatasetWriter(path, i_size, j_size, n_features) as writer:
+    spec = SimConfig(i_size=i_size, j_size=j_size, feature_columns=tuple(range(n_features)))
+    with DatasetWriter(path, spec) as writer:
         for k in range(count):
             writer.write(TrainingSample(
                 rng.normal(size=(i_size, n_features)).astype(np.float32),
@@ -401,6 +402,25 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: set sizes I = "):
             load_params(path)
+
+    @pytest.mark.parametrize("cols", [(0, 1, 20), (0, 1, 1)], ids=["above-12", "repeated"])
+    def test_column_outside_the_features_is_refused(self, tmp_path, cols):
+        # a hand-edited header: the last of the 13 column words, then F = 3
+        path = tmp_path / "p.ckpt"
+        save_params(tiny_params(n_features=3), path)
+        words = np.frombuffer(path.read_bytes()[4:], "<u4").copy()
+        at = 1 + 4 + len(TINY_ENC) + 1 + len(TINY_DEC) + 1  # the column count
+        assert words[at:at + 4].tolist() == [3, 0, 1, 2]
+        words[at + 1:at + 4] = cols
+        path.write_bytes(b"RGNW" + words.tobytes())
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: feature columns"):
+            load_params(path)
+
+    @pytest.mark.parametrize("cols", [(0, 1, 20), (0, 1, 1), (-1, 0, 1)],
+                             ids=["above-12", "repeated", "negative"])
+    def test_init_params_refuses_a_column_outside_the_features(self, cols):
+        with pytest.raises(ValueError, match="must be distinct and within 0..12"):
+            init_params(TINY_ENC, TINY_DEC, n_features=3, feature_columns=cols)
 
     def test_oversized_header_is_truncated_not_allocated(self, tmp_path):
         # widths are checked against the file's size before any tensor exists

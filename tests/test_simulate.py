@@ -315,7 +315,7 @@ class TestGenerateDataset:
         if damage == "header-only":
             raw = raw[:20]
         elif damage == "version":
-            raw[4:8] = np.array([2], "<u4").tobytes()
+            raw[4:8] = np.array([3], "<u4").tobytes()
         elif damage == "length":
             # the second record claims one byte more; the file size is unchanged
             raw[20 + record:24 + record] = np.array([record - 3], "<u4").tobytes()
@@ -384,7 +384,13 @@ class TestGenerateDataset:
 
 @st.composite
 def sample_batches(draw, max_count=5):
-    i, j, f = (draw(st.integers(1, 8)) for _ in range(3))
+    """(spec, samples): a `SimConfig` with any strictly ascending, non-empty
+    set of feature columns and either normalization, and samples of its
+    shapes."""
+    i, j = (draw(st.integers(1, 8)) for _ in range(2))
+    cols = tuple(sorted(draw(st.sets(st.integers(0, 12), min_size=1))))
+    spec = SimConfig(i_size=i, j_size=j, feature_columns=cols, normalize=draw(st.booleans()))
+    f = len(cols)
     count = draw(st.integers(1, max_count))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     samples = [TrainingSample(rng.normal(size=(i, f)).astype(np.float32),
@@ -393,23 +399,27 @@ def sample_batches(draw, max_count=5):
                               rng.integers(0, 2, j).astype(np.uint8),
                               tuple(int(v) for v in rng.integers(-2**31, 2**31, 3)))
                for _ in range(count)]
-    return i, j, f, samples
+    return spec, samples
 
 
 class TestDatasetFile:
     @given(sample_batches())
     @settings(max_examples=60, deadline=None)
     def test_loader_matches_struct_oracle(self, batch):
-        i, j, f, samples = batch
+        spec, samples = batch
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "d.bin"
-            with DatasetWriter(path, i, j, f) as writer:
+            with DatasetWriter(path, spec) as writer:
                 for sample in samples:
                     writer.write(sample)
             with DatasetReader(path) as ds:
                 got = ds.read(np.arange(len(ds)))
             expected = dataset_oracle(path)
-        assert (len(ds), ds.i_size, ds.j_size, ds.n_features) == (len(samples), i, j, f)
+        # the header gives back the input spec it was written with
+        assert (len(ds), ds.i_size, ds.j_size, ds.n_features, ds.feature_columns,
+                ds.normalize) == (len(samples), spec.i_size, spec.j_size,
+                                  len(spec.feature_columns), spec.feature_columns,
+                                  spec.normalize)
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype and a.shape == b.shape
@@ -419,7 +429,7 @@ class TestDatasetFile:
     @given(sample_batches(max_count=12), st.data())
     @settings(max_examples=60, deadline=None)
     def test_reader_matches_oracle_for_any_indices(self, batch, data):
-        i, j, f, samples = batch
+        spec, samples = batch
         count = len(samples)
         lo = data.draw(st.integers(0, count - 1))
         hi = data.draw(st.integers(lo + 1, count))
@@ -433,11 +443,12 @@ class TestDatasetFile:
                                                    max_size=2 * count))),
         }
         order = data.draw(st.permutations(list(selections)))
-        record = simulate.record_dtype(i, j, f).itemsize
+        record = simulate.record_dtype(spec.i_size, spec.j_size,
+                                       len(spec.feature_columns)).itemsize
         chunk = data.draw(st.integers(1, count + 1)) * record
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "d.bin"
-            with DatasetWriter(path, i, j, f) as writer:
+            with DatasetWriter(path, spec) as writer:
                 for sample in samples:
                     writer.write(sample)
             with mock.patch.object(simulate, "DATASET_CHECK_BYTES", chunk), \
@@ -492,6 +503,61 @@ class TestDatasetFile:
     def test_wrong_sample_shape_rejected(self, tmp_path):
         sample = TrainingSample(np.zeros((4, 3), np.float32), np.zeros((5, 3), np.float32),
                                 np.zeros(4, np.uint8), np.zeros(1, np.uint8), (0, 0, 0))
-        with DatasetWriter(tmp_path / "d.bin", 4, 5, 3) as writer:
+        spec = SimConfig(i_size=4, j_size=5, feature_columns=(0, 1, 2))
+        with DatasetWriter(tmp_path / "d.bin", spec) as writer:
             with pytest.raises(DatasetError):
                 writer.write(sample)
+
+
+class TestInputSpecHeader:
+    @pytest.mark.parametrize("cols", [(), (1, 0), (0, 0, 1), (12, 13), (-1, 0)],
+                             ids=["empty", "descending", "repeated", "above-12", "negative"])
+    def test_columns_the_header_cannot_record_are_refused(self, cols):
+        with pytest.raises(ValueError, match="strictly ascending within 0..12"):
+            SimConfig(feature_columns=cols)
+
+    @pytest.mark.parametrize("cols,normalize,word", [
+        (None, True, 0x80001FFF), (None, False, 0x1FFF), ((0, 1, 2, 3, 4, 5), True, 0x8000003F),
+        ((12,), False, 0x1000)])
+    def test_spec_word(self, tmp_path, cols, normalize, word):
+        path = tmp_path / "d.bin"
+        generate_dataset([two_blob_scene()], SimConfig(i_size=6, j_size=5, seed=3,
+                                                       feature_columns=cols,
+                                                       normalize=normalize), path)
+        assert path.read_bytes()[:20] == b"RGDS" + np.array([2, 6, 5, word], "<u4").tobytes()
+
+    @pytest.mark.parametrize("word", [0, 0x80000000, 0x80002001, 0x40000001],
+                             ids=["no-column", "normalize-only", "bit-13", "bit-30"])
+    def test_bad_spec_word_is_refused(self, tmp_path, word):
+        path = tmp_path / "d.bin"
+        generate_dataset([two_blob_scene()], SimConfig(i_size=6, j_size=5, seed=3), path)
+        raw = bytearray(path.read_bytes())
+        raw[16:20] = np.array([word], "<u4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: spec word"):
+            DatasetReader(path)
+
+    def test_version_1_file_is_refused_before_any_training_step(self, tmp_path, monkeypatch):
+        # the version 1 header, whose last word is F, held no input spec
+        path = tmp_path / "d.bin"
+        generate_dataset([two_blob_scene()], SimConfig(i_size=6, j_size=5, seed=3), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + np.array([1, 6, 5, 13], "<u4").tobytes() + raw[20:])
+        steps = []
+        monkeypatch.setattr(network, "forward_batch", lambda *a, **k: steps.append(a))
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: unsupported "
+                                               r"dataset version 1 .* re-run `regrow simulate`"):
+            train(path, TrainConfig((4, 4, 4, 4, 8), (4, 4, 1), epochs=1))
+        assert steps == []
+
+    # (0, 1, 2, 12) is no prefix of the 13 columns, so a count of F cannot stand in for it
+    @pytest.mark.parametrize("cols,normalize", [(None, False), ((0, 1, 2, 12), True)],
+                             ids=["raw", "xyz-curvature"])
+    def test_train_takes_the_spec_from_the_dataset(self, tmp_path, cols, normalize):
+        path = tmp_path / "d.bin"
+        generate_dataset([two_blob_scene()], SimConfig(i_size=6, j_size=5, seed=3,
+                                                       feature_columns=cols,
+                                                       normalize=normalize), path)
+        params, _ = train(path, TrainConfig((4, 4, 4, 4, 8), (4, 4, 1), epochs=1))
+        assert (params.i_size, params.j_size, params.feature_columns, params.normalize) == \
+            (6, 5, cols or tuple(range(13)), normalize)

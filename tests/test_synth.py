@@ -1,10 +1,27 @@
+import math
+
 import numpy as np
+import pytest
 
 from oracles import delta_components_oracle
 from regrow.pointcloud import load_scene
 from regrow.synth import RoomConfig, generate_room, generate_split
 
 SMALL = RoomConfig(extent=(1.6, 1.6, 1.0), spacing=0.05, n_objects=(2, 5))
+
+
+class TestRoomConfig:
+    # a negative spacing never ends the cylinder cap loop, so it must be
+    # refused before generate_room is reached
+    @pytest.mark.parametrize("spacing", [0.0, -0.05, math.nan, math.inf])
+    def test_spacing_not_above_zero_is_refused(self, spacing):
+        with pytest.raises(ValueError, match="spacing must be finite and > 0"):
+            RoomConfig(spacing=spacing)
+
+    @pytest.mark.parametrize("extent", [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, math.inf)])
+    def test_extent_not_above_zero_is_refused(self, extent):
+        with pytest.raises(ValueError, match="extent must be finite and > 0"):
+            RoomConfig(extent=extent)
 
 
 class TestGenerateRoom:
