@@ -62,20 +62,17 @@ def _read_cache(cache, scene_path, delta, knn):
     """(cloud, features, adjacency) from a features cache entry: the cloud and
     features only when they were computed from this very file with the same
     `knn`, the adjacency only when also at the same `delta`, and None in
-    their place otherwise. An entry in the earlier format holds no cloud; one
-    that is missing or cannot be read gives Nones throughout."""
+    their place otherwise. An entry that is missing, cannot be read or lacks
+    a key of the format `_features_worker` writes gives Nones throughout."""
     try:
         with np.load(cache) as data:
-            if not ("scene_sha256" in data and int(data["knn"]) == knn
+            if not (int(data["knn"]) == knn
                     and str(data["scene_sha256"]) == _scene_sha256(scene_path)):
                 return None, None, None
-            cloud = adjacency = None
-            if "positions" in data:
-                cloud = PointCloud(data["positions"], data["colors"],
-                                   data["gt_instance"] if "gt_instance" in data else None)
-            if "adj_indptr" in data and float(data["delta"]) == delta:
-                adjacency = data["adj_indptr"], data["adj_indices"]
-            return cloud, data["features"], adjacency
+            cloud = PointCloud(data["positions"], data["colors"],
+                               data["gt_instance"] if "gt_instance" in data else None)
+            adjacency = data["adj_indptr"], data["adj_indices"]
+            return cloud, data["features"], adjacency if float(data["delta"]) == delta else None
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
         return None, None, None
 

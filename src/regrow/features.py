@@ -1,6 +1,6 @@
 """Per-point features, the cKDTree radius adjacency, the region engine
-(`FrontierTracker`), the one record of a growing region (`RegionState`) and
-network input prep (`region_inputs`).
+(`FrontierTracker`), the one record of a growing region (`RegionState`), the
+network input spec (`InputSpec`) and network input prep (`region_inputs`).
 
 Each point gets 13 feature columns:
 
@@ -345,15 +345,37 @@ def passthrough_positions(columns) -> tuple[int, ...]:
     return tuple(i for i, c in enumerate(columns) if c in COL_ROOM)
 
 
-def region_inputs(ctx: SceneContext, members, frontier, spec, rng: np.random.Generator):
+@dataclass
+class InputSpec:
+    """The network's input: `i_size` region and `j_size` frontier points, each
+    as `feature_columns` (strictly ascending within 0..12), median-normalized
+    when `normalize`. The one place that checks a spec."""
+
+    i_size: int = 512
+    j_size: int = 512
+    feature_columns: tuple[int, ...] = tuple(range(N_FEATURES))
+    normalize: bool = True
+
+    def __post_init__(self):
+        for name in ("i_size", "j_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        cols = self.feature_columns
+        if not cols or list(cols) != sorted({*cols} & {*range(N_FEATURES)}):
+            raise ValueError("feature_columns must be strictly ascending within "
+                             f"0..{N_FEATURES - 1}, got {cols}")
+
+    @property
+    def n_features(self) -> int:
+        return len(self.feature_columns)
+
+
+def region_inputs(ctx: SceneContext, members, frontier, spec: InputSpec, rng: np.random.Generator):
     """Sampled member and frontier indices (members drawn first) and their
-    feature columns, median-normalized when asked: (inl, nbr, xi, xn). `spec`
-    (a `SimConfig` or a checkpoint's `NetworkParams`) gives `i_size`,
-    `j_size`, `feature_columns` (None for all) and `normalize`."""
+    feature columns, median-normalized when `spec` asks: (inl, nbr, xi, xn)."""
     inl = sample_fixed(members, spec.i_size, rng)
     nbr = sample_fixed(frontier, spec.j_size, rng)
-    cols = tuple(spec.feature_columns) if spec.feature_columns is not None \
-        else tuple(range(ctx.features.shape[1]))
+    cols = spec.feature_columns
     xi = ctx.features[inl][:, cols]
     xn = ctx.features[nbr][:, cols]
     if spec.normalize:
@@ -369,8 +391,6 @@ class SceneContext:
     features: np.ndarray
     adj_indptr: np.ndarray
     adj_indices: np.ndarray
-    delta: float
-    knn: int
 
     @property
     def n_points(self) -> int:
@@ -402,4 +422,4 @@ def build_context(cloud, delta: float = DEFAULT_DELTA, knn: int = DEFAULT_KNN,
     if adjacency is None:
         build_adjacency()
     indptr, indices = adjacency
-    return SceneContext(cloud, features, indptr, indices, float(delta), knn)
+    return SceneContext(cloud, features, indptr, indices)

@@ -7,9 +7,9 @@ additions are predicted, or the region stops expanding for two consecutive
 steps. Grown regions claim fresh instance ids; undersized ones are merged
 into their nearest surviving instance.
 
-The predictor is a callable whose `params` carry the network's input spec
-(`i_size`, `j_size`, `feature_columns`, `normalize`), as `network.Predictor`
-does; the search strategy decides whether steps are greedy or sampled.
+The predictor is a callable whose `params` are the network's input spec, a
+`features.InputSpec`, as the `NetworkParams` of `network.Predictor` are; the
+search strategy decides whether steps are greedy or sampled.
 """
 
 from __future__ import annotations

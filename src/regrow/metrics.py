@@ -27,8 +27,6 @@ class Contingency:
     row_sums: np.ndarray    # (R,)  gt cluster sizes
     col_sums: np.ndarray    # (C,)  pred cluster sizes
     n: int
-    gt_ids: np.ndarray
-    pred_ids: np.ndarray
 
 
 def build_contingency(gt, pred) -> Contingency:
@@ -40,8 +38,7 @@ def build_contingency(gt, pred) -> Contingency:
     pred_ids, pi = np.unique(pred, return_inverse=True)
     counts = np.zeros((len(gt_ids), len(pred_ids)), dtype=np.int64)
     np.add.at(counts, (gi, pi), 1)
-    return Contingency(counts, counts.sum(axis=1), counts.sum(axis=0), int(gt.size),
-                       gt_ids, pred_ids)
+    return Contingency(counts, counts.sum(axis=1), counts.sum(axis=0), int(gt.size))
 
 
 def _same_partition(c: Contingency) -> bool:
@@ -139,11 +136,11 @@ def ari(c: Contingency) -> float:
     return (same_both - expected) / (maximum - expected)
 
 
-def match_and_score(c: Contingency, iou_threshold: float = 0.5) -> dict:
+def match_and_score(c: Contingency) -> dict:
     """Greedy IOU matching of predicted to ground-truth segments in `c`.
 
     Candidate (gt, pred) pairs are sorted by IOU descending and matched
-    one-to-one; matches above the threshold count as true positives.
+    one-to-one; matches above IOU 0.5 count as true positives.
     Returns precision, recall and mean IOU over ground-truth segments
     (unmatched segments contribute 0).
     """
@@ -159,9 +156,8 @@ def match_and_score(c: Contingency, iou_threshold: float = 0.5) -> dict:
             continue
         gt_matched[i] = j
         pred_used.add(j)
-    tp = sum(1 for i, j in gt_matched.items() if iou[i, j] > iou_threshold)
-    n_gt = len(c.gt_ids)
-    n_pred = len(c.pred_ids)
+    tp = sum(1 for i, j in gt_matched.items() if iou[i, j] > 0.5)
+    n_gt, n_pred = c.counts.shape
     miou = sum(iou[i, j] for i, j in gt_matched.items()) / n_gt
     return {
         "precision": tp / n_pred,
@@ -170,11 +166,11 @@ def match_and_score(c: Contingency, iou_threshold: float = 0.5) -> dict:
     }
 
 
-def score_scene(gt, pred, iou_threshold: float = 0.5) -> dict:
+def score_scene(gt, pred) -> dict:
     """All six metrics for one scene."""
     c = build_contingency(gt, pred)
     out = {"nmi": nmi(c), "ami": ami(c), "ari": ari(c)}
-    out.update(match_and_score(c, iou_threshold))
+    out.update(match_and_score(c))
     return out
 
 

@@ -5,6 +5,9 @@ separate point-wise MLP branches, max-pooled into one global vector, and two
 decoder branches score every point: the inlier branch emits removal
 probabilities, the neighbor branch admission probabilities. Gradients are
 derived by hand for this fixed graph; there is no autodiff involved.
+
+`NetworkParams` is the `features.InputSpec` of the dataset header it was
+trained on; the checkpoint records it, and growth reads it from there.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import N_FEATURES
+from .features import N_FEATURES, InputSpec
 from .pointcloud import atomic_open
 from .simulate import DatasetReader
 from .worker import worker
@@ -44,18 +47,13 @@ class BranchParams:
     dec_b: list[np.ndarray]
 
 
-@dataclass
-class NetworkParams:
+@dataclass(kw_only=True)
+class NetworkParams(InputSpec):
     inlier: BranchParams
     neighbor: BranchParams
     enc_widths: tuple[int, ...]
     dec_widths: tuple[int, ...]
     skip_layer: int          # 1-based encoder layer whose output feeds the decoder
-    n_features: int
-    i_size: int
-    j_size: int
-    feature_columns: tuple[int, ...]
-    normalize: bool = True
 
     @property
     def global_width(self) -> int:
@@ -84,10 +82,9 @@ def _glorot(rng, fan_in: int, fan_out: int, dtype) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
 
 
-def _architecture(enc_widths, dec_widths, skip_layer: int, n_features: int,
-                  feature_columns):
-    """Checked widths and feature columns, plus one branch's encoder and
-    decoder layers as (fan_in, width) pairs."""
+def _architecture(enc_widths, dec_widths, skip_layer: int, n_features: int):
+    """Checked widths, plus one branch's encoder and decoder layers as
+    (fan_in, width) pairs."""
     enc_widths = tuple(int(w) for w in enc_widths)
     dec_widths = tuple(int(w) for w in dec_widths)
     if not enc_widths or not dec_widths:
@@ -96,28 +93,19 @@ def _architecture(enc_widths, dec_widths, skip_layer: int, n_features: int,
         raise ValueError("last decoder width must be 1 (per-point logit)")
     if not 1 <= skip_layer <= len(enc_widths):
         raise ValueError(f"skip_layer must be in 1..{len(enc_widths)}")
-    if feature_columns is None:
-        feature_columns = tuple(range(n_features))
-    feature_columns = tuple(int(c) for c in feature_columns)
-    if len(feature_columns) != n_features:
-        raise ValueError("feature_columns length must equal n_features")
-    if len(set(feature_columns)) != n_features \
-            or not set(feature_columns) <= set(range(N_FEATURES)):
-        raise ValueError(f"feature columns {feature_columns} must be distinct and within "
-                         f"0..{N_FEATURES - 1}")
     dec_in = enc_widths[skip_layer - 1] + 2 * enc_widths[-1]
     enc_layers = list(zip((n_features, *enc_widths[:-1]), enc_widths))
     dec_layers = list(zip((dec_in, *dec_widths[:-1]), dec_widths))
-    return enc_widths, dec_widths, feature_columns, enc_layers, dec_layers
+    return enc_widths, dec_widths, enc_layers, dec_layers
 
 
 def init_params(enc_widths=FULL_ENC_WIDTHS, dec_widths=FULL_DEC_WIDTHS,
-                skip_layer: int = 2, n_features: int = N_FEATURES, i_size: int = 512,
-                j_size: int = 512, feature_columns=None, normalize: bool = True,
+                skip_layer: int = 2, i_size: int = 512, j_size: int = 512,
+                feature_columns=tuple(range(N_FEATURES)), normalize: bool = True,
                 seed: int = 0, dtype=np.float32) -> NetworkParams:
     """Seeded uniform (Glorot-range) weights, zero biases."""
-    enc_widths, dec_widths, feature_columns, enc_layers, dec_layers = _architecture(
-        enc_widths, dec_widths, skip_layer, n_features, feature_columns)
+    enc_widths, dec_widths, enc_layers, dec_layers = _architecture(
+        enc_widths, dec_widths, skip_layer, len(feature_columns))
     rng = np.random.default_rng(seed)
 
     def make_branch() -> BranchParams:
@@ -126,9 +114,9 @@ def init_params(enc_widths=FULL_ENC_WIDTHS, dec_widths=FULL_DEC_WIDTHS,
                             [_glorot(rng, fan, w, dtype) for fan, w in dec_layers],
                             [np.zeros(w, dtype=dtype) for _, w in dec_layers])
 
-    return NetworkParams(make_branch(), make_branch(), enc_widths, dec_widths,
-                         skip_layer, n_features, i_size, j_size, feature_columns,
-                         normalize)
+    return NetworkParams(i_size, j_size, feature_columns, normalize, inlier=make_branch(),
+                         neighbor=make_branch(), enc_widths=enc_widths,
+                         dec_widths=dec_widths, skip_layer=skip_layer)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -433,8 +421,8 @@ def train(dataset_path, cfg: TrainConfig, report=None):
     given, with the epoch's 1-based number, mean loss, wall time of its
     batches and sample count."""
     with DatasetReader(dataset_path) as ds:
-        params = init_params(cfg.enc_widths, cfg.dec_widths, cfg.skip_layer, ds.n_features,
-                             ds.i_size, ds.j_size, ds.feature_columns, ds.normalize, cfg.seed)
+        params = init_params(cfg.enc_widths, cfg.dec_widths, cfg.skip_layer, **vars(ds.spec),
+                             seed=cfg.seed)
         adam = AdamState.init(params, lr=cfg.lr)
         rng = np.random.default_rng(cfg.seed)
         n = len(ds)
@@ -509,17 +497,18 @@ def load_params(path) -> NetworkParams:
     version, n_features, i_size, j_size, n_enc = take(5).tolist()
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    if min(i_size, j_size) < 1:
-        raise CheckpointError(f"{path}: set sizes I = {i_size}, J = {j_size} must be >= 1")
     enc_widths = take(n_enc)
     (n_dec,) = take(1).tolist()
     dec_widths = take(n_dec)
     skip_layer, n_cols = take(2).tolist()
-    cols = take(n_cols)
+    cols = tuple(take(n_cols).tolist())
     (normalize,) = take(1).tolist()
+    if n_features != n_cols:
+        raise CheckpointError(f"{path}: feature_columns length must equal n_features")
     try:
-        enc_widths, dec_widths, cols, enc_layers, dec_layers = _architecture(
-            enc_widths, dec_widths, skip_layer, n_features, cols)
+        spec = InputSpec(i_size, j_size, cols, bool(normalize))
+        enc_widths, dec_widths, enc_layers, dec_layers = _architecture(
+            enc_widths, dec_widths, skip_layer, n_features)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
 
@@ -535,5 +524,5 @@ def load_params(path) -> NetworkParams:
     neighbor = BranchParams(*read(enc_layers), *read(dec_layers))
     if 4 * (pos + 1) != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after tensor data")
-    return NetworkParams(inlier, neighbor, enc_widths, dec_widths, skip_layer, n_features,
-                         i_size, j_size, cols, bool(normalize))
+    return NetworkParams(**vars(spec), inlier=inlier, neighbor=neighbor, enc_widths=enc_widths,
+                         dec_widths=dec_widths, skip_layer=skip_layer)

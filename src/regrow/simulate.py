@@ -6,14 +6,14 @@ point. The intended next region adds every in-radius point of the same
 instance and removes wrong-instance members; each of those decisions is
 independently flipped with a mistake probability that decays per step, so the
 network sees noisy intermediate regions. Targets are always computed against
-ground truth.
+ground truth. `SimConfig` is the `features.InputSpec` its samples follow.
 
 A dataset file is the magic b"RGDS", a little-endian uint32 header of
-version 2, I, J and the input spec (bit c set for each feature column c,
+version 2, I, J and the spec word (bit c set for each feature column c,
 bit 31 for median-normalized inputs), then whole records of
 `record_dtype(I, J, F)` for F columns. `DatasetWriter` streams samples into
 it and `DatasetReader` reads them back a batch at a time, so neither holds
-the whole file in memory.
+the whole file in memory; the reader checks the header as an `InputSpec`.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .features import (DEFAULT_DELTA, DEFAULT_KNN, N_FEATURES, RegionState, SceneContext,
-                       build_context, region_inputs)
+from .features import (DEFAULT_DELTA, DEFAULT_KNN, N_FEATURES, InputSpec, RegionState,
+                       SceneContext, build_context, region_inputs)
 from .pointcloud import PointCloud, atomic_open
 
 SIM_STEP_CAP = 500
@@ -53,28 +53,20 @@ class TrainingSample:
 
 
 @dataclass
-class SimConfig:
-    i_size: int = 512
-    j_size: int = 512
+class SimConfig(InputSpec):
     delta: float = DEFAULT_DELTA
     knn: int = DEFAULT_KNN
     alpha_range: tuple[float, float] = (0.2, 0.4)
     decay: float = 0.01
     augment_copies: int = 1
-    feature_columns: tuple[int, ...] | None = None
-    normalize: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("i_size", "j_size", "augment_copies"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        super().__post_init__()
+        if self.augment_copies < 1:
+            raise ValueError(f"augment_copies must be >= 1, got {self.augment_copies}")
         if self.alpha_range[0] > self.alpha_range[1]:
             raise ValueError(f"alpha_range must have min <= max, got {self.alpha_range}")
-        cols = self.feature_columns  # recorded in the dataset header as a bit set
-        if cols is not None and (not cols or list(cols) != sorted({*cols} & {*range(N_FEATURES)})):
-            raise ValueError("feature_columns must be strictly ascending within "
-                             f"0..{N_FEATURES - 1}, got {cols}")
 
 
 def corrupt_region(ctx: SceneContext, state: RegionState, schedule: NoiseSchedule,
@@ -235,10 +227,9 @@ class DatasetWriter:
     """Streams records into a temporary file that replaces `path` on a clean
     close and is removed on an exception (`pointcloud.atomic_open`)."""
 
-    def __init__(self, path, spec: SimConfig):
-        cols = range(N_FEATURES) if spec.feature_columns is None else spec.feature_columns
-        word = sum(1 << c for c in cols) | (DATASET_NORMALIZED if spec.normalize else 0)
-        self._record = np.zeros((), record_dtype(spec.i_size, spec.j_size, len(cols)))
+    def __init__(self, path, spec: InputSpec):
+        word = sum(1 << c for c in spec.feature_columns) | (DATASET_NORMALIZED * spec.normalize)
+        self._record = np.zeros((), record_dtype(spec.i_size, spec.j_size, spec.n_features))
         self._record["length"] = self._record.itemsize - 4
         with ExitStack() as stack:
             self._fh = stack.enter_context(atomic_open(path, "wb"))
@@ -293,21 +284,19 @@ class DatasetReader:
         head = self._fh.read(DATASET_HEADER_BYTES)
         if len(head) < DATASET_HEADER_BYTES or head[:4] != DATASET_MAGIC:
             raise DatasetError(f"{path}: not a training dataset file")
-        version, self.i_size, self.j_size, word = np.frombuffer(head, "<u4", offset=4).tolist()
+        version, i_size, j_size, word = np.frombuffer(head, "<u4", offset=4).tolist()
         if version != DATASET_VERSION:  # version 1 did not record the input spec
             raise DatasetError(f"{path}: unsupported dataset version {version} (this program "
                                f"reads {DATASET_VERSION}); re-run `regrow simulate`")
-        self.feature_columns = tuple(c for c in range(N_FEATURES) if word >> c & 1)
-        self.normalize = bool(word & DATASET_NORMALIZED)
-        self.n_features = len(self.feature_columns)
-        if not self.feature_columns or (word & ~DATASET_NORMALIZED) >> N_FEATURES:
+        if not 0 < word & ~DATASET_NORMALIZED < 1 << N_FEATURES:
             raise DatasetError(f"{path}: spec word {word:#010x} names no feature column or "
                                f"a bit outside 0..{N_FEATURES - 1} and 31")
+        cols = tuple(c for c in range(N_FEATURES) if word >> c & 1)
         try:
-            self._rec = record_dtype(self.i_size, self.j_size, self.n_features)
+            self.spec = InputSpec(i_size, j_size, cols, bool(word & DATASET_NORMALIZED))
+            self._rec = record_dtype(i_size, j_size, len(cols))
         except ValueError as exc:
-            raise DatasetError(f"{path}: sizes {self.i_size}/{self.j_size}/{self.n_features} "
-                               "out of range") from exc
+            raise DatasetError(f"{path}: {exc}") from exc
         stat = os.fstat(self._fh.fileno())
         self._stamp = (stat.st_size, stat.st_mtime_ns)
         body = stat.st_size - DATASET_HEADER_BYTES

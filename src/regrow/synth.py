@@ -18,19 +18,21 @@ import numpy as np
 
 from .pointcloud import PointCloud, atomic_open, save_scene
 
+# object shapes, drawn uniformly, and the ranges their sizes are drawn from (m)
+SHAPES = ("box", "cylinder", "sphere")
+BOX_SIDE = (0.15, 0.5)
+BOX_HEIGHT = (0.03, 0.45)
+CYLINDER_RADIUS = (0.08, 0.22)
+CYLINDER_HEIGHT = (0.1, 0.5)
+SPHERE_RADIUS = (0.08, 0.22)
+
 
 @dataclass
 class RoomConfig:
     extent: tuple[float, float, float] = (4.0, 4.0, 2.5)
     spacing: float = 0.03
     n_objects: tuple[int, int] = (5, 15)
-    shapes: tuple[str, ...] = ("box", "cylinder", "sphere")
     color_noise: float = 8.0
-    box_side: tuple[float, float] = (0.15, 0.5)
-    box_height: tuple[float, float] = (0.03, 0.45)
-    cylinder_radius: tuple[float, float] = (0.08, 0.22)
-    cylinder_height: tuple[float, float] = (0.1, 0.5)
-    sphere_radius: tuple[float, float] = (0.08, 0.22)
 
     def __post_init__(self):
         if not (math.isfinite(self.spacing) and self.spacing > 0):
@@ -143,22 +145,20 @@ def generate_room(cfg: RoomConfig, seed: int) -> PointCloud:
     inst = 6
     z0 = sp / 2
     for _ in range(n_objects):
-        shape = cfg.shapes[int(rng.integers(len(cfg.shapes)))]
+        shape = SHAPES[int(rng.integers(len(SHAPES)))]
         if shape == "box":
-            w = rng.uniform(*cfg.box_side)
-            d = rng.uniform(*cfg.box_side)
-            h = rng.uniform(*cfg.box_height)
+            w = rng.uniform(*BOX_SIDE)
+            d = rng.uniform(*BOX_SIDE)
+            h = rng.uniform(*BOX_HEIGHT)
             yaw = rng.uniform(0, 2 * math.pi)
             footprint = math.hypot(w, d) / 2
         elif shape == "cylinder":
-            r = rng.uniform(*cfg.cylinder_radius)
-            h = rng.uniform(*cfg.cylinder_height)
-            footprint = r
-        elif shape == "sphere":
-            r = rng.uniform(*cfg.sphere_radius)
+            r = rng.uniform(*CYLINDER_RADIUS)
+            h = rng.uniform(*CYLINDER_HEIGHT)
             footprint = r
         else:
-            raise ValueError(f"unknown shape {shape!r}")
+            r = rng.uniform(*SPHERE_RADIUS)
+            footprint = r
         margin = footprint + sp
         if ex - 2 * margin <= 0 or ey - 2 * margin <= 0:
             continue

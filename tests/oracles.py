@@ -21,7 +21,6 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from scipy.spatial import cKDTree
 from scipy.special import gammaln
 
 from regrow.baselines import SmoothnessConfig, ThresholdConfig
-from regrow.features import region_inputs
+from regrow.features import InputSpec, region_inputs
 from regrow.grow import reassign_small_segments, select_seed
 from regrow.network import BranchParams, param_tensors
 from regrow.pointcloud import PALETTE, PointCloud, SceneFormatError
@@ -489,8 +488,7 @@ class Sized:
 
     def __init__(self, predictor, i_size: int, j_size: int):
         self.predictor = predictor
-        self.params = SimpleNamespace(i_size=i_size, j_size=j_size, feature_columns=None,
-                                      normalize=True)
+        self.params = InputSpec(i_size, j_size)
 
     def __call__(self, xi, xn):
         return self.predictor(xi, xn)

@@ -200,7 +200,7 @@ def baseline_scenes(draw, nan_normals=False):
         feats[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))), 9:12] = np.nan
     indptr, indices = radius_adjacency(pos, 0.1)
     cloud = PointCloud(pos, np.zeros((n, 3), dtype=np.uint8))
-    return SceneContext(cloud, feats, indptr, indices, 0.1, 8)
+    return SceneContext(cloud, feats, indptr, indices)
 
 
 class TestAgainstFloodOracle:
@@ -241,7 +241,7 @@ class TestAgainstFloodOracle:
             feats[:, COL_NORMAL] = (1.0, 0.0, 0.0)
             feats[nan_point, COL_NORMAL] = np.nan
             ctx = SceneContext(PointCloud(pts, np.zeros((3, 3), dtype=np.uint8)), feats,
-                               *radius_adjacency(pts, 0.06), 0.06, 8)
+                               *radius_adjacency(pts, 0.06))
             cfg = ThresholdConfig(min_segment=1)
             labels = grow_threshold(ctx, cfg)
             assert labels.tolist() == [1, 1, 1]
@@ -255,7 +255,7 @@ class TestAgainstFloodOracle:
         feats[:, COL_NORMAL] = (0.0, 0.0, 1.0)
         feats[:, COL_CURVATURE] = (0.2, 0.0, 0.0, 0.2)  # high, low | low, high
         ctx = SceneContext(PointCloud(pts, np.zeros((4, 3), dtype=np.uint8)), feats,
-                           *radius_adjacency(pts, 0.1), 0.1, 8)
+                           *radius_adjacency(pts, 0.1))
         cfg = SmoothnessConfig(min_segment=1)
         labels = grow_smoothness(ctx, cfg)
         assert labels.tolist() == [1, 1, 2, 2]

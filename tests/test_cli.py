@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regrow import cli, features, synth
+from regrow import cli, features, simulate, synth
 from regrow.baselines import SmoothnessConfig, ThresholdConfig
 from regrow.cli import main
 from regrow.features import compute_features, radius_adjacency
@@ -389,6 +389,21 @@ class TestTrainCommand:
         assert captured.err == f"error: {message}\n" and "checkpoint" not in captured.out
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("i_size,j_size", [(0, 4), (4, 0)], ids=["i-0", "j-0"])
+    def test_dataset_with_an_empty_set_size_is_refused(self, tmp_path, capsys, i_size,
+                                                       j_size):
+        # a hand-written version 2 header, all 13 columns normalized, and 3 records
+        records = np.zeros(3, simulate.record_dtype(i_size, j_size, 13))
+        records["length"] = records.itemsize - 4
+        dataset = tmp_path / "d.bin"
+        dataset.write_bytes(b"RGDS" + np.array([2, i_size, j_size, 0x80001FFF], "<u4").tobytes()
+                            + records.tobytes())
+        assert run(["train", "--dataset", str(dataset), "--out", str(tmp_path / "m.ckpt"),
+                    "--enc-widths", "8", "8", "8", "8", "16", "--dec-widths", "8", "8", "1",
+                    "--epochs", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {dataset}: ")
+        assert not (tmp_path / "m.ckpt").exists()
+
 
     @pytest.mark.parametrize("flags,spec", [
         (["--no-normalize"], (tuple(range(13)), False)),
@@ -611,13 +626,12 @@ class TestParallelAndCache:
         for f in sorted((tmp_path / "fresh").glob("*.labels")):
             assert sha(f) == sha(tmp_path / "cached" / f.name)
 
-    def test_cache_without_adjacency_still_supplies_features(self, workspace, tmp_path,
-                                                             builds):
+    def test_cache_without_adjacency_is_rebuilt(self, workspace, tmp_path, builds):
         scenes = workspace / "data" / "test"
         cache = tmp_path / "cache"
         assert run(["features", "--scenes", str(scenes), "--out", str(cache)]) == 0
         builds.update(features=0, adjacency=0)  # the cache's own builds
-        # rewrite the entry in the earlier format: features and keys, no adjacency
+        # an entry of an earlier format, which held features and keys only, is a miss
         entry = next(cache.glob("*.features.npz"))
         with np.load(entry) as data:
             old = {k: data[k] for k in ("features", "delta", "knn", "scene_sha256")}
@@ -625,7 +639,7 @@ class TestParallelAndCache:
         for out, extra in (("fresh", []), ("cached", ["--features-dir", str(cache)])):
             assert run(["baseline", "--scenes", str(scenes), "--method", "smoothness",
                         "--out", str(tmp_path / out)] + extra) == 0
-        assert builds == {"features": 1, "adjacency": 2}
+        assert builds == {"features": 2, "adjacency": 2}
         f = next((tmp_path / "fresh").glob("*.labels"))
         assert sha(f) == sha(tmp_path / "cached" / f.name)
 
@@ -665,12 +679,12 @@ class TestParallelAndCache:
             for f in fresh:
                 assert sha(f) == sha(tmp_path / f"{method}-cached" / f.name)
 
-    def test_cache_without_cloud_parses_the_scene(self, workspace, tmp_path, builds, parses):
+    def test_cache_without_cloud_is_rebuilt(self, workspace, tmp_path, builds, parses):
         scenes = workspace / "data" / "test"
         cache = tmp_path / "cache"
         assert run(["features", "--scenes", str(scenes), "--out", str(cache)]) == 0
         builds.update(features=0, adjacency=0)  # the cache's own builds
-        # rewrite the entry in the earlier format: features, adjacency and keys
+        # an entry of an earlier format, which held no cloud, is a miss
         entry = next(cache.glob("*.features.npz"))
         with np.load(entry) as data:
             old = {k: data[k] for k in data.files
@@ -680,7 +694,7 @@ class TestParallelAndCache:
         assert run(["baseline", "--scenes", str(scenes), "--method", "threshold",
                     "--out", str(tmp_path / "cached"), "--features-dir", str(cache)]) == 0
         assert parses == [next(scenes.glob("*.txt")).name]
-        assert builds == {"features": 0, "adjacency": 0}
+        assert builds == {"features": 1, "adjacency": 1}
         assert run(["baseline", "--scenes", str(scenes), "--method", "threshold",
                     "--out", str(tmp_path / "fresh")]) == 0
         f = next((tmp_path / "fresh").glob("*.labels"))

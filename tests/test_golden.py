@@ -135,7 +135,7 @@ def test_segment_labels_match_golden(strategy):
 def test_default_grow_config_reads_the_input_spec_of_the_checkpoint():
     # a 6-feature network: growth must sample I = J = 16 and pass only its columns
     ctx = build_context(synth.generate_room(ROOM, seed=4), delta=0.1, knn=8)
-    params = init_params((8, 8, 8, 8, 16), (8, 8, 1), n_features=6, i_size=16, j_size=16,
+    params = init_params((8, 8, 8, 8, 16), (8, 8, 1), i_size=16, j_size=16,
                          feature_columns=FEATURE_SUBSETS["xyz"], seed=1)
     labels, stats = segment_scene(ctx, Predictor(params), GrowConfig(),
                                   rng=np.random.default_rng(11))

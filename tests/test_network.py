@@ -45,8 +45,8 @@ TINY_DEC = (8, 8, 1)
 
 
 def tiny_params(seed=0, dtype=np.float32, n_features=13):
-    return init_params(TINY_ENC, TINY_DEC, skip_layer=2, n_features=n_features,
-                       i_size=8, j_size=8, seed=seed, dtype=dtype)
+    return init_params(TINY_ENC, TINY_DEC, skip_layer=2, i_size=8, j_size=8,
+                       feature_columns=tuple(range(n_features)), seed=seed, dtype=dtype)
 
 
 def random_inputs(rng, i=8, j=8, f=13):
@@ -400,7 +400,9 @@ class TestCheckpoint:
         raw = bytearray(path.read_bytes())
         raw[4 + 4 * word:8 + 4 * word] = bytes(4)
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: set sizes I = "):
+        name = ("i_size", "j_size")[word - 2]
+        with pytest.raises(CheckpointError,
+                           match=f"^{re.escape(str(path))}: {name} must be >= 1, got 0$"):
             load_params(path)
 
     @pytest.mark.parametrize("cols", [(0, 1, 20), (0, 1, 1)], ids=["above-12", "repeated"])
@@ -413,14 +415,15 @@ class TestCheckpoint:
         assert words[at:at + 4].tolist() == [3, 0, 1, 2]
         words[at + 1:at + 4] = cols
         path.write_bytes(b"RGNW" + words.tobytes())
-        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: feature columns"):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: feature_columns "
+                                                  "must be strictly ascending within 0..12"):
             load_params(path)
 
     @pytest.mark.parametrize("cols", [(0, 1, 20), (0, 1, 1), (-1, 0, 1)],
                              ids=["above-12", "repeated", "negative"])
     def test_init_params_refuses_a_column_outside_the_features(self, cols):
-        with pytest.raises(ValueError, match="must be distinct and within 0..12"):
-            init_params(TINY_ENC, TINY_DEC, n_features=3, feature_columns=cols)
+        with pytest.raises(ValueError, match="must be strictly ascending within 0..12"):
+            init_params(TINY_ENC, TINY_DEC, feature_columns=cols)
 
     def test_oversized_header_is_truncated_not_allocated(self, tmp_path):
         # widths are checked against the file's size before any tensor exists
@@ -454,8 +457,7 @@ class TestCheckpoint:
 
     def test_header_self_describes(self, tmp_path):
         params = init_params((4, 4, 4, 4, 8), (4, 4, 1), skip_layer=3,
-                             n_features=6, i_size=32, j_size=16,
-                             feature_columns=(0, 1, 2, 3, 4, 5),
+                             i_size=32, j_size=16, feature_columns=(0, 1, 2, 3, 4, 5),
                              normalize=False, seed=0)
         path = tmp_path / "p.ckpt"
         save_params(params, path)
@@ -527,8 +529,8 @@ def folded_head_cases(draw):
         src = rng.integers(0, x.shape[1], n_dup)
         dst = rng.integers(0, x.shape[1], n_dup)
         x[:, dst] = x[:, src]
-    params = init_params(enc, dec, skip, n_features=n_features, i_size=i_size,
-                         j_size=j_size, seed=seed, dtype=np.float64)
+    params = init_params(enc, dec, skip, i_size, j_size, tuple(range(n_features)), seed=seed,
+                         dtype=np.float64)
     for name, tensor in param_tensors(params):
         if name.endswith(".b"):  # init_params zeroes biases; exercise them too
             tensor[...] = rng.normal(scale=0.3, size=tensor.shape)
@@ -600,8 +602,8 @@ def training_step_cases(draw):
         x[:, rng.integers(0, x.shape[1], n_dup)] = x[:, rng.integers(0, x.shape[1], n_dup)]
     if draw(st.integers(0, 9)) == 0:
         xi[rng.integers(batch), rng.integers(i_size), rng.integers(n_features)] = np.nan
-    params = init_params(enc, dec, skip, n_features=n_features, i_size=i_size,
-                         j_size=j_size, seed=seed, dtype=dtype)
+    params = init_params(enc, dec, skip, i_size, j_size, tuple(range(n_features)), seed=seed,
+                         dtype=dtype)
     for name, tensor in param_tensors(params):
         if name.endswith(".b"):
             tensor[...] = rng.normal(scale=0.3, size=tensor.shape)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import (dataset_oracle, delta_components_oracle, instance_closure_oracle,
                      oracle_next_region)
 from regrow import network, simulate
-from regrow.features import build_context
+from regrow.features import InputSpec, build_context
 from regrow.network import TrainConfig, train
 from regrow.pointcloud import PointCloud
 from regrow.simulate import (
@@ -416,10 +416,9 @@ class TestDatasetFile:
                 got = ds.read(np.arange(len(ds)))
             expected = dataset_oracle(path)
         # the header gives back the input spec it was written with
-        assert (len(ds), ds.i_size, ds.j_size, ds.n_features, ds.feature_columns,
-                ds.normalize) == (len(samples), spec.i_size, spec.j_size,
-                                  len(spec.feature_columns), spec.feature_columns,
-                                  spec.normalize)
+        assert len(ds) == len(samples)
+        assert ds.spec == InputSpec(spec.i_size, spec.j_size, spec.feature_columns,
+                                    spec.normalize)
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype and a.shape == b.shape
@@ -522,7 +521,7 @@ class TestInputSpecHeader:
     def test_spec_word(self, tmp_path, cols, normalize, word):
         path = tmp_path / "d.bin"
         generate_dataset([two_blob_scene()], SimConfig(i_size=6, j_size=5, seed=3,
-                                                       feature_columns=cols,
+                                                       feature_columns=cols or tuple(range(13)),
                                                        normalize=normalize), path)
         assert path.read_bytes()[:20] == b"RGDS" + np.array([2, 6, 5, word], "<u4").tobytes()
 
@@ -551,7 +550,7 @@ class TestInputSpecHeader:
         assert steps == []
 
     # (0, 1, 2, 12) is no prefix of the 13 columns, so a count of F cannot stand in for it
-    @pytest.mark.parametrize("cols,normalize", [(None, False), ((0, 1, 2, 12), True)],
+    @pytest.mark.parametrize("cols,normalize", [(tuple(range(13)), False), ((0, 1, 2, 12), True)],
                              ids=["raw", "xyz-curvature"])
     def test_train_takes_the_spec_from_the_dataset(self, tmp_path, cols, normalize):
         path = tmp_path / "d.bin"
@@ -560,4 +559,4 @@ class TestInputSpecHeader:
                                                        normalize=normalize), path)
         params, _ = train(path, TrainConfig((4, 4, 4, 4, 8), (4, 4, 1), epochs=1))
         assert (params.i_size, params.j_size, params.feature_columns, params.normalize) == \
-            (6, 5, cols or tuple(range(13)), normalize)
+            (6, 5, cols, normalize)
