@@ -469,11 +469,15 @@ def _cmd_ablate(args) -> int:
 
     # cached artifacts are named by a hash of the configs they are built
     # from (the dataset's with the training scenes), and datasets also by
-    # their format version, so a rerun that changes any of them builds new ones
+    # their format version, so a rerun that changes any of them builds new ones;
+    # the configs are hashed by field name, whatever the order of the fields
+    def key(*parts) -> str:
+        return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()[:16]
+
     train_paths = _scene_paths(args.train_scenes)
     scenes = [(str(p.resolve()), _scene_sha256(p)) for p in train_paths]
-    data_key = hashlib.sha256(json.dumps([asdict(sim), scenes]).encode()).hexdigest()[:16]
-    model_key = hashlib.sha256(json.dumps([data_key, asdict(net)]).encode()).hexdigest()[:16]
+    data_key = key(asdict(sim), scenes)
+    model_key = key(data_key, asdict(net))
     prefix = f"{subset}_{'norm' if normalize else 'raw'}_i{sim.i_size}_j{sim.j_size}"
     dataset = workdir / "datasets" / f"{prefix}_{data_key}.v{DATASET_VERSION}.bin"
     model = workdir / "models" / f"{prefix}_{model_key}.ckpt"

@@ -38,6 +38,9 @@ COL_CURVATURE = 12
 DEFAULT_DELTA = 0.1   # neighbor radius in meters
 DEFAULT_KNN = 16      # PCA neighborhood size
 PCA_BLOCK = 4096      # points per block of the PCA normals
+# Largest I or J: 128 times the paper's 512. One B=1 network call at paper
+# widths then needs about 0.6 GB of activations.
+MAX_SET_SIZE = 65_536
 
 # Named feature subsets used by the ablation harness.
 FEATURE_SUBSETS = {
@@ -347,9 +350,10 @@ def passthrough_positions(columns) -> tuple[int, ...]:
 
 @dataclass
 class InputSpec:
-    """The network's input: `i_size` region and `j_size` frontier points, each
-    as `feature_columns` (strictly ascending within 0..12), median-normalized
-    when `normalize`. The one place that checks a spec."""
+    """The network's input: `i_size` region and `j_size` frontier points
+    (each 1..MAX_SET_SIZE), each as `feature_columns` (strictly ascending
+    within 0..12), median-normalized when `normalize`. The one place that
+    checks a spec."""
 
     i_size: int = 512
     j_size: int = 512
@@ -358,8 +362,11 @@ class InputSpec:
 
     def __post_init__(self):
         for name in ("i_size", "j_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            size = getattr(self, name)
+            if size < 1:
+                raise ValueError(f"{name} must be >= 1, got {size}")
+            if size > MAX_SET_SIZE:
+                raise ValueError(f"{name} must be <= {MAX_SET_SIZE}, got {size}")
         cols = self.feature_columns
         if not cols or list(cols) != sorted({*cols} & {*range(N_FEATURES)}):
             raise ValueError("feature_columns must be strictly ascending within "

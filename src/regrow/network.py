@@ -7,14 +7,19 @@ probabilities, the neighbor branch admission probabilities. Gradients are
 derived by hand for this fixed graph; there is no autodiff involved.
 
 `NetworkParams` is the `features.InputSpec` of the dataset header it was
-trained on; the checkpoint records it, and growth reads it from there.
+trained on; the checkpoint records it, and growth reads it from there. Its
+weights and biases are views of one vector, `flat`, in checkpoint order.
+`backward` writes the gradients into views of a second such vector, Adam's
+two moments are two more, and the checkpoint body is `flat` as float32.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -49,11 +54,28 @@ class BranchParams:
 
 @dataclass(kw_only=True)
 class NetworkParams(InputSpec):
-    inlier: BranchParams
-    neighbor: BranchParams
+    """Every parameter in one vector, `flat`, in checkpoint order; `inlier`
+    and `neighbor` hold views of it, laid over it on construction."""
+
+    flat: np.ndarray
     enc_widths: tuple[int, ...]
     dec_widths: tuple[int, ...]
     skip_layer: int          # 1-based encoder layer whose output feeds the decoder
+    inlier: BranchParams = field(init=False, repr=False)
+    neighbor: BranchParams = field(init=False, repr=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.enc_widths, self.dec_widths, shapes = _architecture(
+            self.enc_widths, self.dec_widths, self.skip_layer, self.n_features)
+        ends = list(accumulate(map(math.prod, shapes), initial=0))
+        views = [self.flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
+        k, half = 2 * len(self.enc_widths), len(views) // 2  # k: one branch's encoder tensors
+        self.inlier, self.neighbor = (BranchParams(t[:k:2], t[1:k:2], t[k::2], t[k + 1::2])
+                                      for t in (views[:half], views[half:]))
+
+    def __deepcopy__(self, memo):
+        return replace(self, flat=self.flat.copy())
 
     @property
     def global_width(self) -> int:
@@ -61,30 +83,13 @@ class NetworkParams(InputSpec):
 
     @property
     def dtype(self):
-        return self.inlier.enc_w[0].dtype
-
-
-def param_tensors(params: NetworkParams):
-    """(name, array) pairs in fixed declaration order."""
-    out = []
-    for branch_name, bp in (("inlier", params.inlier), ("neighbor", params.neighbor)):
-        for l, (w, b) in enumerate(zip(bp.enc_w, bp.enc_b), start=1):
-            out.append((f"{branch_name}.enc{l}.w", w))
-            out.append((f"{branch_name}.enc{l}.b", b))
-        for l, (w, b) in enumerate(zip(bp.dec_w, bp.dec_b), start=1):
-            out.append((f"{branch_name}.dec{l}.w", w))
-            out.append((f"{branch_name}.dec{l}.b", b))
-    return out
-
-
-def _glorot(rng, fan_in: int, fan_out: int, dtype) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
+        return self.flat.dtype
 
 
 def _architecture(enc_widths, dec_widths, skip_layer: int, n_features: int):
-    """Checked widths, plus one branch's encoder and decoder layers as
-    (fan_in, width) pairs."""
+    """Checked widths, and the shape of every parameter tensor in checkpoint
+    order: the inlier branch, then the neighbor branch; in each, every encoder
+    and then every decoder layer's weights (fan_in, width) and biases (width,)."""
     enc_widths = tuple(int(w) for w in enc_widths)
     dec_widths = tuple(int(w) for w in dec_widths)
     if not enc_widths or not dec_widths:
@@ -94,29 +99,29 @@ def _architecture(enc_widths, dec_widths, skip_layer: int, n_features: int):
     if not 1 <= skip_layer <= len(enc_widths):
         raise ValueError(f"skip_layer must be in 1..{len(enc_widths)}")
     dec_in = enc_widths[skip_layer - 1] + 2 * enc_widths[-1]
-    enc_layers = list(zip((n_features, *enc_widths[:-1]), enc_widths))
-    dec_layers = list(zip((dec_in, *dec_widths[:-1]), dec_widths))
-    return enc_widths, dec_widths, enc_layers, dec_layers
+    layers = [*zip((n_features, *enc_widths[:-1]), enc_widths),
+              *zip((dec_in, *dec_widths[:-1]), dec_widths)]
+    branch = [shape for fan, width in layers for shape in ((fan, width), (width,))]
+    return enc_widths, dec_widths, branch + branch
 
 
 def init_params(enc_widths=FULL_ENC_WIDTHS, dec_widths=FULL_DEC_WIDTHS,
                 skip_layer: int = 2, i_size: int = 512, j_size: int = 512,
                 feature_columns=tuple(range(N_FEATURES)), normalize: bool = True,
                 seed: int = 0, dtype=np.float32) -> NetworkParams:
-    """Seeded uniform (Glorot-range) weights, zero biases."""
-    enc_widths, dec_widths, enc_layers, dec_layers = _architecture(
-        enc_widths, dec_widths, skip_layer, len(feature_columns))
+    """Seeded uniform (Glorot-range) weights, drawn branch by branch, encoder
+    before decoder; zero biases."""
+    enc_widths, dec_widths, shapes = _architecture(enc_widths, dec_widths, skip_layer,
+                                                   len(feature_columns))
+    params = NetworkParams(i_size, j_size, feature_columns, normalize,
+                           flat=np.zeros(sum(map(math.prod, shapes)), dtype),
+                           enc_widths=enc_widths, dec_widths=dec_widths, skip_layer=skip_layer)
     rng = np.random.default_rng(seed)
-
-    def make_branch() -> BranchParams:
-        return BranchParams([_glorot(rng, fan, w, dtype) for fan, w in enc_layers],
-                            [np.zeros(w, dtype=dtype) for _, w in enc_layers],
-                            [_glorot(rng, fan, w, dtype) for fan, w in dec_layers],
-                            [np.zeros(w, dtype=dtype) for _, w in dec_layers])
-
-    return NetworkParams(i_size, j_size, feature_columns, normalize, inlier=make_branch(),
-                         neighbor=make_branch(), enc_widths=enc_widths,
-                         dec_widths=dec_widths, skip_layer=skip_layer)
+    for bp in (params.inlier, params.neighbor):
+        for w in bp.enc_w + bp.dec_w:
+            limit = np.sqrt(6.0 / sum(w.shape))
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return params
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -210,10 +215,10 @@ def _both(split: bool, half, inlier_args: tuple, neighbor_args: tuple):
     """(half(*inlier_args), half(*neighbor_args)). With `split`, the neighbor
     half runs on this process's worker thread (`worker.worker`) while the
     calling thread runs the inlier half. The halves share only read-only
-    inputs, and NumPy and BLAS release the GIL for their arrays, so the
-    results are the bytes of the sequential calls. The halves call no public
-    function of this module, whose tracing wrappers (perfbench) keep one span
-    stack for all threads.
+    inputs and write disjoint outputs, and NumPy and BLAS release the GIL for
+    their arrays, so the results are the bytes of the sequential calls. The
+    halves call no public function of this module, whose tracing wrappers
+    (perfbench) keep one span stack for all threads.
     """
     if not split:
         return half(*inlier_args), half(*neighbor_args)
@@ -271,11 +276,12 @@ def batch_loss(p_remove: np.ndarray, p_add: np.ndarray, remove_t: np.ndarray,
     return _bce_batch(p_remove, remove_t) + _bce_batch(p_add, add_t)
 
 
-def _layer_grads(inp, dz):
-    """(dW, db) for one shared linear layer via flat matmuls."""
+def _layer_grads(inp, dz, dw, db) -> None:
+    """One shared linear layer's gradients, by flat matmuls, into `dw` and `db`."""
     flat_in = inp.reshape(-1, inp.shape[2])
     flat_dz = dz.reshape(-1, dz.shape[2])
-    return flat_in.T @ flat_dz, flat_dz.sum(axis=0)
+    np.matmul(flat_in.T, flat_dz, out=dw)
+    flat_dz.sum(axis=0, out=db)
 
 
 def _input_grad(dz, w):
@@ -283,78 +289,77 @@ def _input_grad(dz, w):
     return (dz.reshape(-1, dz.shape[2]) @ w.T).reshape(*dz.shape[:2], w.shape[0])
 
 
-def _decoder_backward(bp: BranchParams, outs, skip, global_vec, p_clamped, p_raw, target):
-    """One branch's loss head and decoder: returns (decoder grads (dec_w,
-    dec_b), d_skip, d_global contribution (B, 2G)). Clamped output
+def _decoder_backward(bp: BranchParams, grad: BranchParams, outs, skip, global_vec,
+                      p_clamped, p_raw, target):
+    """One branch's loss head and decoder: writes the decoder's gradients into
+    `grad` and returns (d_skip, d_global contribution (B, 2G)). Clamped output
     probabilities receive zero gradient."""
     batch, n = p_clamped.shape
     d = (p_clamped.astype(np.float64) - np.asarray(target).astype(np.float64)) / (n * batch)
     d[(p_raw < PROB_EPS) | (p_raw > 1.0 - PROB_EPS)] = 0.0
     dz = d.astype(bp.dec_w[0].dtype)[..., None]  # (B, n, 1)
-    layers = len(bp.dec_w)
-    dec_w, dec_b = [None] * layers, [None] * layers
-    for l in range(layers - 1, 0, -1):
-        dec_w[l], dec_b[l] = _layer_grads(outs[l - 1], dz)
+    for l in range(len(bp.dec_w) - 1, 0, -1):
+        _layer_grads(outs[l - 1], dz, grad.dec_w[l], grad.dec_b[l])
         dz = _input_grad(dz, bp.dec_w[l])
         dz *= outs[l - 1] > 0
     # layer 1: the skip rows act per point, the global rows per sample
     s = skip.shape[2]
-    w0 = bp.dec_w[0]
-    dw, dec_b[0] = _layer_grads(skip, dz)
+    w0, dw0 = bp.dec_w[0], grad.dec_w[0]
+    _layer_grads(skip, dz, dw0[:s], grad.dec_b[0])
     dz_sum = dz.sum(axis=1)  # (B, out)
-    dec_w[0] = np.concatenate([dw, global_vec.T @ dz_sum])
-    return (dec_w, dec_b), _input_grad(dz, w0[:s]), dz_sum @ w0[s:].T
+    np.matmul(global_vec.T, dz_sum, out=dw0[s:])
+    return _input_grad(dz, w0[:s]), dz_sum @ w0[s:].T
 
 
-def _encoder_backward(bp: BranchParams, acts, arg, dg, d_skip, skip_layer: int):
-    """One branch's encoder grads (enc_w, enc_b). Max-pool routes each global
-    feature's gradient to its argmax point."""
-    layers = len(bp.enc_w)
-    enc_w, enc_b = [None] * layers, [None] * layers
+def _encoder_backward(bp: BranchParams, grad: BranchParams, acts, arg, dg, d_skip,
+                      skip_layer: int) -> None:
+    """One branch's encoder gradients, written into `grad`. Max-pool routes
+    each global feature's gradient to its argmax point."""
     dh = np.zeros_like(acts[-1])
     np.put_along_axis(dh, arg[:, None, :], dg[:, None, :], axis=1)
-    for l in range(layers - 1, -1, -1):
+    for l in range(len(bp.enc_w) - 1, -1, -1):
         if l + 1 == skip_layer:
             dh += d_skip
         dz = np.multiply(dh, acts[l + 1] > 0, out=dh)  # dh is a fresh array here
-        enc_w[l], enc_b[l] = _layer_grads(acts[l], dz)
+        _layer_grads(acts[l], dz, grad.enc_w[l], grad.enc_b[l])
         if l:  # nothing consumes the gradient wrt the network input
             dh = _input_grad(dz, bp.enc_w[l])
-    return enc_w, enc_b
 
 
 def backward(params: NetworkParams, cache: dict, remove_t: np.ndarray,
              add_t: np.ndarray) -> NetworkParams:
-    """Gradients of the batch loss for every parameter.
+    """Gradients of the batch loss for every parameter, as a NetworkParams
+    over a fresh vector of the same layout.
 
     Max-pool routes each global feature's gradient to the argmax point (first
     index on ties); clamped output probabilities receive zero gradient.
-    Rectifier masks come from the cached outputs' signs, and each gradient is
-    the array its matmul or sum returns.
+    Rectifier masks come from the cached outputs' signs, and each matmul or
+    sum writes its gradient into that gradient's view.
     """
+    grads = replace(params, flat=np.empty_like(params.flat))
     batch, i_size = cache["p_remove"].shape
     split = _split(params, batch, min(i_size, cache["p_add"].shape[1]))
     skip = params.skip_layer
-    (dec_i, d_skip_i, d_glob_i), (dec_n, d_skip_n, d_glob_n) = _both(
+    (d_skip_i, d_glob_i), (d_skip_n, d_glob_n) = _both(
         split, _decoder_backward,
-        (params.inlier, cache["ui"], cache["ai"][skip], cache["global"],
+        (params.inlier, grads.inlier, cache["ui"], cache["ai"][skip], cache["global"],
          cache["p_remove"], cache["raw_i"], remove_t),
-        (params.neighbor, cache["un"], cache["an"][skip], cache["global"],
+        (params.neighbor, grads.neighbor, cache["un"], cache["an"][skip], cache["global"],
          cache["p_add"], cache["raw_n"], add_t))
     d_global = d_glob_i + d_glob_n
     g_width = params.global_width
-    enc_i, enc_n = _both(
-        split, _encoder_backward,
-        (params.inlier, cache["ai"], cache["argi"], d_global[:, :g_width], d_skip_i, skip),
-        (params.neighbor, cache["an"], cache["argn"], d_global[:, g_width:], d_skip_n, skip))
-    return replace(params, inlier=BranchParams(*enc_i, *dec_i),
-                   neighbor=BranchParams(*enc_n, *dec_n))
+    _both(split, _encoder_backward,
+          (params.inlier, grads.inlier, cache["ai"], cache["argi"], d_global[:, :g_width],
+           d_skip_i, skip),
+          (params.neighbor, grads.neighbor, cache["an"], cache["argn"], d_global[:, g_width:],
+           d_skip_n, skip))
+    return grads
 
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray            # first and second moments, laid out as `NetworkParams.flat`
+    v: np.ndarray
     t: int
     lr: float
     beta1: float = 0.9
@@ -363,37 +368,33 @@ class AdamState:
 
     @classmethod
     def init(cls, params: NetworkParams, lr: float = 0.001) -> "AdamState":
-        tensors = [t for _, t in param_tensors(params)]
-        return cls([np.zeros_like(t) for t in tensors],
-                   [np.zeros_like(t) for t in tensors], 0, lr)
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat), 0, lr)
 
 
 def adam_step(state: AdamState, params: NetworkParams, grads: NetworkParams) -> None:
-    """Standard bias-corrected update, in place on the parameter arrays.
+    """Standard bias-corrected update, in place on the parameter vector.
 
-    Two scratch arrays per tensor hold the intermediates; the operations and
-    their order are those of p -= lr * (m / c1) / (sqrt(v / c2) + eps)."""
+    Two scratch vectors hold the intermediates; the operations and their
+    order are those of p -= lr * (m / c1) / (sqrt(v / c2) + eps)."""
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for k, ((_, p), (_, g)) in enumerate(zip(param_tensors(params), param_tensors(grads))):
-        m = state.m[k]
-        v = state.v[k]
-        step = np.multiply(g, 1.0 - b1)
-        denom = np.multiply(g, 1.0 - b2)
-        m *= b1
-        m += step
-        denom *= g
-        v *= b2
-        v += denom
-        np.divide(v, c2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        np.divide(m, c1, out=step)
-        step *= state.lr
-        step /= denom
-        p -= step
+    g, m, v = grads.flat, state.m, state.v
+    step = np.multiply(g, 1.0 - b1)
+    denom = np.multiply(g, 1.0 - b2)
+    m *= b1
+    m += step
+    denom *= g
+    v *= b2
+    v += denom
+    np.divide(v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    np.divide(m, c1, out=step)
+    step *= state.lr
+    step /= denom
+    params.flat -= step
 
 
 @dataclass
@@ -419,7 +420,8 @@ def train(dataset_path, cfg: TrainConfig, report=None):
 
     After each epoch, `report(epoch, loss, seconds, samples)` is called if
     given, with the epoch's 1-based number, mean loss, wall time of its
-    batches and sample count."""
+    batches and sample count. A non-finite batch loss stops training with a
+    ValueError before that epoch's checkpoint is written."""
     with DatasetReader(dataset_path) as ds:
         params = init_params(cfg.enc_widths, cfg.dec_widths, cfg.skip_layer, **vars(ds.spec),
                              seed=cfg.seed)
@@ -436,6 +438,9 @@ def train(dataset_path, cfg: TrainConfig, report=None):
                 xi, xn, rt, at, _meta = ds.read(sel)
                 p_remove, p_add, cache = forward_batch(params, xi, xn, want_cache=True)
                 loss = batch_loss(p_remove, p_add, rt, at)
+                if not math.isfinite(loss):
+                    raise ValueError(f"{dataset_path}: loss {loss} in epoch {epoch}, "
+                                     f"batch {start // cfg.batch_size + 1}")
                 grads = backward(params, cache, rt, at)
                 adam_step(adam, params, grads)
                 total += loss * len(sel)
@@ -465,8 +470,8 @@ CHECKPOINT_VERSION = 1
 
 
 def save_params(params: NetworkParams, path) -> None:
-    """Self-describing checkpoint: magic, uint32 header, float32 tensors in
-    declaration order. It replaces `path` only once complete (`atomic_open`)."""
+    """Self-describing checkpoint: magic, uint32 header, and the parameter
+    vector as float32. It replaces `path` only once complete (`atomic_open`)."""
     header = [CHECKPOINT_VERSION, params.n_features, params.i_size, params.j_size,
               len(params.enc_widths), *params.enc_widths,
               len(params.dec_widths), *params.dec_widths,
@@ -476,8 +481,7 @@ def save_params(params: NetworkParams, path) -> None:
     with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(np.array(header, dtype="<u4").tobytes())
-        for _, tensor in param_tensors(params):
-            fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+        fh.write(params.flat.astype("<f4").tobytes())
 
 
 def load_params(path) -> NetworkParams:
@@ -505,24 +509,18 @@ def load_params(path) -> NetworkParams:
     (normalize,) = take(1).tolist()
     if n_features != n_cols:
         raise CheckpointError(f"{path}: feature_columns length must equal n_features")
+    if normalize not in (0, 1):
+        raise CheckpointError(f"{path}: normalize word must be 0 or 1, got {normalize}")
     try:
         spec = InputSpec(i_size, j_size, cols, bool(normalize))
-        enc_widths, dec_widths, enc_layers, dec_layers = _architecture(
-            enc_widths, dec_widths, skip_layer, n_features)
+        enc_widths, dec_widths, shapes = _architecture(enc_widths, dec_widths, skip_layer,
+                                                       n_features)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-
-    def read(layers):
-        """(weights, biases) of consecutive layers, stored as w1, b1, w2, ..."""
-        weights, biases = [], []
-        for fan, width in layers:
-            weights.append(take(fan * width).view("<f4").reshape(fan, width).astype(np.float32))
-            biases.append(take(width).view("<f4").astype(np.float32))
-        return weights, biases
-
-    inlier = BranchParams(*read(enc_layers), *read(dec_layers))
-    neighbor = BranchParams(*read(enc_layers), *read(dec_layers))
+    flat = take(sum(map(math.prod, shapes))).view("<f4").astype(np.float32)
     if 4 * (pos + 1) != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after tensor data")
-    return NetworkParams(**vars(spec), inlier=inlier, neighbor=neighbor, enc_widths=enc_widths,
-                         dec_widths=dec_widths, skip_layer=skip_layer)
+    if not np.isfinite(flat).all():
+        raise CheckpointError(f"{path}: non-finite parameter values")
+    return NetworkParams(**vars(spec), flat=flat, enc_widths=enc_widths, dec_widths=dec_widths,
+                         skip_layer=skip_layer)

@@ -9,9 +9,9 @@ column-wise covariance kernel replaced, a line-by-line scene parser,
 one-f-string-per-row scene and PLY writers, a per-element labels writer and
 an `int()`-per-token labels reader, the training step that keeps every
 pre-activation, accumulates gradients into zeroed arrays and runs Adam
-through temporaries, the noiseless growth step that the simulator's noisy
-one corrupts, and the segmentation loop that kept each rollout, step and
-search result in records of their own.
+tensor by tensor through temporaries, the noiseless growth step that the
+simulator's noisy one corrupts, and the segmentation loop that kept each
+rollout, step and search result in records of their own.
 """
 
 import itertools
@@ -30,7 +30,6 @@ from scipy.special import gammaln
 from regrow.baselines import SmoothnessConfig, ThresholdConfig
 from regrow.features import InputSpec, region_inputs
 from regrow.grow import reassign_small_segments, select_seed
-from regrow.network import BranchParams, param_tensors
 from regrow.pointcloud import PALETTE, PointCloud, SceneFormatError
 
 
@@ -280,14 +279,23 @@ def concat_decoder_oracle(params, xi, xn):
             np.clip(_sigmoid(logit_n), eps, 1.0 - eps))
 
 
+def param_tensors(params):
+    """(name, tensor) pairs in checkpoint order, walked branch by branch and
+    layer by layer through the `BranchParams` views."""
+    out = []
+    for branch_name, bp in (("inlier", params.inlier), ("neighbor", params.neighbor)):
+        for l, (w, b) in enumerate(zip(bp.enc_w, bp.enc_b), start=1):
+            out.append((f"{branch_name}.enc{l}.w", w))
+            out.append((f"{branch_name}.enc{l}.b", b))
+        for l, (w, b) in enumerate(zip(bp.dec_w, bp.dec_b), start=1):
+            out.append((f"{branch_name}.dec{l}.w", w))
+            out.append((f"{branch_name}.dec{l}.b", b))
+    return out
+
+
 def zeros_like_params(params):
-    """A NetworkParams of zero tensors shaped like `params`."""
-    def z(bp):
-        return BranchParams([np.zeros_like(w) for w in bp.enc_w],
-                            [np.zeros_like(b) for b in bp.enc_b],
-                            [np.zeros_like(w) for w in bp.dec_w],
-                            [np.zeros_like(b) for b in bp.dec_b])
-    return replace(params, inlier=z(params.inlier), neighbor=z(params.neighbor))
+    """A NetworkParams shaped like `params`, over a zero vector."""
+    return replace(params, flat=np.zeros_like(params.flat))
 
 
 _PROB_EPS = 1e-7
@@ -429,15 +437,17 @@ def backward_oracle(params, cache, remove_t, add_t):
 
 
 def adam_oracle(state, params, grads):
-    """The bias-corrected Adam update written with temporaries, in place on
-    the parameter arrays and on `state`."""
+    """The bias-corrected Adam update written with temporaries, tensor by
+    tensor, in place on the parameter arrays and on `state`, whose moment
+    vectors it reads through per-tensor views laid out like `params`."""
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for k, ((_, p), (_, g)) in enumerate(zip(param_tensors(params), param_tensors(grads))):
-        m = state.m[k]
-        v = state.v[k]
+    moments = zip(param_tensors(replace(params, flat=state.m)),
+                  param_tensors(replace(params, flat=state.v)))
+    for (_, p), (_, g), ((_, m), (_, v)) in zip(param_tensors(params), param_tensors(grads),
+                                                moments):
         m *= b1
         m += (1.0 - b1) * g
         v *= b2

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from oracles import (Sized, ami_oracle, ari_oracle, delta_components_oracle, nmi_oracle,
-                     oracle_next_region)
+                     oracle_next_region, param_tensors)
 from regrow import baselines, metrics, search, synth
 from regrow.features import FEATURE_SUBSETS, build_context
 from regrow.grow import GrowConfig, segment_scene
@@ -30,7 +30,6 @@ from regrow.network import (
     batch_loss,
     forward_batch,
     init_params,
-    param_tensors,
     train,
 )
 from regrow.pointcloud import PointCloud, load_scene

@@ -4,6 +4,7 @@ import json
 import re
 import shutil
 import sys
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from regrow.grow import GrowConfig, segment_scene
 from regrow.network import TrainConfig, load_params
 from regrow.pointcloud import load_scene, read_labels, write_labels
 from regrow.search import SearchConfig
-from regrow.simulate import SimConfig
+from regrow.simulate import DatasetWriter, SimConfig, TrainingSample
 
 ABLATE_REQUIRED = ["ablate", "--train-scenes", "a", "--test-scenes", "b", "--workdir", "w",
                    "--knob", "full"]
@@ -404,6 +405,26 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith(f"error: {dataset}: ")
         assert not (tmp_path / "m.ckpt").exists()
 
+    def test_non_finite_loss_stops_training_and_keeps_the_checkpoint(self, tmp_path, capsys):
+        dataset, model = tmp_path / "nan.bin", tmp_path / "m.ckpt"
+        rng = np.random.default_rng(0)
+        with DatasetWriter(dataset, SimConfig(i_size=4, j_size=4)) as writer:
+            for k in range(3):
+                xi = rng.normal(size=(4, 13)).astype(np.float32)
+                if k == 1:
+                    xi[2, 5] = np.nan  # one inlier feature of one record
+                writer.write(TrainingSample(xi, rng.normal(size=(4, 13)).astype(np.float32),
+                                            np.zeros(4, np.uint8), np.ones(4, np.uint8),
+                                            (0, 0, k)))
+        model.write_bytes(b"the previous checkpoint")
+        assert run(["train", "--dataset", str(dataset), "--out", str(model),
+                    "--enc-widths", "8", "8", "8", "8", "16", "--dec-widths", "8", "8", "1",
+                    "--epochs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {dataset}: loss nan in epoch 1, batch 1\n"
+        assert "epoch 1: loss" not in captured.out
+        assert model.read_bytes() == b"the previous checkpoint"
+
 
     @pytest.mark.parametrize("flags,spec", [
         (["--no-normalize"], (tuple(range(13)), False)),
@@ -438,6 +459,17 @@ class TestTrainCommand:
 
 
 class TestSegmentAndEval:
+    def test_checkpoint_with_a_set_size_above_the_bound_is_refused(self, workspace, tmp_path,
+                                                                   capsys):
+        model = tmp_path / "m.ckpt"
+        raw = bytearray((workspace / "model.ckpt").read_bytes())
+        raw[12:16] = np.array([65_537], "<u4").tobytes()  # uint32 word 2 of the header: I
+        model.write_bytes(bytes(raw))
+        assert run(["segment", "--scenes", str(workspace / "data" / "test"),
+                    "--model", str(model), "--out", str(tmp_path / "pred")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {model}: i_size must be <= 65536, got 65537\n"
+
     def test_greedy_segment_writes_labels_and_stats(self, workspace, tmp_path):
         out = tmp_path / "pred"
         assert run(["segment", "--scenes", str(workspace / "data" / "test"),
@@ -765,23 +797,32 @@ class TestAblate:
         assert trained == [1, 2, 2]
         assert len(list((tmp_path / "work" / "datasets").glob("*.bin"))) == 2
 
+    @staticmethod
+    def cached(workspace, workdir):
+        """Run the full knob once; the counts of cached datasets and models."""
+        assert run(["ablate", "--train-scenes", str(workspace / "data" / "train"),
+                    "--test-scenes", str(workspace / "data" / "test"),
+                    "--workdir", str(workdir), "--knob", "full",
+                    "--i", "32", "--j", "32", "--epochs", "1",
+                    "--enc-widths", "8", "8", "8", "8", "16",
+                    "--dec-widths", "16", "8", "1", "--seed", "0"]) == 0
+        return [len(list((workdir / kind).iterdir())) for kind in ("datasets", "models")]
+
     def test_every_config_field_names_the_cache(self, workspace, tmp_path, monkeypatch):
         """A field that no ablate flag sets still keys the cached artifacts."""
-        def cached():
-            assert run(["ablate", "--train-scenes", str(workspace / "data" / "train"),
-                        "--test-scenes", str(workspace / "data" / "test"),
-                        "--workdir", str(tmp_path / "work"), "--knob", "full",
-                        "--i", "32", "--j", "32", "--epochs", "1",
-                        "--enc-widths", "8", "8", "8", "8", "16",
-                        "--dec-widths", "16", "8", "1", "--seed", "0"]) == 0
-            return [len(list((tmp_path / "work" / kind).iterdir()))
-                    for kind in ("datasets", "models")]
-
-        assert cached() == [1, 1]
+        work = tmp_path / "work"
+        assert self.cached(workspace, work) == [1, 1]
         monkeypatch.setattr(cli, "TrainConfig", partial(TrainConfig, skip_layer=1))
-        assert cached() == [1, 2]
+        assert self.cached(workspace, work) == [1, 2]
         monkeypatch.setattr(cli, "SimConfig", partial(SimConfig, decay=0.02))
-        assert cached() == [2, 3]
+        assert self.cached(workspace, work) == [2, 3]
+
+    def test_field_order_does_not_name_the_cache(self, workspace, tmp_path, monkeypatch):
+        """Reordering a config's fields keeps the cached dataset and model."""
+        work = tmp_path / "work"
+        assert self.cached(workspace, work) == [1, 1]
+        monkeypatch.setattr(cli, "asdict", lambda cfg: dict(reversed(asdict(cfg).items())))
+        assert self.cached(workspace, work) == [1, 1]
 
     def test_dataset_of_another_format_version_is_rebuilt(self, workspace, tmp_path,
                                                           monkeypatch):

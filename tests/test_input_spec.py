@@ -18,13 +18,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from regrow.features import InputSpec
+from regrow.features import MAX_SET_SIZE, InputSpec
 from regrow.network import (CheckpointError, TrainConfig, init_params, load_params,
                             save_params, train)
 from regrow.simulate import (DATASET_NORMALIZED, DatasetError, DatasetReader, SimConfig,
                              record_dtype)
 
-SIZES = st.sampled_from([0, 1, 7])
+SIZES = st.sampled_from([0, 1, 7, 65_536, 65_537])  # 1..MAX_SET_SIZE is valid
 COLUMNS = st.one_of(
     st.lists(st.integers(0, 12), unique=True, max_size=4).map(lambda c: tuple(sorted(c))),
     st.lists(st.integers(-1, 13), max_size=4).map(tuple))  # descending, repeated, 13, -1
@@ -64,6 +64,7 @@ def write_checkpoint(path, i_size, j_size, cols, normalize):
 @given(SIZES, SIZES, COLUMNS, st.booleans())
 @example(0, 7, (0, 1, 2), True)    # a dataset header with I = 0
 @example(1, 1, (1, 0), False)      # a checkpoint with descending columns
+@example(65_536, 65_537, (0,), True)  # J above the bound
 def test_every_entry_point_accepts_what_input_spec_accepts(i_size, j_size, cols, normalize):
     valid = accepts(lambda: InputSpec(i_size, j_size, cols, normalize))
     assert accepts(lambda: SimConfig(i_size=i_size, j_size=j_size, feature_columns=cols,
@@ -92,3 +93,10 @@ def test_every_entry_point_accepts_what_input_spec_accepts(i_size, j_size, cols,
                                                    checkpoint=str(ckpt)))
             assert spec_of(params) == spec_of(load_params(ckpt)) == \
                 InputSpec(i_size, j_size, cols, normalize)
+
+
+@pytest.mark.parametrize("name", ["i_size", "j_size"])
+def test_set_sizes_are_bounded(name):
+    assert getattr(InputSpec(**{name: MAX_SET_SIZE}), name) == 65_536
+    with pytest.raises(ValueError, match=f"^{name} must be <= 65536, got 65537$"):
+        InputSpec(**{name: MAX_SET_SIZE + 1})

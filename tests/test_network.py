@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import math
 import multiprocessing
@@ -5,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from oracles import (
     backward_oracle,
     concat_decoder_oracle,
     forward_oracle,
+    param_tensors,
     zeros_like_params,
 )
 from regrow import network
@@ -32,7 +35,6 @@ from regrow.network import (
     forward_batch,
     init_params,
     load_params,
-    param_tensors,
     save_params,
     train,
 )
@@ -437,17 +439,53 @@ class TestCheckpoint:
         path = tmp_path / "p.ckpt"
         save_params(tiny_params(seed=1), path)
         before = path.read_bytes()
+        body = tiny_params().flat.nbytes
+        opened = network.atomic_open
 
-        def first_tensor_then_fail(params):
-            yield next(iter(param_tensors(params)))
-            raise KeyboardInterrupt("interrupted after the first tensor")
+        class HalfBody:
+            """Writes the header, then half the parameter vector, then stops."""
+            def __init__(self, fh):
+                self.fh = fh
 
-        monkeypatch.setattr(network, "param_tensors", first_tensor_then_fail)
+            def write(self, data):
+                if len(data) == body:
+                    self.fh.write(data[:body // 2])
+                    raise KeyboardInterrupt("interrupted in the parameter vector")
+                return self.fh.write(data)
+
+        @contextlib.contextmanager
+        def interrupted_open(target, mode):
+            with opened(target, mode) as fh:
+                yield HalfBody(fh)
+
+        monkeypatch.setattr(network, "atomic_open", interrupted_open)
         with pytest.raises(KeyboardInterrupt):
             save_params(tiny_params(seed=2), path)
         assert path.read_bytes() == before
         load_params(path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.ckpt"]
+
+    def test_normalize_word_other_than_zero_or_one_is_refused(self, tmp_path):
+        path = tmp_path / "p.ckpt"
+        params = init_params(TINY_ENC, TINY_DEC, feature_columns=(0, 1, 2), normalize=False)
+        save_params(params, path)
+        words = np.frombuffer(path.read_bytes()[4:], "<u4").copy()
+        at = words.size - params.flat.size - 1  # the last header word: normalize
+        assert words[at] == 0
+        words[at] = 7
+        path.write_bytes(b"RGNW" + words.tobytes())
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: normalize word "
+                                                  "must be 0 or 1, got 7$"):
+            load_params(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight_is_refused(self, tmp_path, value):
+        params = tiny_params()
+        params.inlier.dec_w[1][3, 2] = value
+        path = tmp_path / "p.ckpt"
+        save_params(params, path)
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: non-finite"):
+            load_params(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "p.ckpt"
@@ -656,8 +694,50 @@ class TestTrainingStepOracle:
             adam_oracle(o_state, mirror, backward_oracle(mirror, o_cache, rt, at))
             for (name, p), (_, o) in zip(param_tensors(params), param_tensors(mirror)):
                 assert_same_bytes(p, o, name)
-            for m, o in zip(state.m + state.v, o_state.m + o_state.v):
-                assert_same_bytes(m, o, "adam moments")
+            assert_same_bytes(state.m, o_state.m, "first moments")
+            assert_same_bytes(state.v, o_state.v, "second moments")
+
+
+class TestOneLayout:
+    """Every tensor is a view of the one parameter vector, at the running
+    offset of checkpoint order; the checkpoint body, the gradients and a deep
+    copy follow that vector."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(training_step_cases())
+    def test_tensors_checkpoint_and_gradients_follow_the_vector(self, case):
+        params, xi, xn, rt, at = case
+        flat = params.flat
+        offset = 0
+        for name, tensor in param_tensors(params):
+            assert tensor.base is flat and tensor.flags.c_contiguous, name
+            assert tensor.ctypes.data == flat.ctypes.data + offset * flat.itemsize, name
+            offset += tensor.size
+        assert offset == flat.size
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.ckpt"
+            save_params(params, path)
+            raw = path.read_bytes()
+            assert raw[len(raw) - 4 * flat.size:] == flat.astype("<f4").tobytes()
+            assert_same_bytes(load_params(path).flat, flat.astype(np.float32), "loaded vector")
+        _, _, cache = forward_batch(params, xi, xn, want_cache=True)
+        _, _, o_cache = forward_oracle(params, xi, xn)
+        expected = backward_oracle(params, o_cache, rt, at)
+        assert_same_bytes(backward(params, cache, rt, at).flat,
+                          np.concatenate([g.ravel() for _, g in param_tensors(expected)]),
+                          "gradient vector")
+
+    @settings(max_examples=20, deadline=None)
+    @given(training_step_cases())
+    def test_deep_copy_follows_its_own_vector(self, case):
+        params = case[0]
+        before = params.flat.copy()
+        mirror = copy.deepcopy(params)
+        assert not np.shares_memory(mirror.flat, params.flat)
+        mirror.flat[:] = 2.5
+        for (name, t), (_, c) in zip(param_tensors(params), param_tensors(mirror)):
+            assert (c == 2.5).all() and not np.shares_memory(c, params.flat), name
+        assert_same_bytes(params.flat, before, "original vector")
 
 
 @pytest.fixture(scope="class", params=[0, math.inf], ids=["always-split", "never-split"])
