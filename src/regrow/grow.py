@@ -129,16 +129,6 @@ def advance(ctx: SceneContext, predictor, state: RegionState, eligible: np.ndarr
     return state.stagnant_steps < 2  # no expansion for two consecutive steps
 
 
-def grow_region(ctx: SceneContext, predictor, seed: int, labels, cfg: GrowConfig,
-                rng: np.random.Generator, sampled: bool = False) -> RegionState:
-    """Grow from one seed until a termination condition fires."""
-    eligible = np.asarray(labels) == 0
-    state = RegionState(ctx.new_tracker([seed]), seed)
-    while advance(ctx, predictor, state, eligible, cfg, rng, sampled):
-        pass
-    return state
-
-
 def reassign_small_segments(cloud, labels: np.ndarray,
                             min_segment: int = DEFAULT_MIN_SEGMENT) -> np.ndarray:
     """Merge undersized segments into surviving ones by nearest neighbor.

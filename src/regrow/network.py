@@ -94,6 +94,8 @@ def _architecture(enc_widths, dec_widths, skip_layer: int, n_features: int):
     dec_widths = tuple(int(w) for w in dec_widths)
     if not enc_widths or not dec_widths:
         raise ValueError("encoder and decoder need at least one layer each")
+    if min(enc_widths + dec_widths) < 1:
+        raise ValueError(f"layer widths must be >= 1, got {enc_widths} and {dec_widths}")
     if dec_widths[-1] != 1:
         raise ValueError("last decoder width must be 1 (per-point logit)")
     if not 1 <= skip_layer <= len(enc_widths):

@@ -3,8 +3,9 @@
 Five ways to turn one seed into a final region, a `features.RegionState`: a
 single greedy rollout, random restarts with the winner picked by summed
 log-likelihood (ML) or by final region size (NP), and beam search under the
-same two criteria. Every rollout and beam entry is a `RegionState` too. The
-greedy strategy grows greedily, the other four with sampled steps.
+same two criteria. All five run as one loop of rounds over the live regions,
+each drawing from its own random stream. The greedy strategy grows greedily,
+the other four with sampled steps.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import RegionState, SceneContext
-from .grow import GrowConfig, advance, grow_region
+from .grow import GrowConfig, advance
 
 STRATEGIES = ("greedy", "rr-ml", "rr-np", "bs-ml", "bs-np")
 
@@ -40,43 +41,37 @@ def _criterion(region: RegionState, kind: str) -> float:
 def run_search(ctx: SceneContext, predictor, seed: int, labels,
                grow_cfg: GrowConfig, search_cfg: SearchConfig,
                rng: np.random.Generator) -> RegionState:
-    """Find the best final region for one seed under the configured strategy;
-    its `inferences` count every rollout the search ran."""
-    if search_cfg.strategy == "greedy":
-        return grow_region(ctx, predictor, seed, labels, grow_cfg, rng)
+    """The best final region for one seed under the configured strategy,
+    found in rounds in which every live region takes one `advance` on its own
+    stream: one region on `rng` (greedy), one per spawned stream (restarts) or
+    the `beam_width` best distinct copies of the last round's regions, one copy
+    per spawned stream (beam). The winner's `inferences` count every step."""
     kind = search_cfg.strategy[-2:]  # "ml" or "np"
-    search = _random_restart if search_cfg.strategy.startswith("rr") else _beam_search
-    return search(ctx, predictor, seed, labels, grow_cfg, search_cfg, kind, rng)
-
-
-def _random_restart(ctx, predictor, seed, labels, grow_cfg, search_cfg, kind, rng):
-    regions = [grow_region(ctx, predictor, seed, labels, grow_cfg, child, sampled=True)
-               for child in rng.spawn(search_cfg.restarts)]
-    best = max(regions, key=lambda r: _criterion(r, kind))  # max keeps the first of equals
-    best.inferences = sum(r.inferences for r in regions)
-    return best
-
-
-def _beam_search(ctx, predictor, seed, labels, grow_cfg, search_cfg, kind, rng):
-    """Track up to K live regions, expanding each a few times per round."""
+    beam, sampled = search_cfg.strategy.startswith("bs"), search_cfg.strategy != "greedy"
     eligible = np.asarray(labels) == 0
-    live = [RegionState(ctx.new_tracker([seed]), seed)]
-    finished: list[RegionState] = []
+    streams = rng.spawn(search_cfg.restarts) if search_cfg.strategy.startswith("rr") else [rng]
+    live = [(RegionState(ctx.new_tracker([seed]), seed), stream) for stream in streams]
+    finished = [] if beam else [region for region, _ in live]  # restarts in restart order
     inferences = 0
     while live:
-        children: list[RegionState] = []
-        for parent in live:
-            for child_rng in rng.spawn(search_cfg.expansions):
-                child = parent.copy()
-                alive = advance(ctx, predictor, child, eligible, grow_cfg, child_rng,
-                                sampled=True)
-                inferences += child.inferences - parent.inferences
-                (children if alive else finished).append(child)
-        # deduplicate identical regions (exact bitmask), then prune to the K best
-        unique: dict[bytes, RegionState] = {}
-        for child in children:
-            unique.setdefault(child.members.tobytes(), child)
-        live = sorted(unique.values(), key=lambda r: -_criterion(r, kind))[:search_cfg.beam_width]
-    best = max(finished, key=lambda r: _criterion(r, kind))
+        if beam:  # all spawns in live order, before any child steps
+            live = [(region.copy(), child) for region, _ in live
+                    for child in rng.spawn(search_cfg.expansions)]
+        alive = []
+        for region, stream in live:
+            before = region.inferences
+            if advance(ctx, predictor, region, eligible, grow_cfg, stream, sampled):
+                alive.append((region, stream))
+            elif beam:
+                finished.append(region)
+            inferences += region.inferences - before
+        if beam:  # deduplicate identical regions (exact bitmask), then prune to the K best
+            unique: dict[bytes, tuple] = {}
+            for pair in alive:
+                unique.setdefault(pair[0].members.tobytes(), pair)  # the stable sort keeps firsts
+            alive = sorted(unique.values(),
+                           key=lambda pair: -_criterion(pair[0], kind))[:search_cfg.beam_width]
+        live = alive
+    best = max(finished, key=lambda r: _criterion(r, kind))  # max keeps the first of equals
     best.inferences = inferences
     return best

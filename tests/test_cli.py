@@ -405,6 +405,15 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith(f"error: {dataset}: ")
         assert not (tmp_path / "m.ckpt").exists()
 
+    def test_layer_width_below_one_is_refused(self, workspace, tmp_path, capsys):
+        assert run(["train", "--dataset", str(workspace / "train.bin"),
+                    "--out", str(tmp_path / "m.ckpt"),
+                    "--enc-widths", "8", "0", "8", "8", "16", "--dec-widths", "8", "8", "1",
+                    "--epochs", "1", "--batch", "64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: layer widths must be >= 1")
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_non_finite_loss_stops_training_and_keeps_the_checkpoint(self, tmp_path, capsys):
         dataset, model = tmp_path / "nan.bin", tmp_path / "m.ckpt"
         rng = np.random.default_rng(0)

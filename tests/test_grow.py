@@ -4,7 +4,6 @@ import pytest
 from regrow.features import build_context
 from regrow.grow import (
     GrowConfig,
-    grow_region,
     grow_step,
     reassign_small_segments,
     segment_scene,
@@ -12,8 +11,14 @@ from regrow.grow import (
 )
 from regrow.network import Predictor, TrainConfig, train
 from regrow.pointcloud import PointCloud
+from regrow.search import SearchConfig, run_search
 from oracles import Sized, frontier_oracle
 from regrow.simulate import RegionState, SimConfig, generate_dataset
+
+
+def grow_greedy(ctx, predictor, seed, labels, cfg, rng):
+    """One greedy region from `seed`, as `segment_scene` grows it by default."""
+    return run_search(ctx, predictor, seed, labels, cfg, SearchConfig("greedy"), rng)
 
 
 class StubPredictor:
@@ -115,7 +120,7 @@ class TestGrowStep:
         ctx = build_context(cloud, delta=0.1, knn=3)
         state = region(ctx, [0])
         assert state.tracker.frontier(np.ones(3, dtype=bool)).size == 0
-        res = grow_region(ctx, Sized(StubPredictor(), 4, 4), 0, np.zeros(3, dtype=int),
+        res = grow_greedy(ctx, Sized(StubPredictor(), 4, 4), 0, np.zeros(3, dtype=int),
                           GrowConfig(), np.random.default_rng(0))
         assert res.inferences == 0 and member_set(res.members) == {0}
 
@@ -145,7 +150,7 @@ class TestGrowRegion:
         pts = np.array([[0, 0, 0], [5, 5, 5], [9, 9, 9]], dtype=float)
         cloud = PointCloud(pts, np.full((3, 3), 9, np.uint8), None)
         ctx = build_context(cloud, delta=0.1, knn=3)
-        res = grow_region(ctx, Sized(StubPredictor(), 4, 4), 0, np.zeros(3, dtype=int),
+        res = grow_greedy(ctx, Sized(StubPredictor(), 4, 4), 0, np.zeros(3, dtype=int),
                           GrowConfig(), np.random.default_rng(0))
         assert member_set(res.members) == {0}
         assert res.step <= 1
@@ -153,7 +158,7 @@ class TestGrowRegion:
     def test_oscillator_terminates_by_stagnation(self):
         cloud = two_plane_scene()
         ctx = build_context(cloud, delta=0.1, knn=8)
-        res = grow_region(ctx, Sized(OscillatingPredictor(), 16, 16), 0,
+        res = grow_greedy(ctx, Sized(OscillatingPredictor(), 16, 16), 0,
                           np.zeros(cloud.n_points, dtype=int), GrowConfig(),
                           np.random.default_rng(0))
         assert res.step < 500 and not res.capped
@@ -161,7 +166,7 @@ class TestGrowRegion:
     def test_add_all_covers_connected_component(self):
         cloud = two_plane_scene()
         ctx = build_context(cloud, delta=0.1, knn=8)
-        res = grow_region(ctx, Sized(StubPredictor(add=0.9), 16, 16), 0,
+        res = grow_greedy(ctx, Sized(StubPredictor(add=0.9), 16, 16), 0,
                           np.zeros(cloud.n_points, dtype=int), GrowConfig(),
                           np.random.default_rng(0))
         assert member_set(res.members) == set(range(64))  # exactly the first plane
@@ -169,7 +174,7 @@ class TestGrowRegion:
     def test_step_cap(self):
         cloud = two_plane_scene()
         ctx = build_context(cloud, delta=0.1, knn=8)
-        res = grow_region(ctx, Sized(StubPredictor(add=0.9), 4, 4), 0,
+        res = grow_greedy(ctx, Sized(StubPredictor(add=0.9), 4, 4), 0,
                           np.zeros(cloud.n_points, dtype=int), GrowConfig(max_steps=2),
                           np.random.default_rng(0))
         assert res.capped and res.step == 2
@@ -244,7 +249,7 @@ class TestSegmentScene:
         predictor, losses = train_competent_predictor(tmp_path, cloud)
         assert losses[-1] < losses[0]
         ctx = build_context(cloud, delta=0.1, knn=8)
-        res = grow_region(ctx, predictor, 0, np.zeros(cloud.n_points, dtype=int),
+        res = grow_greedy(ctx, predictor, 0, np.zeros(cloud.n_points, dtype=int),
                           GrowConfig(), np.random.default_rng(0))
         assert member_set(res.members) == set(range(64))
 

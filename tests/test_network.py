@@ -427,6 +427,24 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="must be strictly ascending within 0..12"):
             init_params(TINY_ENC, TINY_DEC, feature_columns=cols)
 
+    @pytest.mark.parametrize("enc,dec", [((8, 0, 8, 8, 16), (8, 8, 1)),
+                                         ((8, 8, 8, 8, 16), (8, 0, 1))],
+                             ids=["encoder", "decoder"])
+    def test_layer_width_below_one_is_refused(self, tmp_path, enc, dec):
+        # a hand-written header and a body of the size such widths would give:
+        # without the check this loads as a network that predicts 0.5 everywhere
+        fans = (13, *enc[:-1], enc[1] + 2 * enc[-1], *dec[:-1])
+        body = 2 * sum((fan + 1) * width for fan, width in zip(fans, (*enc, *dec)))
+        header = [1, 13, 8, 8, len(enc), *enc, len(dec), *dec, 2, 13, *range(13), 1]
+        path = tmp_path / "p.ckpt"
+        path.write_bytes(b"RGNW" + np.array(header, "<u4").tobytes()
+                         + np.zeros(body, "<f4").tobytes())
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: layer widths "
+                                                  "must be >= 1"):
+            load_params(path)
+        with pytest.raises(ValueError, match="^layer widths must be >= 1"):
+            init_params(enc, dec)
+
     def test_oversized_header_is_truncated_not_allocated(self, tmp_path):
         # widths are checked against the file's size before any tensor exists
         header = [1, 13, 8, 8, 5, *[1 << 20] * 5, 3, 8, 8, 1, 2, 13, *range(13), 1]

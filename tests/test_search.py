@@ -1,11 +1,13 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import Sized, segment_oracle
+from oracles import Sized, _grow_region_oracle, _run_search_oracle, segment_oracle
 from regrow.features import build_context
-from regrow.grow import GrowConfig, grow_region, segment_scene
+from regrow.grow import GrowConfig, segment_scene
 from regrow.pointcloud import PointCloud
 from regrow.search import STRATEGIES, SearchConfig, run_search
 from test_acceptance import _ConstPredictor, _RandomPredictor
@@ -40,10 +42,10 @@ class TestAccumulateLoglik:
     def test_monotone_nonincreasing_over_rollout(self):
         cloud = two_plane_scene()
         ctx = build_context(cloud, delta=0.1, knn=8)
-        res = grow_region(ctx, Sized(NoisyPredictor(), 8, 8), 0,
-                          np.zeros(cloud.n_points, dtype=int), GrowConfig(),
-                          np.random.default_rng(0), sampled=True)
-        assert res.loglik <= 0.0
+        res = run_search(ctx, Sized(NoisyPredictor(), 8, 8), 0,
+                         np.zeros(cloud.n_points, dtype=int), GrowConfig(),
+                         SearchConfig("rr-ml", restarts=1), np.random.default_rng(0))
+        assert res.step > 0 and res.loglik <= 0.0
 
 
 class TestRunSearch:
@@ -67,8 +69,8 @@ class TestRunSearch:
                          scfg, rng)
         rng2 = np.random.default_rng(7)
         child = rng2.spawn(1)[0]
-        expect = grow_region(self.ctx, Sized(NoisyPredictor(), 16, 16), 0, self.labels,
-                             self.cfg, child, sampled=True)
+        expect = _grow_region_oracle(self.ctx, Sized(NoisyPredictor(), 16, 16), 0, self.labels,
+                                     self.cfg, child, sampled=True)
         np.testing.assert_array_equal(got.members, expect.members)
 
     def test_rr_np_winner_at_least_mean_size(self):
@@ -79,8 +81,8 @@ class TestRunSearch:
         sizes = []
         rng2 = np.random.default_rng(3)
         for child in rng2.spawn(10):
-            res = grow_region(self.ctx, Sized(NoisyPredictor(add=0.6), 16, 16), 0, self.labels,
-                              self.cfg, child, sampled=True)
+            res = _grow_region_oracle(self.ctx, Sized(NoisyPredictor(add=0.6), 16, 16), 0,
+                                      self.labels, self.cfg, child, sampled=True)
             sizes.append(int(res.members.sum()))
         assert got.members.sum() == max(sizes)
         assert got.members.sum() >= np.mean(sizes)
@@ -93,8 +95,8 @@ class TestRunSearch:
         logliks = []
         rng2 = np.random.default_rng(4)
         for child in rng2.spawn(6):
-            res = grow_region(self.ctx, Sized(NoisyPredictor(), 16, 16), 0, self.labels,
-                              self.cfg, child, sampled=True)
+            res = _grow_region_oracle(self.ctx, Sized(NoisyPredictor(), 16, 16), 0,
+                                      self.labels, self.cfg, child, sampled=True)
             logliks.append(res.loglik)
         assert got.loglik == pytest.approx(max(logliks))
 
@@ -176,6 +178,26 @@ C6_STUBS = {
 }
 
 
+class _InputSeededPredictor:
+    """Probabilities drawn uniformly from a generator seeded by the trial
+    number and the input bytes: random, yet a pure function of its inputs, so
+    the values do not depend on the order in which rounds interleave the
+    calls of several regions (`_RandomPredictor` draws from one stream)."""
+
+    def __init__(self, trial):
+        self.trial = trial
+
+    def __call__(self, xi, xn):
+        rng = np.random.default_rng([self.trial, zlib.crc32(xi.tobytes()),
+                                     zlib.crc32(xn.tobytes())])
+        return rng.uniform(0.01, 0.99, len(xi)), rng.uniform(0.01, 0.99, len(xn))
+
+
+# the stubs of the oracle tests: C6's, with the random one a pure function
+ORACLE_STUBS = {**C6_STUBS, "random": _InputSeededPredictor,
+                "features": lambda t: feature_predictor}
+
+
 def random_scene(rng, n):
     pts = rng.uniform(0, rng.uniform(0.2, 0.5), (n, 3))
     return PointCloud(pts, rng.integers(0, 256, (n, 3)).astype(np.uint8), None)
@@ -232,14 +254,36 @@ class TestSegmentationOracle:
     def test_labels_and_stats_match_rollout_loop(self, case):
         cloud, sizes, grow_cfg, search_cfg, name, seed = case
         ctx = build_context(cloud, delta=0.1, knn=min(8, cloud.n_points))
-
-        def predictor():
-            return Sized(feature_predictor if name == "features" else C6_STUBS[name](seed),
-                         *sizes)
-
-        labels, stats = segment_scene(ctx, predictor(), grow_cfg, search_cfg,
+        stub = ORACLE_STUBS[name]
+        labels, stats = segment_scene(ctx, Sized(stub(seed), *sizes), grow_cfg, search_cfg,
                                       np.random.default_rng(seed))
-        want_labels, want_stats = segment_oracle(ctx, predictor(), grow_cfg, search_cfg,
-                                                 np.random.default_rng(seed))
+        want_labels, want_stats = segment_oracle(ctx, Sized(stub(seed), *sizes), grow_cfg,
+                                                 search_cfg, np.random.default_rng(seed))
         np.testing.assert_array_equal(labels, want_labels)
         assert stats == want_stats
+
+
+class TestRunSearchOracle:
+    @given(segmentation_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_region_matches_rollout_loop(self, case, data):
+        """One seed grown among already labeled points: the winning region
+        of every strategy equals that of the loops that ran each restart to
+        its end and each beam child in turn."""
+        cloud, sizes, grow_cfg, search_cfg, name, seed = case
+        ctx = build_context(cloud, delta=0.1, knn=min(8, cloud.n_points))
+        n = cloud.n_points
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        point = data.draw(st.integers(0, n - 1))
+        labels[point] = 0
+        stub = ORACLE_STUBS[name]
+        got = run_search(ctx, Sized(stub(seed), *sizes), point, labels, grow_cfg, search_cfg,
+                         np.random.default_rng(seed))
+        want = _run_search_oracle(ctx, Sized(stub(seed), *sizes), point, labels, grow_cfg,
+                                  search_cfg, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got.members, want.members)
+        assert (got.loglik, got.step, got.inferences, got.capped) == \
+            (want.loglik, want.steps, want.inferences, want.capped)
+        for fractions, mean in ((got.add_fractions, want.add_fraction),
+                                (got.remove_fractions, want.remove_fraction)):
+            assert (float(np.mean(fractions)) if fractions else 0.0) == mean
