@@ -262,9 +262,10 @@ class DatasetReader:
     """An open dataset file whose records are read one batch at a time, so
     the memory it holds does not grow with the file.
 
-    Opening checks the header, the size and every record's `length`, reading
-    the records a chunk at a time. `read` makes one positioned read per run
-    of adjacent records into one reusable buffer. The file is not
+    Opening checks the header, the size, and every record's `length`, finite
+    features and 0/1 targets, reading the records a chunk at a time. `read`
+    makes one positioned read per run of adjacent records into one reusable
+    buffer. The file is not
     memory-mapped, as a file rewritten while mapped faults on access; instead
     each read refuses a file whose size or mtime changed since it was opened,
     or that comes back short, so that no batch mixes two files.
@@ -309,8 +310,17 @@ class DatasetReader:
         chunk = max(1, DATASET_CHECK_BYTES // self._rec.itemsize)
         for first in range(0, self._len, chunk):
             records = self._read_runs([first], [min(chunk, self._len - first)])
-            if (records["length"] != self._rec.itemsize - 4).any():
-                raise DatasetError(f"{path}: inconsistent record length")
+            problems = {
+                "inconsistent record length": records["length"] != self._rec.itemsize - 4,
+                "non-finite feature": ~(np.isfinite(records["inlier_features"]).all((1, 2))
+                                        & np.isfinite(records["neighbor_features"]).all((1, 2))),
+                "target byte other than 0 or 1": (records["remove_target"] > 1).any(1)
+                                                 | (records["add_target"] > 1).any(1),
+            }
+            bad = np.flatnonzero(np.any(list(problems.values()), axis=0))
+            if bad.size:
+                what = next(name for name, flags in problems.items() if flags[bad[0]])
+                raise DatasetError(f"{path}: record {first + bad[0]}: {what}")
         self._buf = np.empty(0, np.uint8)  # let the chunk go; reads size their own
 
     def __len__(self) -> int:

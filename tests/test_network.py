@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -849,3 +849,38 @@ class TestBranchSplit:
             proc.kill()
             proc.join(10)
         assert not proc.is_alive()
+
+
+def _checkpoint_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.ckpt"
+        save_params(init_params(TINY_ENC, TINY_DEC, i_size=8, j_size=8,
+                                feature_columns=(0, 1, 2), normalize=False), path)
+        return path.read_bytes()
+
+
+CHECKPOINT = _checkpoint_bytes()
+CHECKPOINT_HEADER = 4 + 4 * (5 + len(TINY_ENC) + 1 + len(TINY_DEC) + 2 + 3 + 1)
+
+
+class TestMutatedCheckpoint:
+    @given(at=st.one_of(st.integers(0, CHECKPOINT_HEADER - 1),
+                        st.integers(0, len(CHECKPOINT) - 1)),
+           value=st.integers(0, 255))
+    @example(at=CHECKPOINT_HEADER - 4, value=7)  # the normalize word
+    @example(at=4 + 4 * 6, value=0)  # the second encoder width
+    @settings(max_examples=300, deadline=None)
+    def test_one_mutated_byte_is_refused_or_round_trips(self, at, value):
+        """A checkpoint with one byte changed is refused, or it loads into a
+        network that re-saves to the same bytes."""
+        raw = bytearray(CHECKPOINT)
+        raw[at] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp) / "m.ckpt", Path(tmp) / "again.ckpt"
+            path.write_bytes(bytes(raw))
+            try:
+                params = load_params(path)
+            except CheckpointError:
+                return
+            save_params(params, again)
+            assert again.read_bytes() == bytes(raw)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (dataset_oracle, delta_components_oracle, instance_closure_oracle,
@@ -344,6 +344,26 @@ class TestGenerateDataset:
         with pytest.raises(DatasetError, match="inconsistent record length"):
             DatasetReader(path)
 
+    @pytest.mark.parametrize("field,value,what", [
+        ("add_target", 7, "target byte other than 0 or 1"),
+        ("remove_target", 2, "target byte other than 0 or 1"),
+        ("neighbor_features", np.inf, "non-finite feature"),
+        ("inlier_features", np.nan, "non-finite feature"),
+    ])
+    def test_bad_record_is_refused_at_open(self, tmp_path, monkeypatch, field, value, what):
+        path = tmp_path / "d.bin"
+        n = generate_dataset([two_blob_scene()], SimConfig(i_size=6, j_size=5, seed=3), path)
+        head = np.frombuffer(path.read_bytes(), np.uint8, 20)
+        records = np.frombuffer(path.read_bytes(), simulate.record_dtype(6, 5, 13),
+                                offset=20).copy()
+        records[field][n - 2].flat[1] = value
+        path.write_bytes(head.tobytes() + records.tobytes())
+        # two records per chunk, so the bad record need not start its chunk
+        monkeypatch.setattr(simulate, "DATASET_CHECK_BYTES", 2 * records.itemsize)
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: record {n - 2}: "
+                                               f"{what}$"):
+            DatasetReader(path)
+
     def test_steps_per_instance_same_order_as_reference_ratio(self, tmp_path):
         # large-scale runs average on the order of twenty-odd samples per
         # instance; the decaying mistake schedule should keep synthetic data
@@ -560,3 +580,42 @@ class TestInputSpecHeader:
         params, _ = train(path, TrainConfig((4, 4, 4, 4, 8), (4, 4, 1), epochs=1))
         assert (params.i_size, params.j_size, params.feature_columns, params.normalize) == \
             (6, 5, cols, normalize)
+
+
+def _dataset_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.bin"
+        generate_dataset([two_blob_scene()], SimConfig(i_size=6, j_size=5, seed=3), path)
+        return path.read_bytes()
+
+
+DATASET = _dataset_bytes()
+FIRST_TARGET = 20 + 4 + 4 * (6 + 5) * 13  # record 0's first remove_target byte
+
+
+class TestMutatedDataset:
+    @given(at=st.integers(0, len(DATASET) - 1), value=st.integers(0, 255))
+    @example(at=FIRST_TARGET, value=7)
+    @settings(max_examples=300, deadline=None)
+    def test_one_mutated_byte_is_refused_or_round_trips(self, at, value):
+        """A dataset with one byte changed is refused, or its records hold
+        finite features and 0/1 targets and, written back through
+        `DatasetWriter` with the reader's spec, give the same bytes."""
+        raw = bytearray(DATASET)
+        raw[at] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp) / "d.bin", Path(tmp) / "again.bin"
+            path.write_bytes(bytes(raw))
+            try:
+                with DatasetReader(path) as reader:
+                    spec, fields = reader.spec, reader.read(np.arange(len(reader)))
+            except DatasetError:
+                return
+            xi, xn, remove, add, meta = fields
+            assert np.isfinite(xi).all() and np.isfinite(xn).all()
+            assert remove.max() <= 1 and add.max() <= 1
+            with DatasetWriter(again, spec) as writer:
+                for k in range(len(meta)):
+                    writer.write(TrainingSample(xi[k], xn[k], remove[k], add[k],
+                                                tuple(meta[k].tolist())))
+            assert again.read_bytes() == bytes(raw)
