@@ -265,10 +265,10 @@ class DatasetReader:
     Opening checks the header, the size, and every record's `length`, finite
     features and 0/1 targets, reading the records a chunk at a time. `read`
     makes one positioned read per run of adjacent records into one reusable
-    buffer. The file is not
-    memory-mapped, as a file rewritten while mapped faults on access; instead
-    each read refuses a file whose size or mtime changed since it was opened,
-    or that comes back short, so that no batch mixes two files.
+    buffer. The file is not memory-mapped, as a file rewritten while mapped
+    faults on access; instead each read refuses a file whose size or mtime
+    changed since it was opened, or that comes back short, so that no batch
+    mixes two files.
     """
 
     def __init__(self, path):
