@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, metrics, synth
-from .features import DEFAULT_DELTA, DEFAULT_KNN, FEATURE_SUBSETS, build_context
+from .features import DEFAULT_DELTA, DEFAULT_KNN, FEATURE_SUBSETS, N_FEATURES, build_context
 from .grow import GrowConfig, segment_scene
 from .network import Predictor, TrainConfig, load_params, train
 from .pointcloud import (PointCloud, atomic_open, export_colored_ply, load_scene, read_labels,
@@ -62,8 +62,9 @@ def _read_cache(cache, scene_path, delta, knn):
     """(cloud, features, adjacency) from a features cache entry: the cloud and
     features only when they were computed from this very file with the same
     `knn`, the adjacency only when also at the same `delta`, and None in
-    their place otherwise. An entry that is missing, cannot be read or lacks
-    a key of the format `_features_worker` writes gives Nones throughout."""
+    their place otherwise. An entry that is missing, cannot be read, lacks
+    a key of the format `_features_worker` writes or holds arrays that do
+    not fit its cloud (`_fits`) gives Nones throughout."""
     try:
         with np.load(cache) as data:
             if not (int(data["knn"]) == knn
@@ -71,10 +72,26 @@ def _read_cache(cache, scene_path, delta, knn):
                 return None, None, None
             cloud = PointCloud(data["positions"], data["colors"],
                                data["gt_instance"] if "gt_instance" in data else None)
-            adjacency = data["adj_indptr"], data["adj_indices"]
-            return cloud, data["features"], adjacency if float(data["delta"]) == delta else None
+            feats, adjacency = data["features"], (data["adj_indptr"], data["adj_indices"])
+            if not _fits(cloud.n_points, feats, *adjacency):
+                return None, None, None
+            return cloud, feats, adjacency if float(data["delta"]) == delta else None
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
         return None, None, None
+
+
+def _fits(n, feats, indptr, indices) -> bool:
+    """Whether cached features and CSR adjacency can be an n-point scene's:
+    (n, 13) finite float64 features, and n + 1 non-decreasing integer row
+    pointers from 0 to the count of the integer column indices, each in
+    [0, n)."""
+    return (feats.dtype == np.float64 and feats.shape == (n, N_FEATURES)
+            and np.isfinite(feats).all()
+            and np.issubdtype(indptr.dtype, np.integer) and indptr.shape == (n + 1,)
+            and np.issubdtype(indices.dtype, np.integer) and indices.ndim == 1
+            and indptr[0] == 0 and indptr[-1] == len(indices)
+            and (np.diff(indptr) >= 0).all()
+            and (indices.size == 0 or 0 <= indices.min() and indices.max() < n))
 
 
 def _load_context(scene_path, delta, knn, features_dir=None):
@@ -110,11 +127,13 @@ def _add_common_scene_args(p):
 
 
 def _add_network_args(p, net: TrainConfig):
-    p.add_argument("--lr", type=float, default=net.lr)
-    p.add_argument("--batch", type=int, default=net.batch_size)
-    p.add_argument("--epochs", type=int, default=net.epochs)
-    p.add_argument("--enc-widths", type=int, nargs="+", default=list(net.enc_widths))
-    p.add_argument("--dec-widths", type=int, nargs="+", default=list(net.dec_widths))
+    p.add_argument("--lr", type=float, default=net.lr, help="Adam learning rate")
+    p.add_argument("--batch", type=int, default=net.batch_size, help="samples per batch")
+    p.add_argument("--epochs", type=int, default=net.epochs, help="passes over the dataset")
+    p.add_argument("--enc-widths", type=int, nargs="+", default=list(net.enc_widths),
+                   help="encoder layer widths")
+    p.add_argument("--dec-widths", type=int, nargs="+", default=list(net.dec_widths),
+                   help="decoder layer widths; the last is the output's")
 
 
 # read on its own first, to find the config file before the command's flags
@@ -138,20 +157,23 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--train", type=int, default=40, help="number of training rooms")
     p.add_argument("--test", type=int, default=20, help="number of test rooms")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the first room")
     p.add_argument("--extent", type=float, nargs=3, default=list(room.extent),
-                   metavar=("X", "Y", "Z"))
+                   metavar=("X", "Y", "Z"), help="room size in meters")
     p.add_argument("--spacing", type=float, default=room.spacing, help="sample spacing in meters")
-    p.add_argument("--objects-min", type=int, default=room.n_objects[0])
-    p.add_argument("--objects-max", type=int, default=room.n_objects[1])
-    p.add_argument("--color-noise", type=float, default=room.color_noise)
+    p.add_argument("--objects-min", type=int, default=room.n_objects[0],
+                   help="fewest objects per room")
+    p.add_argument("--objects-max", type=int, default=room.n_objects[1],
+                   help="most objects per room")
+    p.add_argument("--color-noise", type=float, default=room.color_noise,
+                   help="standard deviation of the per-point RGB noise")
 
     p = add_parser("features",
                    help="precompute and cache per-point features and the radius adjacency")
     p.add_argument("--scenes", required=True, help="scene file or directory")
     p.add_argument("--out", required=True, help="cache directory")
     _add_common_scene_args(p)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
 
     p = add_parser("simulate",
                    help="simulate region growing into a training dataset")
@@ -160,8 +182,10 @@ def build_parser() -> _Parser:
     p.add_argument("--i", dest="i_size", type=int, default=sim.i_size, help="inlier set size I")
     p.add_argument("--j", dest="j_size", type=int, default=sim.j_size, help="neighbor set size J")
     _add_common_scene_args(p)
-    p.add_argument("--alpha-min", type=float, default=sim.alpha_range[0])
-    p.add_argument("--alpha-max", type=float, default=sim.alpha_range[1])
+    p.add_argument("--alpha-min", type=float, default=sim.alpha_range[0],
+                   help="least mistake probability at the first step")
+    p.add_argument("--alpha-max", type=float, default=sim.alpha_range[1],
+                   help="greatest mistake probability at the first step")
     p.add_argument("--decay", type=float, default=sim.decay,
                    help="mistake probability decay per step")
     p.add_argument("--augment", type=int, default=sim.augment_copies,
@@ -170,22 +194,25 @@ def build_parser() -> _Parser:
                    help="feature subset")
     p.add_argument("--no-normalize", action="store_true",
                    help="skip median normalization of network inputs")
-    p.add_argument("--seed", type=int, default=sim.seed)
+    p.add_argument("--seed", type=int, default=sim.seed, help="random seed")
 
     p = add_parser("train", help="train the mask network")
-    p.add_argument("--dataset", required=True)
+    p.add_argument("--dataset", required=True, help="dataset file written by simulate")
     p.add_argument("--out", required=True, help="checkpoint file")
     _add_network_args(p, net)
     p.add_argument("--skip-layer", type=int, default=net.skip_layer,
                    help="encoder layer feeding the decoder skip connection")
-    p.add_argument("--seed", type=int, default=net.seed)
+    p.add_argument("--seed", type=int, default=net.seed,
+                   help="seed of the initial weights and the batch order")
 
     p = add_parser("segment",
                    help="segment scenes with a trained network")
     p.add_argument("--scenes", required=True, help="scene file or directory")
     p.add_argument("--model", required=True, help="checkpoint file")
     p.add_argument("--out", required=True, help="output directory for labels")
-    p.add_argument("--strategy", default=search.strategy, choices=STRATEGIES)
+    p.add_argument("--strategy", default=search.strategy, choices=STRATEGIES,
+                   help="greedy, or random restarts (rr) or beam search (bs) picking "
+                        "by log-likelihood (ml) or size (np)")
     p.add_argument("--restarts", type=int, default=search.restarts,
                    help="random-restart rollouts")
     p.add_argument("--beam", type=int, default=search.beam_width, help="beam width")
@@ -201,22 +228,28 @@ def build_parser() -> _Parser:
     _add_common_scene_args(p)
     p.add_argument("--features-dir", help="cached features directory")
     p.add_argument("--ply", action="store_true", help="also export a colored PLY")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
 
     p = add_parser("baseline",
                    help="classical region-growing baselines")
-    p.add_argument("--scenes", required=True)
-    p.add_argument("--method", required=True, choices=["threshold", "smoothness"])
+    p.add_argument("--scenes", required=True, help="scene file or directory")
+    p.add_argument("--method", required=True, choices=["threshold", "smoothness"],
+                   help="region-growing criterion")
     p.add_argument("--out", required=True, help="output directory for labels")
     _add_common_scene_args(p)
-    p.add_argument("--features-dir")
-    p.add_argument("--normal-angle-max", type=float, default=threshold.normal_angle_max)
-    p.add_argument("--color-dist-max", type=float, default=threshold.color_dist_max)
-    p.add_argument("--theta-th", type=float, default=smooth.theta_th)
-    p.add_argument("--curvature-th", type=float, default=smooth.curvature_th)
-    p.add_argument("--min-segment", type=int, default=threshold.min_segment)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--features-dir", help="cached features directory")
+    p.add_argument("--normal-angle-max", type=float, default=threshold.normal_angle_max,
+                   help="threshold: largest normal angle to join, in degrees")
+    p.add_argument("--color-dist-max", type=float, default=threshold.color_dist_max,
+                   help="threshold: largest unit-scaled RGB distance to join")
+    p.add_argument("--theta-th", type=float, default=smooth.theta_th,
+                   help="smoothness: largest normal angle to join, in degrees")
+    p.add_argument("--curvature-th", type=float, default=smooth.curvature_th,
+                   help="smoothness: largest curvature of a point that extends the front")
+    p.add_argument("--min-segment", type=int, default=threshold.min_segment,
+                   help="segments smaller than this are reassigned")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
 
     p = add_parser("eval",
                    help="score predicted labels against ground truth")
@@ -226,16 +259,20 @@ def build_parser() -> _Parser:
 
     p = add_parser("ablate",
                    help="run one configuration knob end to end")
-    p.add_argument("--train-scenes", required=True)
-    p.add_argument("--test-scenes", required=True)
-    p.add_argument("--workdir", required=True)
-    p.add_argument("--knob", required=True, choices=list(_ABLATION_KNOBS))
-    p.add_argument("--i", dest="i_size", type=int, default=sim.i_size)
-    p.add_argument("--j", dest="j_size", type=int, default=sim.j_size)
+    p.add_argument("--train-scenes", required=True, help="labeled training scene directory")
+    p.add_argument("--test-scenes", required=True, help="labeled test scene directory")
+    p.add_argument("--workdir", required=True,
+                   help="directory of the cached datasets, models and results")
+    p.add_argument("--knob", required=True, choices=list(_ABLATION_KNOBS),
+                   help="configuration to run")
+    p.add_argument("--i", dest="i_size", type=int, default=sim.i_size, help="inlier set size I")
+    p.add_argument("--j", dest="j_size", type=int, default=sim.j_size,
+                   help="neighbor set size J")
     _add_common_scene_args(p)
     _add_network_args(p, net)
-    p.add_argument("--augment", type=int, default=sim.augment_copies)
-    p.add_argument("--seed", type=int, default=sim.seed)
+    p.add_argument("--augment", type=int, default=sim.augment_copies,
+                   help="augmented copies per scene")
+    p.add_argument("--seed", type=int, default=sim.seed, help="random seed")
     return parser
 
 
@@ -439,7 +476,17 @@ def _cmd_eval(args) -> int:
         cloud = load_scene(scene_path)
         if cloud.gt_instance is None:
             raise ValueError(f"{scene_path} has no ground-truth instance labels")
-        pred = read_labels(pred_path)
+        try:
+            pred = read_labels(pred_path)
+        except (ValueError, OverflowError) as exc:  # a token that is no int32
+            raise ValueError(f"{pred_path}: {exc}") from exc
+        if len(pred) != cloud.n_points:
+            raise ValueError(f"{pred_path}: {len(pred)} labels for the {cloud.n_points} points "
+                             f"of {scene_path}")
+        if pred.min() < 1:
+            at = int(np.argmax(pred < 1))
+            raise ValueError(f"{pred_path}: label {pred[at]} of point {at + 1} is no instance "
+                             "id (ids are >= 1; 0 marks an unassigned point)")
         rec = metrics.score_scene(cloud.gt_instance, pred)
         stats_path = Path(args.pred) / f"{stem}.stats.json"
         rec["steps"] = (json.loads(stats_path.read_text()).get("steps_per_region", 0.0)

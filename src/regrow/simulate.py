@@ -11,16 +11,17 @@ ground truth. `SimConfig` is the `features.InputSpec` its samples follow.
 A dataset file is the magic b"RGDS", a little-endian uint32 header of
 version 2, I, J and the spec word (bit c set for each feature column c,
 bit 31 for median-normalized inputs), then whole records of
-`record_dtype(I, J, F)` for F columns. `DatasetWriter` streams samples into
-it and `DatasetReader` reads them back a batch at a time, so neither holds
-the whole file in memory; the reader checks the header as an `InputSpec`.
+`record_dtype(I, J, F)` for F columns, each one training sample as it is
+drawn. `DatasetWriter` streams them into it and `DatasetReader` reads them
+back a batch at a time, so neither holds the whole file in memory; the
+reader checks the header as an `InputSpec`.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -30,26 +31,6 @@ from .features import (DEFAULT_DELTA, DEFAULT_KNN, N_FEATURES, InputSpec, Region
 from .pointcloud import PointCloud, atomic_open
 
 SIM_STEP_CAP = 500
-
-
-@dataclass
-class NoiseSchedule:
-    """Per-step mistake probability: alpha0 decayed linearly, floored at 0."""
-
-    alpha0: float
-    decay: float = 0.01
-
-    def alpha(self, step: int) -> float:
-        return max(0.0, self.alpha0 - self.decay * step)
-
-
-@dataclass
-class TrainingSample:
-    inlier_features: np.ndarray    # (I, F) float32, normalized
-    neighbor_features: np.ndarray  # (J, F) float32, normalized
-    remove_target: np.ndarray      # (I,) uint8
-    add_target: np.ndarray         # (J,) uint8
-    meta: tuple[int, int, int]     # (scene, instance, step)
 
 
 @dataclass
@@ -69,9 +50,14 @@ class SimConfig(InputSpec):
             raise ValueError(f"alpha_range must have min <= max, got {self.alpha_range}")
 
 
-def corrupt_region(ctx: SceneContext, state: RegionState, schedule: NoiseSchedule,
+def decayed_alpha(alpha0: float, decay: float, step: int) -> float:
+    """The mistake probability at `step`: alpha0 decayed linearly, floored at 0."""
+    return max(0.0, alpha0 - decay * step)
+
+
+def corrupt_region(ctx: SceneContext, state: RegionState, alpha: float,
                    rng: np.random.Generator) -> None:
-    """One noisy growth step with mistake probability alpha(step).
+    """One noisy growth step with mistake probability alpha.
 
     Correct frontier points are each dropped with probability alpha, wrong
     frontier points each added with probability alpha, and wrong members are
@@ -81,7 +67,6 @@ def corrupt_region(ctx: SceneContext, state: RegionState, schedule: NoiseSchedul
     if gt is None:
         raise ValueError("simulation requires ground-truth instance labels")
     inst = int(gt[state.seed])
-    alpha = schedule.alpha(state.step)
     frontier = state.tracker.frontier()
     right = gt[frontier] == inst
     correct = frontier[right]
@@ -98,10 +83,10 @@ def corrupt_region(ctx: SceneContext, state: RegionState, schedule: NoiseSchedul
 
 def make_training_sample(ctx: SceneContext, state: RegionState, cfg: SimConfig,
                          rng: np.random.Generator,
-                         meta: tuple[int, int, int] = (0, 0, 0)) -> TrainingSample | None:
-    """Fixed-size sample with targets from ground truth, or None when the
-    region has no neighbor candidates (skip signal). `cfg` gives the network
-    input spec (`features.region_inputs`)."""
+                         meta: tuple[int, int, int] = (0, 0, 0)) -> np.ndarray | None:
+    """A `new_record(cfg)` of network inputs (`features.region_inputs`) and
+    targets from ground truth, or None when the region has no neighbor
+    candidates (skip signal). Assignment casts to float32 and 0/1 bytes."""
     gt = ctx.cloud.gt_instance
     if gt is None:
         raise ValueError("training samples require ground-truth instance labels")
@@ -110,9 +95,11 @@ def make_training_sample(ctx: SceneContext, state: RegionState, cfg: SimConfig,
     if frontier.size == 0:
         return None
     inl, nbr, xi, xn = region_inputs(ctx, np.flatnonzero(state.members), frontier, cfg, rng)
-    remove = (gt[inl] != inst).astype(np.uint8)
-    add = (gt[nbr] == inst).astype(np.uint8)
-    return TrainingSample(xi.astype(np.float32), xn.astype(np.float32), remove, add, meta)
+    record = new_record(cfg)
+    record["inlier_features"], record["neighbor_features"] = xi, xn
+    record["remove_target"], record["add_target"] = gt[inl] != inst, gt[nbr] == inst
+    record["meta"] = meta
+    return record
 
 
 def augment_scene(cloud: PointCloud, rng: np.random.Generator) -> PointCloud:
@@ -156,7 +143,6 @@ def simulate_instance(ctx: SceneContext, instance_id: int, cfg: SimConfig,
     inst_points = np.flatnonzero(gt == instance_id)
     seed = int(rng.choice(inst_points))
     alpha0 = float(rng.uniform(*cfg.alpha_range))
-    schedule = NoiseSchedule(alpha0, cfg.decay)
     closure = instance_closure(ctx, seed)
     state = RegionState(ctx.new_tracker([seed]), seed)
     while True:
@@ -164,10 +150,11 @@ def simulate_instance(ctx: SceneContext, instance_id: int, cfg: SimConfig,
                                       meta=(scene_key, int(instance_id), state.step))
         if sample is not None:
             yield sample
-        if (schedule.alpha(state.step) == 0.0 and np.array_equal(state.members, closure)) \
+        alpha = decayed_alpha(alpha0, cfg.decay, state.step)
+        if (alpha == 0.0 and np.array_equal(state.members, closure)) \
                 or state.step >= SIM_STEP_CAP:
             return
-        corrupt_region(ctx, state, schedule, rng)
+        corrupt_region(ctx, state, alpha, rng)
 
 
 def generate_dataset(scenes, cfg: SimConfig, out_path) -> int:
@@ -206,9 +193,10 @@ DATASET_NORMALIZED = 1 << 31  # the spec word's bit for median-normalized inputs
 DATASET_CHECK_BYTES = 4 << 20  # read at a time by the open-time record check
 
 
+@cache  # built once per shape, as building it per sample slows simulation
 def record_dtype(i_size: int, j_size: int, n_features: int) -> np.dtype:
-    """One packed dataset record: `length`, the byte size of the fields after
-    it, then the fields of `TrainingSample`, in their order."""
+    """One packed dataset record, one training sample: `length`, the byte
+    size of the fields after it, then the network inputs and the targets."""
     return np.dtype([
         ("length", "<u4"),
         ("inlier_features", "<f4", (i_size, n_features)),
@@ -219,43 +207,40 @@ def record_dtype(i_size: int, j_size: int, n_features: int) -> np.dtype:
     ])
 
 
+def new_record(spec: InputSpec) -> np.ndarray:
+    """A zeroed record of `spec`'s shapes with its `length` set."""
+    record = np.zeros((), record_dtype(spec.i_size, spec.j_size, spec.n_features))
+    record["length"] = record.itemsize - 4
+    return record
+
+
 class DatasetError(ValueError):
     """A dataset file is malformed or inconsistent."""
 
 
 class DatasetWriter:
-    """Streams records into a temporary file that replaces `path` on a clean
-    close and is removed on an exception (`pointcloud.atomic_open`)."""
+    """Streams records of `spec` into a temporary file that replaces `path`
+    when the `with` block ends and is removed if it raises
+    (`pointcloud.atomic_open`)."""
 
     def __init__(self, path, spec: InputSpec):
         word = sum(1 << c for c in spec.feature_columns) | (DATASET_NORMALIZED * spec.normalize)
-        self._record = np.zeros((), record_dtype(spec.i_size, spec.j_size, spec.n_features))
-        self._record["length"] = self._record.itemsize - 4
-        with ExitStack() as stack:
-            self._fh = stack.enter_context(atomic_open(path, "wb"))
-            header = np.array([DATASET_VERSION, spec.i_size, spec.j_size, word], "<u4")
-            self._fh.write(DATASET_MAGIC + header.tobytes())
-            self._file = stack.pop_all()
-
-    def write(self, sample: TrainingSample) -> None:
-        rec = self._record
-        for name in rec.dtype.names[1:]:
-            value = getattr(sample, name)
-            # field assignment broadcasts, so a wrong shape must be caught here
-            if np.shape(value) != rec[name].shape:
-                raise DatasetError(f"sample {name} shape {np.shape(value)} does not match "
-                                   f"the header's {rec[name].shape}")
-            rec[name] = value
-        self._fh.write(rec.tobytes())
-
-    def close(self) -> None:
-        self._file.close()
+        header = np.array([DATASET_VERSION, spec.i_size, spec.j_size, word], "<u4")
+        self._header, self._dtype = DATASET_MAGIC + header.tobytes(), new_record(spec).dtype
+        self._file = atomic_open(path, "wb")
 
     def __enter__(self):
+        self._fh = self._file.__enter__()
+        self._fh.write(self._header)  # into the empty write buffer: no I/O to fail
         return self
 
     def __exit__(self, *exc):
         return self._file.__exit__(*exc)
+
+    def write(self, record: np.ndarray) -> None:
+        if record.dtype != self._dtype:
+            raise DatasetError(f"record dtype {record.dtype} is not the header's {self._dtype}")
+        self._fh.write(record.tobytes())
 
 
 class DatasetReader:

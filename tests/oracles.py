@@ -3,7 +3,8 @@
 These deliberately avoid the library's code paths: pair enumeration instead
 of contingency algebra, probability dictionaries instead of vectorized sums,
 scipy's hypergeometric pmf for the expected mutual information, a
-record-by-record `struct` reader for the dataset file, per-edge seeded flood
+record-by-record `struct` reader for the dataset file, training samples as
+five arrays cast one by one with `astype`, per-edge seeded flood
 fills for the classical baselines, the (N, k, 3) einsum PCA that the
 column-wise covariance kernel replaced, a line-by-line scene parser,
 one-f-string-per-row scene and PLY writers, a per-element labels writer and
@@ -743,6 +744,22 @@ def dataset_oracle(path):
         raise ValueError("dataset contains no samples")
     return (np.stack(xi_list), np.stack(xn_list), np.stack(rm_list), np.stack(ad_list),
             np.stack(meta_list).astype(np.int32))
+
+
+def training_sample_oracle(ctx, state, spec: InputSpec, rng, meta):
+    """A training sample as five arrays cast one by one: inlier_features
+    (I, F) and neighbor_features (J, F) float32, remove_target (I,) and
+    add_target (J,) uint8 against the seed's instance, and meta (3,) int32;
+    None when the region has no frontier. Draws from `rng` as
+    `simulate.make_training_sample` does."""
+    gt = ctx.cloud.gt_instance
+    inst = int(gt[state.seed])
+    frontier = state.tracker.frontier()
+    if frontier.size == 0:
+        return None
+    inl, nbr, xi, xn = region_inputs(ctx, np.flatnonzero(state.members), frontier, spec, rng)
+    return (xi.astype(np.float32), xn.astype(np.float32), (gt[inl] != inst).astype(np.uint8),
+            (gt[nbr] == inst).astype(np.uint8), np.array(meta, np.int32))
 
 
 def _flood_oracle(ctx, join, enqueue):

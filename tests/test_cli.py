@@ -19,7 +19,7 @@ from regrow.grow import GrowConfig, segment_scene
 from regrow.network import TrainConfig, load_params
 from regrow.pointcloud import load_scene, read_labels, write_labels
 from regrow.search import SearchConfig
-from regrow.simulate import DatasetWriter, SimConfig, TrainingSample
+from regrow.simulate import DatasetWriter, SimConfig, new_record
 
 ABLATE_REQUIRED = ["ablate", "--train-scenes", "a", "--test-scenes", "b", "--workdir", "w",
                    "--knob", "full"]
@@ -110,6 +110,26 @@ class TestUsage:
             run(["simulate", "--help"])
         out = capsys.readouterr().out
         assert "512" in out and "0.1" in out  # I/J and delta defaults
+
+    def test_every_optional_flag_shows_its_default(self):
+        """Each subcommand's help gives every flag a line, and that line ends
+        with the flag's default; argparse prints no line, so no default, for
+        a flag without a help string."""
+        missing = []
+        for name, sub in cli.build_parser().commands.items():
+            formatter = sub._get_formatter()
+            for action in sub._actions:
+                if not action.option_strings or action.dest == "help":
+                    continue
+                line = formatter._expand_help(action) if action.help else ""
+                if action.required:
+                    shown = bool(line.strip())
+                else:
+                    shown = line.endswith(f"(default: {action.default})") and \
+                        bool(line.removesuffix(f"(default: {action.default})").strip())
+                if not shown:
+                    missing.append(f"{name} {action.option_strings[0]}")
+        assert missing == []
 
     def test_segment_defaults_match_configs(self):
         """Segment's flags, and every other command's flags that a config
@@ -418,14 +438,16 @@ class TestTrainCommand:
         # a NaN feature is refused when the dataset opens, before any batch
         dataset, model = tmp_path / "nan.bin", tmp_path / "m.ckpt"
         rng = np.random.default_rng(0)
-        with DatasetWriter(dataset, SimConfig(i_size=4, j_size=4)) as writer:
+        spec = SimConfig(i_size=4, j_size=4)
+        with DatasetWriter(dataset, spec) as writer:
             for k in range(3):
-                xi = rng.normal(size=(4, 13)).astype(np.float32)
+                record = new_record(spec)
+                record["inlier_features"] = rng.normal(size=(4, 13))
                 if k == 1:
-                    xi[2, 5] = np.nan  # one inlier feature of one record
-                writer.write(TrainingSample(xi, rng.normal(size=(4, 13)).astype(np.float32),
-                                            np.zeros(4, np.uint8), np.ones(4, np.uint8),
-                                            (0, 0, k)))
+                    record["inlier_features"][2, 5] = np.nan  # one inlier feature of one record
+                record["neighbor_features"] = rng.normal(size=(4, 13))
+                record["add_target"], record["meta"] = 1, (0, 0, k)
+                writer.write(record)
         model.write_bytes(b"the previous checkpoint")
         assert run(["train", "--dataset", str(dataset), "--out", str(model),
                     "--enc-widths", "8", "8", "8", "8", "16", "--dec-widths", "8", "8", "1",
@@ -439,12 +461,16 @@ class TestTrainCommand:
         # finite records, but a learning rate that drives the loss to inf or nan
         dataset, model = tmp_path / "d.bin", tmp_path / "m.ckpt"
         rng = np.random.default_rng(0)
-        with DatasetWriter(dataset, SimConfig(i_size=4, j_size=4)) as writer:
+        spec = SimConfig(i_size=4, j_size=4)
+        with DatasetWriter(dataset, spec) as writer:
             for k in range(8):
-                writer.write(TrainingSample(rng.normal(size=(4, 13)).astype(np.float32),
-                                            rng.normal(size=(4, 13)).astype(np.float32),
-                                            rng.integers(0, 2, 4).astype(np.uint8),
-                                            rng.integers(0, 2, 4).astype(np.uint8), (0, 0, k)))
+                record = new_record(spec)
+                record["inlier_features"] = rng.normal(size=(4, 13))
+                record["neighbor_features"] = rng.normal(size=(4, 13))
+                record["remove_target"] = rng.integers(0, 2, 4)
+                record["add_target"] = rng.integers(0, 2, 4)
+                record["meta"] = (0, 0, k)
+                writer.write(record)
         model.write_bytes(b"the previous checkpoint")
         assert run(["train", "--dataset", str(dataset), "--out", str(model),
                     "--enc-widths", "8", "8", "8", "8", "16", "--dec-widths", "8", "8", "1",
@@ -558,6 +584,30 @@ class TestSegmentAndEval:
         mean_row = [r for r in rows if r.startswith("mean,")][0]
         vals = [float(v) for v in mean_row.split(",")[1:7]]
         assert vals == [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("labels,message", [
+        (lambda n: [1] * (n - 1) + [99999999999], "out of bounds for int32"),
+        (lambda n: [0] * n, "label 0 of point 1 is no instance id"),
+        (lambda n: [2] * (n - 2) + [-1, 2], r"label -1 of point \d+ is no instance id"),
+        (lambda n: [1] * (n - 1), r"(\d+) labels for the (\d+) points of .*scene_\d+\.txt$"),
+    ], ids=["above-int32", "unassigned", "negative", "one-line-short"])
+    def test_eval_refuses_labels_it_cannot_score(self, workspace, tmp_path, capsys, labels,
+                                                 message):
+        scenes = workspace / "data" / "test"
+        scene = next(scenes.glob("*.txt"))
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        labels_path = pred / f"{scene.stem}.labels"
+        labels_path.write_text("".join(f"{v}\n" for v in labels(load_scene(scene).n_points)))
+        assert run(["eval", "--scenes", str(scenes), "--pred", str(pred),
+                    "--out", str(tmp_path / "m.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {labels_path}: ") and err.endswith("\n")
+        match = re.search(message, err.strip())
+        assert match, err
+        if match.groups():  # the short file's count, then the scene's
+            assert int(match[1]) + 1 == int(match[2]) == load_scene(scene).n_points
+        assert not (tmp_path / "m.csv").exists()
 
     def test_baseline_command(self, workspace, tmp_path):
         out = tmp_path / "bl"
@@ -772,6 +822,31 @@ class TestParallelAndCache:
                         "--out", str(tmp_path / out)] + extra) == 0
         f = next((tmp_path / "fresh").glob("*.labels"))
         assert sha(f) == sha(tmp_path / "cached" / f.name)
+
+    @pytest.mark.parametrize("method,mutate", [
+        ("smoothness", lambda entry: entry.update(features=entry["features"][:, :12])),
+        ("threshold", lambda entry: entry["adj_indices"].__setitem__(7, 10**6)),
+        ("smoothness", lambda entry: entry["features"].__setitem__(
+            (slice(None), features.COL_CURVATURE), np.nan)),
+    ], ids=["features-12-columns", "index-out-of-range", "nan-curvature"])
+    def test_entry_that_does_not_fit_its_scene_is_a_miss(self, workspace, tmp_path, builds,
+                                                         method, mutate):
+        scenes = workspace / "data" / "test"
+        cache = tmp_path / "cache"
+        assert run(["features", "--scenes", str(scenes), "--out", str(cache)]) == 0
+        entry_path = next(cache.glob("*.features.npz"))
+        with np.load(entry_path) as data:
+            entry = {k: data[k] for k in data.files}
+        mutate(entry)
+        np.savez(entry_path, **entry)
+        builds.update(features=0, adjacency=0)  # the cache's own builds
+        for out, extra in (("fresh", []), ("cached", ["--features-dir", str(cache)])):
+            assert run(["baseline", "--scenes", str(scenes), "--method", method,
+                        "--out", str(tmp_path / out)] + extra) == 0
+        f = next((tmp_path / "fresh").glob("*.labels"))
+        assert sha(f) == sha(tmp_path / "cached" / f.name)
+        # the entry is a miss: the cached run builds both again, as the fresh run does
+        assert builds == {"features": 2, "adjacency": 2}
 
     def test_cache_of_rewritten_scene_is_recomputed(self, workspace, tmp_path, parses):
         scenes = tmp_path / "scenes"

@@ -38,8 +38,8 @@ from regrow.network import (
     save_params,
     train,
 )
-from regrow.simulate import (DatasetError, DatasetWriter, SimConfig, TrainingSample,
-                             generate_dataset)
+from regrow.simulate import (DatasetError, DatasetWriter, SimConfig, generate_dataset,
+                             new_record)
 from regrow.pointcloud import PointCloud
 
 TINY_ENC = (8, 8, 8, 8, 16)
@@ -297,11 +297,13 @@ def write_random_dataset(path, count, i_size=64, j_size=64, n_features=13):
     spec = SimConfig(i_size=i_size, j_size=j_size, feature_columns=tuple(range(n_features)))
     with DatasetWriter(path, spec) as writer:
         for k in range(count):
-            writer.write(TrainingSample(
-                rng.normal(size=(i_size, n_features)).astype(np.float32),
-                rng.normal(size=(j_size, n_features)).astype(np.float32),
-                rng.integers(0, 2, i_size).astype(np.uint8),
-                rng.integers(0, 2, j_size).astype(np.uint8), (0, 0, k)))
+            record = new_record(spec)
+            record["inlier_features"] = rng.normal(size=(i_size, n_features))
+            record["neighbor_features"] = rng.normal(size=(j_size, n_features))
+            record["remove_target"] = rng.integers(0, 2, i_size)
+            record["add_target"] = rng.integers(0, 2, j_size)
+            record["meta"] = (0, 0, k)
+            writer.write(record)
 
 
 TRAIN_PEAK_RSS = """

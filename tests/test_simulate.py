@@ -1,5 +1,7 @@
 import re
 import tempfile
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -9,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (dataset_oracle, delta_components_oracle, instance_closure_oracle,
-                     oracle_next_region)
+                     oracle_next_region, training_sample_oracle)
 from regrow import network, simulate
 from regrow.features import InputSpec, build_context
 from regrow.network import TrainConfig, train
@@ -18,15 +20,15 @@ from regrow.simulate import (
     DatasetError,
     DatasetReader,
     DatasetWriter,
-    NoiseSchedule,
     RegionState,
     SimConfig,
-    TrainingSample,
     augment_scene,
     corrupt_region,
+    decayed_alpha,
     generate_dataset,
     instance_closure,
     make_training_sample,
+    new_record,
     simulate_instance,
 )
 
@@ -142,7 +144,7 @@ class TestCorruptRegion:
         clean = region(ctx, {0, 1})
         oracle_next_region(ctx, clean)
         noisy = region(ctx, {0, 1})
-        corrupt_region(ctx, noisy, NoiseSchedule(0.0), np.random.default_rng(0))
+        corrupt_region(ctx, noisy, 0.0, np.random.default_rng(0))
         assert member_set(noisy) == member_set(clean)
         np.testing.assert_array_equal(noisy.tracker.support, clean.tracker.support)
 
@@ -150,8 +152,7 @@ class TestCorruptRegion:
         cloud = two_blob_scene()
         ctx = build_context(cloud, delta=0.1, knn=4)
         noisy = region(ctx, {0})
-        corrupt_region(ctx, noisy, NoiseSchedule(1.0, decay=0.0),
-                       np.random.default_rng(0))
+        corrupt_region(ctx, noisy, 1.0, np.random.default_rng(0))
         # all correct frontier dropped, every wrong in-range point added
         assert 1 not in member_set(noisy)
         assert 6 in member_set(noisy)  # the second instance's point right across
@@ -161,7 +162,7 @@ class TestCorruptRegion:
         cloud = two_blob_scene()
         ctx = build_context(cloud, delta=0.1, knn=4)
         state = region(ctx, {0, 6})  # 6 belongs to the other instance
-        corrupt_region(ctx, state, NoiseSchedule(0.0), np.random.default_rng(0))
+        corrupt_region(ctx, state, 0.0, np.random.default_rng(0))
         assert 6 not in member_set(state)
 
     def test_drop_fraction_matches_alpha(self):
@@ -172,16 +173,31 @@ class TestCorruptRegion:
         trials = 1000
         for _ in range(trials):
             out = region(ctx, {1})
-            corrupt_region(ctx, out, NoiseSchedule(0.3), rng)
+            corrupt_region(ctx, out, 0.3, rng)
             dropped += (0 not in member_set(out)) + (2 not in member_set(out))
         assert dropped / (2 * trials) == pytest.approx(0.3, abs=0.05)
 
     def test_schedule_decay(self):
-        s = NoiseSchedule(0.25, decay=0.01)
-        assert s.alpha(0) == 0.25
-        assert s.alpha(10) == pytest.approx(0.15)
-        assert s.alpha(100) == 0.0
-        assert all(s.alpha(k) >= s.alpha(k + 1) for k in range(60))
+        alpha = partial(decayed_alpha, 0.25, 0.01)
+        assert alpha(0) == 0.25
+        assert alpha(10) == pytest.approx(0.15)
+        assert alpha(100) == 0.0
+        assert all(alpha(k) >= alpha(k + 1) for k in range(60))
+
+
+@st.composite
+def sample_cases(draw):
+    """(ctx, region, spec, seed, meta): a labeled cloud with its features,
+    a region of any members around a seed among them, any input spec, a
+    random stream's seed and any int32 meta triple."""
+    cloud, seed, delta = draw(labeled_clouds())
+    ctx = build_context(cloud, delta=delta, knn=draw(st.integers(3, 8)))
+    others = draw(st.sets(st.integers(0, cloud.n_points - 1), max_size=cloud.n_points))
+    cols = tuple(sorted(draw(st.sets(st.integers(0, 12), min_size=1))))
+    spec = SimConfig(i_size=draw(st.integers(1, 12)), j_size=draw(st.integers(1, 12)),
+                     feature_columns=cols, normalize=draw(st.booleans()))
+    meta = tuple(draw(st.integers(-2**31, 2**31 - 1)) for _ in range(3))
+    return ctx, region(ctx, others | {seed}, seed), spec, draw(st.integers(0, 2**32 - 1)), meta
 
 
 class TestTrainingSamples:
@@ -190,15 +206,15 @@ class TestTrainingSamples:
         ctx = build_context(cloud, delta=0.1, knn=4)
         sample = make_training_sample(ctx, region(ctx, {0, 1}), SimConfig(i_size=8, j_size=8),
                                       np.random.default_rng(0))
-        assert sample.remove_target.sum() == 0
-        assert sample.inlier_features.shape == (8, 13)
+        assert sample["remove_target"].sum() == 0
+        assert sample["inlier_features"].shape == (8, 13)
 
     def test_wrong_member_marked_for_removal(self):
         cloud = two_blob_scene()
         ctx = build_context(cloud, delta=0.1, knn=4)
         sample = make_training_sample(ctx, region(ctx, {0, 6}), SimConfig(i_size=8, j_size=8),
                                       np.random.default_rng(0))
-        assert sample.remove_target.sum() > 0
+        assert sample["remove_target"].sum() > 0
 
     def test_add_targets_follow_instance(self):
         cloud = two_blob_scene()
@@ -210,7 +226,7 @@ class TestTrainingSamples:
             sample = make_training_sample(ctx, state, SimConfig(i_size=8, j_size=16), rng)
             assert sample is not None
             # reconstruct: every slot's target equals gt membership of its point
-            assert set(np.unique(sample.add_target)) <= {0, 1}
+            assert set(np.unique(sample["add_target"])) <= {0, 1}
 
     def test_skip_signal_when_isolated(self):
         pts = np.array([[0.0, 0, 0], [5.0, 0, 0]])
@@ -220,6 +236,21 @@ class TestTrainingSamples:
         out = make_training_sample(ctx, region(ctx, {0}), SimConfig(i_size=4, j_size=4),
                                    np.random.default_rng(0))
         assert out is None
+
+    @given(sample_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_record_fields_match_the_astype_oracle(self, case):
+        ctx, state, spec, seed, meta = case
+        record = make_training_sample(ctx, state, spec, np.random.default_rng(seed), meta)
+        expected = training_sample_oracle(ctx, state, spec, np.random.default_rng(seed), meta)
+        if expected is None:
+            assert record is None
+            return
+        assert record.dtype == simulate.record_dtype(spec.i_size, spec.j_size, spec.n_features)
+        assert record.shape == () and record["length"] == record.itemsize - 4
+        for name, array in zip(record.dtype.names[1:], expected):
+            assert record[name].dtype == array.dtype and record[name].shape == array.shape
+            assert record[name].tobytes() == array.tobytes(), name
 
 
 class TestAugment:
@@ -278,8 +309,7 @@ class TestGenerateDataset:
         assert len(samples) + 1 >= int(np.ceil(20 * spacing / delta))
 
     def test_alpha_never_increases(self):
-        s = NoiseSchedule(0.4)
-        vals = [s.alpha(k) for k in range(80)]
+        vals = [decayed_alpha(0.4, SimConfig().decay, k) for k in range(80)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_dataset_roundtrip(self, tmp_path):
@@ -392,20 +422,24 @@ class TestGenerateDataset:
         cfg = SimConfig(i_size=8, j_size=8, alpha_range=(0.3, 0.3), seed=2)
         for inst in (1, 2):
             state = region(ctx, {int(np.flatnonzero(gt == inst)[0])})
-            schedule = NoiseSchedule(0.3)
             rng2 = np.random.default_rng(7)
             for _ in range(10):
                 members = np.flatnonzero(state.tracker.member)
                 sample = make_training_sample(ctx, state, cfg, rng2)
                 if sample is None:
                     break
-                corrupt_region(ctx, state, schedule, rng2)
+                assert sample["length"] == sample.itemsize - 4
+                for name in ("remove_target", "add_target"):
+                    assert set(np.unique(sample[name])) <= {0, 1}
+                if (gt[members] == inst).all():
+                    assert not sample["remove_target"].any()
+                corrupt_region(ctx, state, decayed_alpha(0.3, cfg.decay, state.step), rng2)
 
 
 @st.composite
 def sample_batches(draw, max_count=5):
-    """(spec, samples): a `SimConfig` with any strictly ascending, non-empty
-    set of feature columns and either normalization, and samples of its
+    """(spec, records): a `SimConfig` with any strictly ascending, non-empty
+    set of feature columns and either normalization, and records of its
     shapes."""
     i, j = (draw(st.integers(1, 8)) for _ in range(2))
     cols = tuple(sorted(draw(st.sets(st.integers(0, 12), min_size=1))))
@@ -413,12 +447,13 @@ def sample_batches(draw, max_count=5):
     f = len(cols)
     count = draw(st.integers(1, max_count))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    samples = [TrainingSample(rng.normal(size=(i, f)).astype(np.float32),
-                              rng.normal(size=(j, f)).astype(np.float32),
-                              rng.integers(0, 2, i).astype(np.uint8),
-                              rng.integers(0, 2, j).astype(np.uint8),
-                              tuple(int(v) for v in rng.integers(-2**31, 2**31, 3)))
-               for _ in range(count)]
+    samples = [new_record(spec) for _ in range(count)]
+    for record in samples:
+        record["inlier_features"] = rng.normal(size=(i, f))
+        record["neighbor_features"] = rng.normal(size=(j, f))
+        record["remove_target"] = rng.integers(0, 2, i)
+        record["add_target"] = rng.integers(0, 2, j)
+        record["meta"] = rng.integers(-2**31, 2**31, 3)
     return spec, samples
 
 
@@ -443,7 +478,7 @@ class TestDatasetFile:
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
-        np.testing.assert_array_equal(got[4], [s.meta for s in samples])
+        np.testing.assert_array_equal(got[4], [s["meta"] for s in samples])
 
     @given(sample_batches(max_count=12), st.data())
     @settings(max_examples=60, deadline=None)
@@ -520,12 +555,17 @@ class TestDatasetFile:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.bin"]
 
     def test_wrong_sample_shape_rejected(self, tmp_path):
-        sample = TrainingSample(np.zeros((4, 3), np.float32), np.zeros((5, 3), np.float32),
-                                np.zeros(4, np.uint8), np.zeros(1, np.uint8), (0, 0, 0))
         spec = SimConfig(i_size=4, j_size=5, feature_columns=(0, 1, 2))
+        others = [replace(spec, j_size=1), replace(spec, i_size=3),
+                  replace(spec, feature_columns=(0, 1)),
+                  replace(spec, feature_columns=(0, 1, 5, 6))]
         with DatasetWriter(tmp_path / "d.bin", spec) as writer:
+            for other in others:
+                with pytest.raises(DatasetError, match="is not the header's"):
+                    writer.write(new_record(other))
             with pytest.raises(DatasetError):
-                writer.write(sample)
+                writer.write(np.zeros(new_record(spec).itemsize, np.uint8))
+        assert (tmp_path / "d.bin").stat().st_size == 20  # the header alone
 
 
 class TestInputSpecHeader:
@@ -616,6 +656,9 @@ class TestMutatedDataset:
             assert remove.max() <= 1 and add.max() <= 1
             with DatasetWriter(again, spec) as writer:
                 for k in range(len(meta)):
-                    writer.write(TrainingSample(xi[k], xn[k], remove[k], add[k],
-                                                tuple(meta[k].tolist())))
+                    record = new_record(spec)
+                    record["inlier_features"], record["neighbor_features"] = xi[k], xn[k]
+                    record["remove_target"], record["add_target"] = remove[k], add[k]
+                    record["meta"] = meta[k]
+                    writer.write(record)
             assert again.read_bytes() == bytes(raw)
